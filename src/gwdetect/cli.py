@@ -47,14 +47,13 @@ from .pipeline import (
     DatasetManifest,
     DetectionReport,
     compute_path_scores,
-    extract_packet,
+    load_set,
     roc_sweep,
-    run_baseline,
     run_inspection,
     summary_table,
 )
 from .simulate import ToneBurstSpec, attenuation_ladder, synth_dataset
-from .spectral import WelchConfig, welch_psd
+from .spectral import WelchConfig
 
 OUTDIR_ENV = "GWDETECT_OUTDIR"
 
@@ -108,12 +107,12 @@ def _parse_band(text):
     return (lo, hi)
 
 
-def _build_runconfig(args, need_manifest=True) -> RunConfig:
+def _build_runconfig(args) -> RunConfig:
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
     manifest_path = _opt(cfg, getattr(args, "manifest", None), "data.manifest")
-    if need_manifest and not manifest_path:
+    if not manifest_path:
         raise ValueError("a manifest is required (--manifest or [data] manifest)")
-    manifest = DatasetManifest.load(manifest_path) if manifest_path else None
+    manifest = DatasetManifest.load(manifest_path)
 
     welch = WelchConfig(
         segment_length=int(_opt(cfg, args.segment_length, "welch.segment_length", 100)),
@@ -124,22 +123,27 @@ def _build_runconfig(args, need_manifest=True) -> RunConfig:
                               or cfg.get("welch.detrend", "1") == "0"),
     )
     window = _opt(cfg, getattr(args, "window", None), "data.window")
-    if manifest is not None:
-        if window is None:
-            raise ValueError("an analysis window is required (--window or [data] window)")
-        if window not in manifest.packet_windows:
-            raise ValueError(
-                f"window {window!r} is not defined by the manifest "
-                f"(available: {sorted(manifest.packet_windows)})"
-            )
-        for name, (start, length) in manifest.packet_windows.items():
-            if name == window and length < welch.segment_length:
-                raise ValueError(
-                    f"window {window!r} is {length} samples, shorter than "
-                    f"segment_length {welch.segment_length}"
-                )
+    if window is None:
+        raise ValueError("an analysis window is required (--window or [data] window)")
+    if window not in manifest.packet_windows:
+        raise ValueError(
+            f"window {window!r} is not defined by the manifest "
+            f"(available: {sorted(manifest.packet_windows)})"
+        )
+    length = manifest.packet_windows[window][1]
+    if length < welch.segment_length:
+        raise ValueError(f"window {window!r} is {length} samples, shorter than "
+                         f"segment_length {welch.segment_length}")
     path_flag = _opt(cfg, getattr(args, "path", None), "data.path")
-    paths = [path_flag] if path_flag else (manifest.paths() if manifest else [])
+    if path_flag and path_flag not in manifest.paths():
+        raise ValueError(f"path {path_flag!r} is not in the manifest "
+                         f"(available: {manifest.paths()})")
+    paths = [path_flag] if path_flag else manifest.paths()
+    set_id = _opt(cfg, getattr(args, "set_id", None), "data.set")
+    for path in paths:
+        if set_id is not None and set_id not in manifest.sets_for(path):
+            raise ValueError(f"set {set_id!r} is not in path {path!r} "
+                             f"(available: {manifest.sets_for(path)})")
 
     metrics_text = _opt(cfg, getattr(args, "metrics", None), "detect.metrics",
                         ",".join(METRICS))
@@ -161,17 +165,20 @@ def _build_runconfig(args, need_manifest=True) -> RunConfig:
         raise ValueError("an output directory is required (--out, config, or "
                          f"{OUTDIR_ENV})")
 
+    holdout = int(_opt(cfg, getattr(args, "holdout", None), "detect.holdout", 0))
+    if holdout < 0:
+        raise ValueError("holdout must be >= 0")
     seed = _opt(cfg, getattr(args, "seed", None), "detect.seed")
     return RunConfig(
         manifest=manifest,
         window=window,
         paths=paths,
-        set_id=_opt(cfg, getattr(args, "set_id", None), "data.set"),
+        set_id=set_id,
         welch=welch,
         metrics=metrics,
         alphas=alphas,
         band=band,
-        holdout=int(_opt(cfg, getattr(args, "holdout", None), "detect.holdout", 0)),
+        holdout=holdout,
         seed=None if seed is None else int(seed),
         out_dir=Path(out_dir),
     )
@@ -186,18 +193,18 @@ def cmd_psd(args) -> int:
     man = rc.manifest
     alpha = rc.alphas[0]
     for path in rc.paths:
-        for i, entry in enumerate(man.entries_for(path)):
-            packet = extract_packet(man.load_entry(entry), rc.window, man)
-            psd = welch_psd(packet, rc.welch)
-            lines = ["freq,psd"]
-            lines.extend(f"{fmt(f)},{v:.12g}" for f, v in zip(psd.freq_grid, psd.values))
-            stem = _slug(Path(entry.file).stem)
-            _write(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                   "\n".join(lines) + "\n")
-        sets = [rc.set_id] if rc.set_id else man.sets_for(path)
-        for s in sets:
-            ensemble, _ = run_baseline(man, path, rc.window, rc.welch,
-                                       holdout=0, set_id=s)
+        set_ids = [rc.set_id] if rc.set_id else man.sets_for(path)
+        for s in set_ids:
+            loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
+            # file index: the record's position among all entries of the path
+            index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
+            for i, entry, psd in zip(index, loaded.entries, loaded.psds):
+                lines = ["freq,psd"]
+                lines.extend(f"{fmt(f)},{v:.12g}" for f, v in zip(psd.freq_grid, psd.values))
+                stem = _slug(Path(entry.file).stem)
+                _write(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
+                       "\n".join(lines) + "\n")
+            ensemble = loaded.ensemble
             theo = theoretical_band(ensemble.mean_estimate(), alpha)
             expe = experimental_band([p.values for p in ensemble.psds], alpha)
             for tag, bandc in (("theoretical", theo), ("experimental", expe)):
@@ -240,29 +247,22 @@ def cmd_detect(args) -> int:
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
         # per-signal statistic curves against each set's baseline ensemble
         curve_metrics = [m for m in rc.metrics if m in ("f", "fm", "z")]
-        if curve_metrics:
-            sets = [rc.set_id] if rc.set_id else man.sets_for(path)
-            for s in sets:
-                ensemble, _ = run_baseline(man, path, rc.window, rc.welch,
-                                           holdout=rc.holdout, shuffle_seed=rc.seed,
-                                           set_id=s)
-                insp = [e for e in man.entries_for(path, set_id=s)
-                        if e.label != man.baseline_label]
-                for i, entry in enumerate(insp):
-                    packet = extract_packet(man.load_entry(entry), rc.window, man)
-                    psd = welch_psd(packet, rc.welch)
-                    for metric in curve_metrics:
-                        for alpha in rc.alphas:
-                            if metric == "f":
-                                series = f_statistic(ensemble.psds[0], psd, alpha, rc.band)
-                            elif metric == "fm":
-                                series = fm_statistic(ensemble, psd, alpha, rc.band)
-                            else:
-                                series = z_statistic(ensemble, psd, alpha, rc.band)
-                            stem = _slug(Path(entry.file).stem)
-                            _write(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(s)}"
-                                   f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
-                                   _curve_csv(series))
+        for loaded in scores.sets:
+            ensemble = loaded.ensemble
+            for i, j in enumerate(loaded.inspect):
+                psd = loaded.psds[j]
+                stem = _slug(Path(loaded.entries[j].file).stem)
+                for metric in curve_metrics:
+                    for alpha in rc.alphas:
+                        if metric == "f":
+                            series = f_statistic(ensemble.psds[0], psd, alpha, rc.band)
+                        elif metric == "fm":
+                            series = fm_statistic(ensemble, psd, alpha, rc.band)
+                        else:
+                            series = z_statistic(ensemble, psd, alpha, rc.band)
+                        _write(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
+                               f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
+                               _curve_csv(series))
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
@@ -279,10 +279,12 @@ def cmd_roc(args) -> int:
     rc = _build_runconfig(args)
     grid = _parse_alpha_grid(getattr(args, "alpha_grid", None))
     for path in rc.paths:
+        scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
+                                     holdout=rc.holdout, seed=rc.seed,
+                                     band=rc.band, set_id=rc.set_id)
         for metric in rc.metrics:
             curve = roc_sweep(rc.manifest, path, rc.window, metric, grid,
-                              welch_config=rc.welch, holdout=rc.holdout,
-                              seed=rc.seed, band=rc.band, set_id=rc.set_id)
+                              welch_config=rc.welch, scores=scores)
             _write(rc.out_dir / f"roc_{_slug(path)}_{_slug(rc.window)}_{metric}.csv",
                    curve.to_csv())
             print(f"{path} {metric}: auc = {curve.auc:.6f}")

@@ -14,7 +14,11 @@ CSV body with one row per signal file::
     signals/baseline_000.csv,healthy,1-2,set0
 
 Baselines are scoped by ``set_id``: every inspection signal is judged against
-the ensemble built from its own set's healthy records.
+the ensemble built from its own set's healthy records.  ``load_set`` reads
+each record of a (path, set) once, keeps its packet window and Welch
+estimate, and splits the baselines; every command and every metric then works
+from that one load, so each record is read and Welch-estimated once per
+command.
 
 Two reference protocols coexist, mirroring how many test cases each metric
 produces.  The ensemble metrics (``fm``, ``z``) yield one verdict per
@@ -52,11 +56,13 @@ __all__ = [
     "DatasetManifest",
     "ScoredCase",
     "PathScores",
+    "LoadedSet",
     "MetricSummary",
     "DetectionReport",
     "RocCurve",
     "locate_packet",
     "extract_packet",
+    "load_set",
     "run_baseline",
     "compute_path_scores",
     "case_damaged",
@@ -191,28 +197,35 @@ class DatasetManifest:
                 if "=" not in line:
                     raise ValueError(f"{path}:{ln}: expected 'key = value' before the CSV header")
                 key, value = (s.strip() for s in line.split("=", 1))
-                if key.startswith("window."):
-                    start, length = (s.strip() for s in value.split(","))
-                    windows[key[len("window."):]] = (int(start), int(length))
-                else:
-                    meta[key] = value
+                try:
+                    if key.startswith("window."):
+                        start, length = value.split(",")
+                        windows[key[len("window."):]] = (int(start), int(length))
+                    elif key == "band":
+                        lo, hi = value.split(",")
+                        meta[key] = (float(lo), float(hi))
+                    elif key == "sample_rate":
+                        meta[key] = float(value)
+                    else:
+                        meta[key] = value
+                except ValueError:
+                    raise ValueError(f"{path}:{ln}: bad value {value!r} for {key!r}") from None
         if "sample_rate" not in meta:
             raise ValueError(f"{path}: missing 'sample_rate' key")
         if not entries:
             raise ValueError(f"{path}: no entries after the CSV header")
-        band = None
-        if "band" in meta:
-            lo, hi = (float(s) for s in meta["band"].split(","))
-            band = (lo, hi)
-        manifest = cls(
-            entries=entries,
-            sample_rate=float(meta["sample_rate"]),
-            baseline_label=meta.get("baseline_label", "healthy"),
-            packet_windows=windows,
-            band=band,
-            base_dir=path.parent,
-        )
-        manifest.validate()
+        try:
+            manifest = cls(
+                entries=entries,
+                sample_rate=meta["sample_rate"],
+                baseline_label=meta.get("baseline_label", "healthy"),
+                packet_windows=windows,
+                band=meta.get("band"),
+                base_dir=path.parent,
+            )
+            manifest.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return manifest
 
 
@@ -251,7 +264,7 @@ def locate_packet(signal: Signal, threshold: float = 0.1, smooth: int = 96) -> i
 def extract_packet(signal: Signal, window_name: str, manifest: DatasetManifest,
                    auto_locate: bool = False, threshold: float = 0.1,
                    smooth: int = 64) -> Signal:
-    """Slice the named analysis window out of a signal, metadata preserved.
+    """Copy the named analysis window out of a signal, metadata preserved.
 
     With ``auto_locate`` the window keeps its length but starts at the
     detected packet onset (clamped so it stays inside the signal).
@@ -269,12 +282,12 @@ def extract_packet(signal: Signal, window_name: str, manifest: DatasetManifest,
         raise ValueError(
             f"window {window_name!r} ({start}, {length}) exceeds the {n}-sample signal"
         )
-    return Signal(samples=signal.samples[start:start + length],
+    return Signal(samples=signal.samples[start:start + length].copy(),
                   sample_rate=signal.sample_rate, label=signal.label)
 
 
 # ---------------------------------------------------------------------------
-# baseline phase
+# loading and the baseline split
 # ---------------------------------------------------------------------------
 
 def _split_order(n: int, holdout: int, shuffle_seed):
@@ -282,6 +295,58 @@ def _split_order(n: int, holdout: int, shuffle_seed):
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(n)
     return order[:n - holdout], order[n - holdout:]
+
+
+@dataclass(frozen=True, eq=False)
+class LoadedSet:
+    """Every record of one (path, set), read and Welch-estimated once.
+
+    ``train``, ``held`` and ``inspect`` index into ``entries`` (and into the
+    parallel ``packets`` and ``psds``); ``ensemble`` is built from ``train``.
+    """
+
+    set_id: str
+    entries: tuple      # ManifestEntry per record, manifest order
+    packets: tuple      # Signal per record: its packet window
+    psds: tuple         # PsdEstimate per record
+    train: tuple        # training baselines, in split order
+    held: tuple         # held-out baselines, in split order
+    inspect: tuple      # non-baseline records, manifest order
+    ensemble: BaselineEnsemble
+
+
+def load_set(manifest: DatasetManifest, path: str, set_id: str, window: str,
+             welch_config: WelchConfig, holdout: int = 0, seed=None) -> LoadedSet:
+    """Read each record of a (path, set) once, cut out its packet window and
+    estimate its PSD, then split the baselines and build the ensemble.
+
+    ``set_id=None`` takes every set of the path.  The split is deterministic
+    (first in manifest order train, remainder held out) unless ``seed``
+    shuffles it.
+    """
+    holdout = int(holdout)
+    if holdout < 0:
+        raise ValueError("holdout must be >= 0")
+    entries = tuple(manifest.entries_for(path, set_id=set_id))
+    base = [i for i, e in enumerate(entries) if e.label == manifest.baseline_label]
+    if len(base) < holdout + 2:
+        where = f"path {path!r}" if set_id is None else f"set {set_id!r} of path {path!r}"
+        raise ValueError(
+            f"{where} has {len(base)} baseline entries; "
+            f"need at least holdout+2 = {holdout + 2}"
+        )
+    train_idx, held_idx = _split_order(len(base), holdout, seed)
+    packets = tuple(extract_packet(manifest.load_entry(e), window, manifest)
+                    for e in entries)
+    psds = tuple(welch_psd(p, welch_config) for p in packets)
+    train = tuple(base[k] for k in train_idx)
+    return LoadedSet(
+        set_id=set_id, entries=entries, packets=packets, psds=psds,
+        train=train, held=tuple(base[k] for k in held_idx),
+        inspect=tuple(i for i, e in enumerate(entries)
+                      if e.label != manifest.baseline_label),
+        ensemble=BaselineEnsemble.from_psds(psds[i] for i in train),
+    )
 
 
 def run_baseline(manifest: DatasetManifest, path: str, window: str,
@@ -293,24 +358,9 @@ def run_baseline(manifest: DatasetManifest, path: str, window: str,
     held out) unless ``shuffle_seed`` is given.  Returns the ensemble and the
     held-out healthy PSD estimates.
     """
-    base = manifest.entries_for(path, set_id=set_id, label=manifest.baseline_label)
-    holdout = int(holdout)
-    if holdout < 0:
-        raise ValueError("holdout must be >= 0")
-    if len(base) < holdout + 2:
-        raise ValueError(
-            f"path {path!r} has {len(base)} baseline entries; "
-            f"need at least holdout+2 = {holdout + 2}"
-        )
-    train_idx, held_idx = _split_order(len(base), holdout, shuffle_seed)
-
-    def psd_of(entry):
-        packet = extract_packet(manifest.load_entry(entry), window, manifest)
-        return welch_psd(packet, welch_config)
-
-    ensemble = BaselineEnsemble.from_psds(psd_of(base[i]) for i in train_idx)
-    held = [psd_of(base[i]) for i in held_idx]
-    return ensemble, held
+    loaded = load_set(manifest, path, set_id, window, welch_config, holdout,
+                      shuffle_seed)
+    return loaded.ensemble, [loaded.psds[i] for i in loaded.held]
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +391,13 @@ class PathScores:
     welch: WelchConfig
     holdout: int
     seed: object
-    k_windows: int
-    m_by_set: dict
-    cases: dict            # metric -> list[ScoredCase]
+    cases: dict            # metric -> tuple[ScoredCase]
     damage_labels: tuple
+    sets: tuple            # LoadedSet per set id
+
+    @property
+    def m_by_set(self) -> dict:
+        return {s.set_id: s.ensemble.m for s in self.sets}
 
 
 def case_damaged(case: ScoredCase, alpha) -> bool:
@@ -372,9 +425,10 @@ def case_score(case: ScoredCase) -> float:
     return case.stat_hi
 
 
-def _stat_extrema(series, mask):
+def _stat_extrema(series, mask, dof1, dof2) -> dict:
     vals = series.values[mask]
-    return float(vals.min()), float(vals.max())
+    return {"stat_lo": float(vals.min()), "stat_hi": float(vals.max()),
+            "dof1": dof1, "dof2": dof2}
 
 
 def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
@@ -385,6 +439,10 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
 
     ``band`` defaults to the manifest's band (full grid if the manifest has
     none).  Baselines are scoped per set id; results are pooled across sets.
+    Pairwise metrics score (reference in train, probe) pairs, the probes being
+    the held-out healthy records (every other in-train record when nothing is
+    held out) and then the inspection records; ensemble metrics score the same
+    probes alone.
     """
     metrics = tuple(metrics)
     if not metrics:
@@ -394,125 +452,64 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
             raise ValueError(f"unknown metric {m!r}; choose from {METRICS}")
     if band is None:
         band = manifest.band
-    sets = [set_id] if set_id is not None else manifest.sets_for(path)
-    if not sets:
+    set_ids = [set_id] if set_id is not None else manifest.sets_for(path)
+    if not set_ids:
         raise ValueError(f"no entries for path {path!r}")
 
+    sets = tuple(load_set(manifest, path, s, window, welch_config, holdout, seed)
+                 for s in set_ids)
     cases = {m: [] for m in metrics}
     damage_labels = []
-    m_by_set = {}
-    k_windows = None
+    for loaded in sets:
+        ens, psds, entries = loaded.ensemble, loaded.psds, loaded.entries
+        mask = _band_mask(ens.freq_grid, band)
+        live = mask & (ens.var_psd > 0.0)
+        names = [f"{loaded.set_id}:{Path(e.file).stem}" for e in entries]
+        x = [p.samples for p in loaded.packets]
+        d = 2 * ens.k_windows
+        for j in loaded.inspect:
+            if entries[j].label not in damage_labels:
+                damage_labels.append(entries[j].label)
 
-    for s in sets:
-        base = manifest.entries_for(path, set_id=s, label=manifest.baseline_label)
-        if len(base) < holdout + 2:
-            raise ValueError(
-                f"set {s!r} of path {path!r} has {len(base)} baselines; "
-                f"need at least holdout+2 = {holdout + 2}"
-            )
-        insp = [e for e in manifest.entries_for(path, set_id=s)
-                if e.label != manifest.baseline_label]
-        train_idx, held_idx = _split_order(len(base), int(holdout), seed)
+        in_train = [(i, j) for i in loaded.train for j in loaded.train if i != j]
+        healthy = ([(i, j) for i in loaded.train for j in loaded.held]
+                   if loaded.held else in_train)
+        damage = [(i, j) for j in loaded.inspect for i in loaded.train]
+        # (case id, reference, probe), built once for all metrics of a protocol
+        pairs = [(f"{names[i]}->{Path(entries[j].file).stem}", i, j)
+                 for i, j in healthy + damage]
+        probes = [(names[j], None, j) for j in loaded.held + loaded.inspect]
+        di_moments = {}
+        for metric in [m for m in metrics if m in _DI_METRICS]:
+            di = janapati_di if metric == "janapati" else qiu_di
+            scatter = [di(x[i], x[j]) for i, j in in_train]
+            di_moments[metric] = {"center": float(np.mean(scatter)),
+                                  "spread": float(np.std(scatter, ddof=1))}
 
-        def packet_of(entry):
-            return extract_packet(manifest.load_entry(entry), window, manifest)
-
-        train_pk = [packet_of(base[i]) for i in train_idx]
-        held_pk = [packet_of(base[i]) for i in held_idx]
-        insp_pk = [packet_of(e) for e in insp]
-        train_psd = [welch_psd(p, welch_config) for p in train_pk]
-        held_psd = [welch_psd(p, welch_config) for p in held_pk]
-        insp_psd = [welch_psd(p, welch_config) for p in insp_pk]
-        ensemble = BaselineEnsemble.from_psds(train_psd)
-        k_windows = ensemble.k_windows
-        m_by_set[s] = ensemble.m
-        mask = _band_mask(ensemble.freq_grid, band)
-        live = mask if ensemble.var_psd is None else mask & (ensemble.var_psd > 0.0)
-
-        for e in insp:
-            if e.label not in damage_labels:
-                damage_labels.append(e.label)
-
-        train_names = [Path(base[i].file).stem for i in train_idx]
-        held_names = [Path(base[i].file).stem for i in held_idx]
-        insp_names = [Path(e.file).stem for e in insp]
-
-        # pairwise reference pools: (ref in train) x (held-out healthy),
-        # falling back to ordered in-train pairs when nothing is held out
-        if held_idx.size:
-            healthy_pairs = [(i, held_pk[j], held_psd[j], f"{s}:{train_names[i]}->{held_names[j]}")
-                             for i in range(len(train_pk)) for j in range(len(held_pk))]
-        else:
-            healthy_pairs = [(i, train_pk[j], train_psd[j], f"{s}:{train_names[i]}->{train_names[j]}")
-                             for i in range(len(train_pk)) for j in range(len(train_pk))
-                             if i != j]
+        def stats(metric, i, j):
+            if metric == "f":
+                return _stat_extrema(f_statistic(psds[i], psds[j], 0.5, band), mask, d, d)
+            if metric == "fm":
+                return _stat_extrema(fm_statistic(ens, psds[j], 0.5, band), mask,
+                                     d * ens.m, d)
+            if metric == "z":
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    series = z_statistic(ens, psds[j], 0.5, band)
+                return {"stat_hi": float(series.values[live].max())}
+            di = janapati_di if metric == "janapati" else qiu_di
+            return {"stat_hi": di(x[i], x[j]), **di_moments[metric]}
 
         for metric in metrics:
-            out = cases[metric]
-            if metric == "f":
-                d = 2 * k_windows
-                for i, pk, psd, cid in healthy_pairs:
-                    series = f_statistic(train_psd[i], psd, 0.5, band)
-                    lo, hi = _stat_extrema(series, mask)
-                    out.append(ScoredCase(cid, manifest.baseline_label, True, "f",
-                                          stat_lo=lo, stat_hi=hi, dof1=d, dof2=d))
-                for j, e in enumerate(insp):
-                    for i in range(len(train_psd)):
-                        series = f_statistic(train_psd[i], insp_psd[j], 0.5, band)
-                        lo, hi = _stat_extrema(series, mask)
-                        out.append(ScoredCase(f"{s}:{train_names[i]}->{insp_names[j]}",
-                                              e.label, False, "f",
-                                              stat_lo=lo, stat_hi=hi, dof1=d, dof2=d))
-            elif metric == "fm":
-                d1, d2 = 2 * k_windows * ensemble.m, 2 * k_windows
-                for j, psd in enumerate(held_psd):
-                    series = fm_statistic(ensemble, psd, 0.5, band)
-                    lo, hi = _stat_extrema(series, mask)
-                    out.append(ScoredCase(f"{s}:{held_names[j]}", manifest.baseline_label,
-                                          True, "fm", stat_lo=lo, stat_hi=hi,
-                                          dof1=d1, dof2=d2))
-                for j, e in enumerate(insp):
-                    series = fm_statistic(ensemble, insp_psd[j], 0.5, band)
-                    lo, hi = _stat_extrema(series, mask)
-                    out.append(ScoredCase(f"{s}:{insp_names[j]}", e.label, False, "fm",
-                                          stat_lo=lo, stat_hi=hi, dof1=d1, dof2=d2))
-            elif metric == "z":
-
-                def zmax(psd):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        series = z_statistic(ensemble, psd, 0.5, band)
-                    return float(series.values[live].max())
-
-                for j, psd in enumerate(held_psd):
-                    out.append(ScoredCase(f"{s}:{held_names[j]}", manifest.baseline_label,
-                                          True, "z", stat_hi=zmax(psd)))
-                for j, e in enumerate(insp):
-                    out.append(ScoredCase(f"{s}:{insp_names[j]}", e.label, False, "z",
-                                          stat_hi=zmax(insp_psd[j])))
-            else:  # DI metrics
-                di = janapati_di if metric == "janapati" else qiu_di
-                scatter = [di(train_pk[i].samples, train_pk[j].samples)
-                           for i in range(len(train_pk)) for j in range(len(train_pk))
-                           if i != j]
-                center = float(np.mean(scatter))
-                spread = float(np.std(scatter, ddof=1)) if len(scatter) > 1 else 0.0
-                for i, pk, _psd, cid in healthy_pairs:
-                    out.append(ScoredCase(cid, manifest.baseline_label, True, metric,
-                                          stat_hi=di(train_pk[i].samples, pk.samples),
-                                          center=center, spread=spread))
-                for j, e in enumerate(insp):
-                    for i in range(len(train_pk)):
-                        out.append(ScoredCase(f"{s}:{train_names[i]}->{insp_names[j]}",
-                                              e.label, False, metric,
-                                              stat_hi=di(train_pk[i].samples,
-                                                         insp_pk[j].samples),
-                                              center=center, spread=spread))
+            for cid, i, j in (pairs if metric in _PAIR_METRICS else probes):
+                label = entries[j].label
+                cases[metric].append(ScoredCase(cid, label, label == manifest.baseline_label,
+                                                metric, **stats(metric, i, j)))
 
     return PathScores(path=path, window=window, band=band, welch=welch_config,
-                      holdout=int(holdout), seed=seed, k_windows=k_windows,
-                      m_by_set=m_by_set, cases={m: tuple(v) for m, v in cases.items()},
-                      damage_labels=tuple(damage_labels))
+                      holdout=int(holdout), seed=seed,
+                      cases={m: tuple(v) for m, v in cases.items()},
+                      damage_labels=tuple(damage_labels), sets=sets)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +701,10 @@ def _trapezoid_auc(fprs, tprs) -> float:
     if xs[-1] != 1.0 or ys[-1] != 1.0:
         xs.append(1.0)
         ys.append(1.0)
-    return float(np.trapezoid(ys, xs))
+    x = np.asarray(xs)
+    y = np.asarray(ys)
+    # the trapezoid rule as np.trapezoid (NumPy >= 2.0) evaluates it
+    return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def default_alpha_grid() -> np.ndarray:

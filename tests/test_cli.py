@@ -241,3 +241,130 @@ def test_missing_manifest_is_validation_error(tmp_path, capsys):
     rc = main(["detect", "--manifest", str(tmp_path / "nope.csv"), "--window", "w",
                "--out", str(tmp_path / "res")])
     assert rc == 4  # unreadable manifest is an I/O failure
+
+
+def _common(data, *extra):
+    return ["--manifest", str(data / "manifest.csv"), "--window", "first-packet",
+            *extra]
+
+
+def test_negative_holdout_rejected_before_any_write(tmp_path, capsys):
+    simulate_small(tmp_path / "data")
+    for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu"]),
+                       ("roc", ["--metrics", "f"]),
+                       ("roc", ["--metrics", "z"]),
+                       ("psd", [])):
+        out = tmp_path / f"res_{cmd}"
+        rc = main([cmd, *_common(tmp_path / "data", *extra), "--holdout", "-3",
+                   "--out", str(out)])
+        assert rc == 2, cmd
+        assert "holdout must be >= 0" in capsys.readouterr().err
+        assert not out.exists(), cmd
+
+
+def _two_set_dataset(root):
+    """The small dataset with its records dealt alternately into set0/set1."""
+    simulate_small(root)
+    man = DatasetManifest.load(root / "manifest.csv")
+    man.entries = [ManifestEntry(e.file, e.label, e.path_id, f"set{k % 2}")
+                   for k, e in enumerate(man.entries)]
+    man.save(root / "manifest.csv")
+    return man
+
+
+def test_unknown_path_or_set_id_is_validation_error(tmp_path, capsys):
+    _two_set_dataset(tmp_path / "data")
+    for cmd in ("psd", "detect", "roc"):
+        for flag, value, listed in (("--path", "nope", "'1-2'"),
+                                    ("--set-id", "set9", "'set0', 'set1'")):
+            out = tmp_path / "res"
+            rc = main([cmd, *_common(tmp_path / "data"), flag, value,
+                       "--out", str(out)])
+            assert rc == 2, (cmd, flag)
+            err = capsys.readouterr().err
+            assert repr(value) in err and listed in err, err
+            assert not out.exists()
+
+
+def test_psd_set_id_restricts_curves_and_bands(tmp_path):
+    man = _two_set_dataset(tmp_path / "data")
+    full, only = tmp_path / "full", tmp_path / "only"
+    assert main(["psd", *_common(tmp_path / "data"), "--out", str(full)]) == 0
+    assert main(["psd", *_common(tmp_path / "data"), "--set-id", "set1",
+                 "--out", str(only)]) == 0
+    want = {f"psd_1-2_{i:03d}_{Path(e.file).stem}.csv"
+            for i, e in enumerate(man.entries_for("1-2")) if e.set_id == "set1"}
+    want |= {"band_theoretical_1-2_set1.csv", "band_experimental_1-2_set1.csv"}
+    got = tree_digest(only)
+    assert set(got) == want
+    # the restricted run writes the same bytes as the full run for its files
+    assert all(tree_digest(full)[name] == digest for name, digest in got.items())
+    assert len(tree_digest(full)) == len(man.entries) + 4
+
+
+def _set_line(text, number, new):
+    lines = text.splitlines()
+    lines[number - 1] = new
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("target, number, new", [
+    ("signal", 7, "nan"),
+    ("signal", 5, "abc"),
+    ("signal", 1, "sample_rate,abc"),
+    ("manifest", 5, "window.full = 1200"),
+    ("manifest", 1, "sample_rate = fast"),
+])
+def test_malformed_input_names_file_and_line(tmp_path, capsys, target, number, new):
+    data = tmp_path / "data"
+    simulate_small(data)
+    capsys.readouterr()
+    man = DatasetManifest.load(data / "manifest.csv")
+    victim = (man.resolve(man.entries[1]) if target == "signal"
+              else data / "manifest.csv")
+    victim.write_text(_set_line(victim.read_text(), number, new))
+    rc = main(["detect", *_common(data), "--metrics", "z", "--holdout", "3",
+               "--out", str(tmp_path / "res")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{victim}:{number}:" in err, err
+    assert "Traceback" not in err
+
+
+def test_each_command_reads_every_record_once(tmp_path, monkeypatch):
+    import gwdetect.pipeline as pipeline
+
+    simulate_small(tmp_path / "data")
+    reads = []
+    real = pipeline.read_signal
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(pipeline, "read_signal", counting)
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    every = sorted(Path(e.file).name for e in man.entries)
+    for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu",
+                                   "--holdout", "3"]),
+                       ("roc", ["--metrics", "f,fm,z", "--holdout", "3"]),
+                       ("psd", [])):
+        reads.clear()
+        assert main([cmd, *_common(tmp_path / "data", *extra),
+                     "--out", str(tmp_path / cmd)]) == 0
+        assert sorted(reads) == every, cmd
+
+
+def test_roc_shared_scores_match_per_metric_sweeps(tmp_path):
+    from gwdetect.pipeline import roc_sweep
+    from gwdetect.spectral import WelchConfig
+
+    simulate_small(tmp_path / "data")
+    out = tmp_path / "res"
+    assert main(["roc", *_common(tmp_path / "data"), "--metrics", "f,z",
+                 "--holdout", "3", "--out", str(out)]) == 0
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    for metric in ("f", "z"):
+        curve = roc_sweep(man, "1-2", "first-packet", metric,
+                          welch_config=WelchConfig(100, 0.5, 2000), holdout=3)
+        assert (out / f"roc_1-2_first-packet_{metric}.csv").read_text() == curve.to_csv()

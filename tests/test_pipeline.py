@@ -11,6 +11,7 @@ from gwdetect.pipeline import (
     compute_path_scores,
     default_alpha_grid,
     extract_packet,
+    load_set,
     locate_packet,
     roc_sweep,
     run_baseline,
@@ -132,6 +133,27 @@ def test_run_baseline_shuffle_determinism(ladder_dataset, bench_welch):
 def test_run_baseline_insufficient_entries(ladder_dataset, bench_welch):
     with pytest.raises(ValueError):
         run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch, holdout=19)
+
+
+def test_load_set_reads_once_and_splits_by_index(ladder_dataset, bench_welch):
+    loaded = load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
+                      holdout=5, seed=11)
+    n = len(ladder_dataset.entries_for("1-2", set_id="set0"))
+    assert len(loaded.entries) == len(loaded.packets) == len(loaded.psds) == n
+    assert sorted(loaded.train + loaded.held + loaded.inspect) == list(range(n))
+    assert len(loaded.held) == 5 and len(loaded.inspect) == 30
+    assert all(loaded.entries[i].label != "healthy" for i in loaded.inspect)
+    # packets own their samples: the full-length records are not kept alive
+    assert all(p.samples.base is None and p.samples.size == 500
+               for p in loaded.packets)
+    ens, held = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
+                             holdout=5, shuffle_seed=11, set_id="set0")
+    assert np.array_equal(loaded.ensemble.mean_psd, ens.mean_psd)
+    assert all(np.array_equal(loaded.psds[i].values, h.values)
+               for i, h in zip(loaded.held, held))
+    with pytest.raises(ValueError, match="holdout must be >= 0"):
+        load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
+                 holdout=-1)
 
 
 def test_split_hygiene(tmp_path, bench_welch):
@@ -303,6 +325,23 @@ def test_score_roc_matches_rank_auc_oracle():
             d[:5] = h[:5]
         auc = score_roc(h, d).auc
         assert auc == pytest.approx(oc.mann_whitney_auc(h, d), abs=1e-9)
+
+
+def test_trapezoid_auc_matches_numpy_trapezoid():
+    from gwdetect.pipeline import _trapezoid_auc
+
+    oracle = getattr(np, "trapezoid", None) or np.trapz
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 7, 61, 200):
+        fprs = list(np.sort(rng.random(n)).round(2))  # rounding makes ties
+        tprs = list(np.sort(rng.random(n)))
+        if n % 2:
+            fprs[-1] = tprs[-1] = 1.0
+        pts = [(0.0, 0.0)] + sorted(zip(fprs, tprs))
+        if pts[-1] != (1.0, 1.0):
+            pts.append((1.0, 1.0))
+        xs, ys = zip(*pts)
+        assert _trapezoid_auc(fprs, tprs) == float(oracle(ys, xs))
 
 
 def test_verdicts_monotone_in_alpha(ladder_dataset, bench_welch):
