@@ -54,6 +54,7 @@ from .pipeline import (
 )
 from .simulate import ToneBurstSpec, attenuation_ladder, synth_dataset
 from .spectral import WelchConfig
+from .statdist import validate_alpha
 
 OUTDIR_ENV = "GWDETECT_OUTDIR"
 
@@ -100,11 +101,31 @@ class RunConfig:
     out_dir: Path
 
 
+def _bad_option(name: str, text, expected: str) -> ValueError:
+    return ValueError(f"{name} {text!r}: expected {expected}")
+
+
 def _parse_band(text):
     if text in (None, "", "full"):
         return None
-    lo, hi = (float(s) for s in str(text).split(":"))
+    try:
+        lo, hi = (float(s) for s in str(text).split(":"))
+    except ValueError:
+        raise _bad_option("--band", text, "f_lo:f_hi in Hz, or 'full'") from None
     return (lo, hi)
+
+
+def _parse_alphas(text) -> list:
+    alphas = []
+    for a in str(text).split(","):
+        if a:
+            try:
+                alphas.append(validate_alpha(a))
+            except ValueError:
+                raise _bad_option("--alpha", a, "a false-alarm probability in (0, 1]") from None
+    if not alphas:
+        raise ValueError("alpha list must not be empty")
+    return alphas
 
 
 def _build_runconfig(args) -> RunConfig:
@@ -153,9 +174,11 @@ def _build_runconfig(args) -> RunConfig:
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {METRICS}")
+    if len(set(metrics)) < len(metrics):
+        raise _bad_option("--metrics", metrics_text, "each metric at most once")
 
     alphas_text = _opt(cfg, getattr(args, "alpha", None), "detect.alphas", "0.05")
-    alphas = [float(a) for a in str(alphas_text).split(",") if a]
+    alphas = _parse_alphas(alphas_text)
 
     band = _parse_band(_opt(cfg, getattr(args, "band", None), "detect.band"))
 
@@ -196,11 +219,12 @@ def cmd_psd(args) -> int:
         set_ids = [rc.set_id] if rc.set_id else man.sets_for(path)
         for s in set_ids:
             loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
+            freq_col = _freq_column(loaded.ensemble.freq_grid)
             # file index: the record's position among all entries of the path
             index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
             for i, entry, psd in zip(index, loaded.entries, loaded.psds):
                 lines = ["freq,psd"]
-                lines.extend(f"{fmt(f)},{v:.12g}" for f, v in zip(psd.freq_grid, psd.values))
+                lines.extend(f"{f},{v:.12g}" for f, v in zip(freq_col, psd.values.tolist()))
                 stem = _slug(Path(entry.file).stem)
                 _write(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
                        "\n".join(lines) + "\n")
@@ -209,22 +233,23 @@ def cmd_psd(args) -> int:
             expe = experimental_band([p.values for p in ensemble.psds], alpha)
             for tag, bandc in (("theoretical", theo), ("experimental", expe)):
                 lines = ["freq,lower,upper"]
-                lines.extend(
-                    f"{fmt(f)},{lo:.12g},{hi:.12g}"
-                    for f, lo, hi in zip(ensemble.freq_grid, bandc.lower, bandc.upper)
-                )
+                lines.extend(f"{f},{lo:.12g},{hi:.12g}" for f, lo, hi in
+                             zip(freq_col, bandc.lower.tolist(), bandc.upper.tolist()))
                 _write(rc.out_dir / f"band_{tag}_{_slug(path)}_{_slug(s)}.csv",
                        "\n".join(lines) + "\n")
     print(f"psd curves written to {rc.out_dir}")
     return 0
 
 
-def _curve_csv(series) -> str:
+def _freq_column(freqs) -> list:
+    """The formatted frequency column shared by every curve on one grid."""
+    return [fmt(f) for f in freqs.tolist()]
+
+
+def _curve_csv(series, freq_col) -> str:
+    bounds = f",{series.lower_threshold:.12g},{series.upper_threshold:.12g}"
     lines = ["freq,value,lower,upper"]
-    lines.extend(
-        f"{fmt(f)},{v:.12g},{series.lower_threshold:.12g},{series.upper_threshold:.12g}"
-        for f, v in zip(series.freqs, series.values)
-    )
+    lines.extend(f"{f},{v:.12g}{bounds}" for f, v in zip(freq_col, series.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -249,6 +274,7 @@ def cmd_detect(args) -> int:
         curve_metrics = [m for m in rc.metrics if m in ("f", "fm", "z")]
         for loaded in scores.sets:
             ensemble = loaded.ensemble
+            freq_col = _freq_column(ensemble.freq_grid)
             for i, j in enumerate(loaded.inspect):
                 psd = loaded.psds[j]
                 stem = _slug(Path(loaded.entries[j].file).stem)
@@ -262,7 +288,7 @@ def cmd_detect(args) -> int:
                             series = z_statistic(ensemble, psd, alpha, rc.band)
                         _write(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
                                f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
-                               _curve_csv(series))
+                               _curve_csv(series, freq_col))
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
@@ -271,23 +297,32 @@ def cmd_detect(args) -> int:
 def _parse_alpha_grid(text):
     if text in (None, ""):
         return None
-    lo, hi, n = str(text).split(":")
-    return np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(n))
+    expected = "lo:hi:n with lo and hi in (0, 1] and n >= 1"
+    try:
+        lo, hi, n = str(text).split(":")
+        lo, hi, n = validate_alpha(lo), validate_alpha(hi), int(n)
+    except ValueError:
+        raise _bad_option("--alpha-grid", text, expected) from None
+    if n < 1:
+        raise _bad_option("--alpha-grid", text, expected)
+    return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
 def cmd_roc(args) -> int:
     rc = _build_runconfig(args)
     grid = _parse_alpha_grid(getattr(args, "alpha_grid", None))
+    curves = []  # every curve first, so a metric that cannot be swept writes nothing
     for path in rc.paths:
         scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
                                      holdout=rc.holdout, seed=rc.seed,
                                      band=rc.band, set_id=rc.set_id)
-        for metric in rc.metrics:
-            curve = roc_sweep(rc.manifest, path, rc.window, metric, grid,
-                              welch_config=rc.welch, scores=scores)
-            _write(rc.out_dir / f"roc_{_slug(path)}_{_slug(rc.window)}_{metric}.csv",
-                   curve.to_csv())
-            print(f"{path} {metric}: auc = {curve.auc:.6f}")
+        curves.extend((path, metric, roc_sweep(rc.manifest, path, rc.window, metric, grid,
+                                               welch_config=rc.welch, scores=scores))
+                      for metric in rc.metrics)
+    for path, metric, curve in curves:
+        _write(rc.out_dir / f"roc_{_slug(path)}_{_slug(rc.window)}_{metric}.csv",
+               curve.to_csv())
+        print(f"{path} {metric}: auc = {curve.auc:.6f}")
     return 0
 
 
@@ -323,7 +358,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    reports = [DetectionReport.from_csv(Path(p).read_text()) for p in args.reports]
+    reports = []
+    for p in args.reports:
+        try:
+            reports.append(DetectionReport.from_csv(Path(p).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
     text = summary_table(reports)
     if args.out:
         _write(Path(args.out), text)

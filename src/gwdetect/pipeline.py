@@ -26,27 +26,29 @@ inspection signal.  The pairwise metrics (``f`` and the two damage indices)
 consume an explicit reference signal, so every (reference, inspection) ordered
 pair is a test case; held-out healthy signals provide the false-alarm pairs
 (all ordered in-train pairs when nothing is held out).
+
+Scoring and decisions are array operations per set.  ``compute_path_scores``
+stacks a set's in-band PSD bins (records x bins) and packets (records x
+samples) and scores every case of a metric at once into a ``CaseTable``:
+pairwise PSD ratios, the ensemble statistics in one expression each, and both
+damage indices from one Gram matrix of the packets.
+``run_inspection`` and ``roc_sweep`` then decide every case at an alpha with
+one comparison per distinct degrees-of-freedom pair.  The scalar detectors,
+``case_damaged`` and ``case_score`` stay public as the reference the array
+path is tested against.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import fmt, read_signal
-from .detectors import (
-    DAMAGED,
-    HEALTHY,
-    BaselineEnsemble,
-    _band_mask,
-    f_statistic,
-    fm_statistic,
-    janapati_di,
-    qiu_di,
-    z_statistic,
-)
+from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _check_pair
 from .spectral import Signal, WelchConfig, welch_psd
 from .statdist import f_quantile, normal_quantile, validate_alpha
 
@@ -55,6 +57,7 @@ __all__ = [
     "ManifestEntry",
     "DatasetManifest",
     "ScoredCase",
+    "CaseTable",
     "PathScores",
     "LoadedSet",
     "MetricSummary",
@@ -75,9 +78,9 @@ __all__ = [
 ]
 
 METRICS = ("f", "fm", "z", "janapati", "qiu")
-_PAIR_METRICS = ("f", "janapati", "qiu")
 _DI_METRICS = ("janapati", "qiu")
 _HEADER = "file,label,path_id,set_id"
+_REPORT_KEYS = ("path", "window", "alpha", "welch", "holdout", "m_train")
 
 
 @dataclass(frozen=True)
@@ -383,6 +386,65 @@ class ScoredCase:
     spread: float = 0.0        # healthy DI std (DI metrics)
 
 
+# the columns a metric may leave unscored, with their ScoredCase defaults
+_STAT_DEFAULTS = {f.name: f.default for f in fields(ScoredCase) if f.default is not MISSING}
+
+
+@dataclass(frozen=True, eq=False)
+class CaseTable(Sequence):
+    """Every scored case of one metric as columns, one row per case.
+
+    Indexing and iteration give ``ScoredCase`` rows with Python scalars, so a
+    table reads as the tuple of cases it stands for; decisions read the
+    columns.
+    """
+
+    metric: str
+    case_ids: tuple
+    labels: tuple
+    is_healthy: np.ndarray  # bool
+    stat_lo: np.ndarray
+    stat_hi: np.ndarray
+    dof1: np.ndarray        # int
+    dof2: np.ndarray
+    center: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def concat(cls, metric: str, parts) -> "CaseTable":
+        """One table from per-set column dicts, in set order; a column a
+        metric does not score takes its ``ScoredCase`` default."""
+        def column(key, default=None):
+            return np.concatenate([np.broadcast_to(p.get(key, default), len(p["case_ids"]))
+                                   for p in parts])
+        return cls(metric=metric,
+                   case_ids=tuple(chain.from_iterable(p["case_ids"] for p in parts)),
+                   labels=tuple(chain.from_iterable(p["labels"] for p in parts)),
+                   is_healthy=column("is_healthy"),
+                   **{key: column(key, default) for key, default in _STAT_DEFAULTS.items()})
+
+    def __len__(self) -> int:
+        return len(self.case_ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return ScoredCase(self.case_ids[k], self.labels[k], bool(self.is_healthy[k]),
+                          self.metric, *(getattr(self, key)[k].item() for key in _STAT_DEFAULTS))
+
+    def __iter__(self):
+        stats = (getattr(self, key).tolist() for key in _STAT_DEFAULTS)
+        for cid, label, healthy, *row in zip(self.case_ids, self.labels,
+                                             self.is_healthy.tolist(), *stats):
+            yield ScoredCase(cid, label, healthy, self.metric, *row)
+
+    @cached_property
+    def dof_groups(self) -> list:
+        """``((dof1, dof2), row mask)`` for each distinct dof pair."""
+        pairs = sorted(set(zip(self.dof1.tolist(), self.dof2.tolist())))
+        return [((d1, d2), (self.dof1 == d1) & (self.dof2 == d2)) for d1, d2 in pairs]
+
+
 @dataclass(frozen=True)
 class PathScores:
     path: str
@@ -391,7 +453,7 @@ class PathScores:
     welch: WelchConfig
     holdout: int
     seed: object
-    cases: dict            # metric -> tuple[ScoredCase]
+    cases: dict            # metric -> CaseTable
     damage_labels: tuple
     sets: tuple            # LoadedSet per set id
 
@@ -415,6 +477,22 @@ def case_damaged(case: ScoredCase, alpha) -> bool:
     raise ValueError(f"unknown metric {case.metric!r}")
 
 
+def _decide(table: CaseTable, alpha: float) -> np.ndarray:
+    """``case_damaged`` for every row of a table at a validated alpha: one
+    array comparison per distinct dof pair, at the same critical points."""
+    if table.metric in ("f", "fm"):
+        damaged = np.zeros(len(table), dtype=bool)
+        for (d1, d2), rows in table.dof_groups:
+            lo = f_quantile(alpha / 2.0, d1, d2)
+            hi = f_quantile(1.0 - alpha / 2.0, d1, d2)
+            damaged[rows] = (table.stat_lo[rows] < lo) | (table.stat_hi[rows] > hi)
+        return damaged
+    if table.metric == "z":
+        return table.stat_hi > normal_quantile(1.0 - alpha / 2.0)
+    thr = normal_quantile(1.0 - alpha / 2.0) * table.spread
+    return np.abs(table.stat_hi - table.center) > thr
+
+
 def case_score(case: ScoredCase) -> float:
     """Scalar score: the maximum in-band statistic (normalized DI deviation)."""
     if case.metric in _DI_METRICS:
@@ -425,16 +503,132 @@ def case_score(case: ScoredCase) -> float:
     return case.stat_hi
 
 
-def _stat_extrema(series, mask, dof1, dof2) -> dict:
-    vals = series.values[mask]
-    return {"stat_lo": float(vals.min()), "stat_hi": float(vals.max()),
-            "dof1": dof1, "dof2": dof2}
+_CHUNK = 1 << 14  # elements per temporary of the pairwise PSD ratio (128 kB)
+
+
+def _pairs(outer: np.ndarray, inner: np.ndarray):
+    """Every (outer, inner) index pair, the outer index varying slowest."""
+    return np.repeat(outer, inner.size), np.tile(inner, outer.size)
+
+
+def _ratio_extrema(inband: np.ndarray, freqs: np.ndarray, ref, probe):
+    """Min and max over the in-band bins of ``inband[ref] / inband[probe]``,
+    row by row, as ``f_statistic`` and ``fm_statistic`` take them."""
+    zero = (inband == 0.0).any(axis=1)[probe]
+    if zero.any():
+        j = probe[np.argmax(zero)]
+        raise ValueError(
+            f"unknown PSD is zero inside the verdict band at {freqs[inband[j] == 0.0][0]:g} Hz"
+        )
+    lo = np.empty(probe.size)
+    hi = np.empty(probe.size)
+    step = max(1, _CHUNK // inband.shape[1])
+    for k in range(0, probe.size, step):
+        ratio = inband[ref[k:k + step]] / inband[probe[k:k + step]]
+        lo[k:k + step] = ratio.min(axis=1)
+        hi[k:k + step] = ratio.max(axis=1)
+    return lo, hi
+
+
+def _z_max(ens: BaselineEnsemble, inband: np.ndarray, mask, probes) -> np.ndarray:
+    """Largest ``z_statistic`` value of each probe over the in-band bins with
+    nonzero baseline variance; ``inband[-1]`` is the ensemble mean."""
+    if probes.size == 0:
+        return np.empty(0)
+    if ens.m < 2:
+        raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={ens.m}")
+    var = ens.var_psd[mask]
+    live = var > 0.0
+    if not live.any():
+        raise ValueError("every in-band bin has zero baseline variance")
+    num = np.abs(inband[-1, live] - inband[np.ix_(probes, live)])
+    return (num / np.sqrt(2.0 * var[live])).max(axis=1)
+
+
+def _di_values(metric: str, gram: np.ndarray, sums: np.ndarray, ref, probe) -> np.ndarray:
+    """``janapati_di`` or ``qiu_di`` of every (ref, probe) packet pair, from
+    the Gram matrix of the packets and their sample sums."""
+    energy = gram.diagonal()
+    zero = (energy[ref] == 0.0) | (energy[probe] == 0.0)
+    if zero.any():
+        if metric == "qiu":
+            raise ValueError("both signals must have nonzero energy")
+        which = "baseline" if energy[ref[np.argmax(zero)]] == 0.0 else "unknown"
+        raise ValueError(f"{which} signal has zero energy")
+    cross, e_ref, e_probe = gram[ref, probe], energy[ref], energy[probe]
+    if metric == "janapati":
+        return (sums[probe] - (cross / e_ref) * sums[ref]) / np.sqrt(e_probe)
+    return 1.0 - np.sqrt(np.minimum((cross * cross) / (e_ref * e_probe), 1.0))
+
+
+def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
+    """Columns of every case of one set, per metric, by array operations on
+    the set's stacked in-band PSD bins and packets.
+
+    Cases come in the order, and failures with the messages, of scoring each
+    case with the scalar detectors, which stay the reference.
+    """
+    ens, entries = loaded.ensemble, loaded.entries
+    for psd in loaded.psds:
+        _check_pair(ens.psds[0], psd)
+    mask = _band_mask(ens.freq_grid, band)
+    stems = [Path(e.file).stem for e in entries]
+    names = [f"{loaded.set_id}:{s}" for s in stems]
+    healthy = np.array([e.label == baseline_label for e in entries], dtype=bool)
+    train, held, inspect = (np.array(ix, dtype=np.intp)
+                            for ix in (loaded.train, loaded.held, loaded.inspect))
+
+    in_train = _pairs(train, train)
+    in_train = tuple(ix[in_train[0] != in_train[1]] for ix in in_train)
+    healthy_pairs = _pairs(train, held) if held.size else in_train
+    probe_of_damage, ref_of_damage = _pairs(inspect, train)
+    ref = np.concatenate([healthy_pairs[0], ref_of_damage])
+    probe = np.concatenate([healthy_pairs[1], probe_of_damage])
+    probes = np.concatenate([held, inspect])
+    pair_cols = {"case_ids": tuple(f"{names[i]}->{stems[j]}"
+                                   for i, j in zip(ref.tolist(), probe.tolist())),
+                 "labels": tuple(entries[j].label for j in probe.tolist()),
+                 "is_healthy": healthy[probe]}
+    probe_cols = {"case_ids": tuple(names[j] for j in probes.tolist()),
+                  "labels": tuple(entries[j].label for j in probes.tolist()),
+                  "is_healthy": healthy[probes]}
+
+    moments = {}
+    if any(m in _DI_METRICS for m in metrics):
+        x = np.stack([p.samples for p in loaded.packets])
+        gram, sums = x @ x.T, x.sum(axis=1)
+        for metric in (m for m in metrics if m in _DI_METRICS):
+            scatter = _di_values(metric, gram, sums, *in_train)
+            moments[metric] = {"center": float(np.mean(scatter)),
+                               "spread": float(np.std(scatter, ddof=1))}
+    if any(m not in _DI_METRICS for m in metrics):
+        # the in-band bins of each record, then of the ensemble mean
+        inband = np.stack([p.values[mask] for p in loaded.psds] + [ens.mean_psd[mask]])
+        freqs = ens.freq_grid[mask]
+
+    d = 2 * ens.k_windows
+    out = {}
+    for metric in metrics:
+        if metric == "f":
+            lo, hi = _ratio_extrema(inband, freqs, ref, probe)
+            out[metric] = {**pair_cols, "stat_lo": lo, "stat_hi": hi, "dof1": d, "dof2": d}
+        elif metric == "fm":
+            mean_row = np.full(probes.size, len(entries))
+            lo, hi = _ratio_extrema(inband, freqs, mean_row, probes)
+            out[metric] = {**probe_cols, "stat_lo": lo, "stat_hi": hi,
+                           "dof1": d * ens.m, "dof2": d}
+        elif metric == "z":
+            out[metric] = {**probe_cols, "stat_hi": _z_max(ens, inband, mask, probes)}
+        else:
+            out[metric] = {**pair_cols, "stat_hi": _di_values(metric, gram, sums, ref, probe),
+                           **moments[metric]}
+    return out
 
 
 def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
                         welch_config: WelchConfig, metrics, *, holdout: int = 0,
                         seed=None, band=None, set_id: str = None) -> PathScores:
-    """Score every test case of a path once; verdicts then cost one threshold
+    """Score every test case of a path once; verdicts then cost one array
     comparison per alpha.
 
     ``band`` defaults to the manifest's band (full grid if the manifest has
@@ -458,57 +652,19 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
 
     sets = tuple(load_set(manifest, path, s, window, welch_config, holdout, seed)
                  for s in set_ids)
-    cases = {m: [] for m in metrics}
+    parts = {m: [] for m in metrics}
     damage_labels = []
     for loaded in sets:
-        ens, psds, entries = loaded.ensemble, loaded.psds, loaded.entries
-        mask = _band_mask(ens.freq_grid, band)
-        live = mask & (ens.var_psd > 0.0)
-        names = [f"{loaded.set_id}:{Path(e.file).stem}" for e in entries]
-        x = [p.samples for p in loaded.packets]
-        d = 2 * ens.k_windows
         for j in loaded.inspect:
-            if entries[j].label not in damage_labels:
-                damage_labels.append(entries[j].label)
-
-        in_train = [(i, j) for i in loaded.train for j in loaded.train if i != j]
-        healthy = ([(i, j) for i in loaded.train for j in loaded.held]
-                   if loaded.held else in_train)
-        damage = [(i, j) for j in loaded.inspect for i in loaded.train]
-        # (case id, reference, probe), built once for all metrics of a protocol
-        pairs = [(f"{names[i]}->{Path(entries[j].file).stem}", i, j)
-                 for i, j in healthy + damage]
-        probes = [(names[j], None, j) for j in loaded.held + loaded.inspect]
-        di_moments = {}
-        for metric in [m for m in metrics if m in _DI_METRICS]:
-            di = janapati_di if metric == "janapati" else qiu_di
-            scatter = [di(x[i], x[j]) for i, j in in_train]
-            di_moments[metric] = {"center": float(np.mean(scatter)),
-                                  "spread": float(np.std(scatter, ddof=1))}
-
-        def stats(metric, i, j):
-            if metric == "f":
-                return _stat_extrema(f_statistic(psds[i], psds[j], 0.5, band), mask, d, d)
-            if metric == "fm":
-                return _stat_extrema(fm_statistic(ens, psds[j], 0.5, band), mask,
-                                     d * ens.m, d)
-            if metric == "z":
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    series = z_statistic(ens, psds[j], 0.5, band)
-                return {"stat_hi": float(series.values[live].max())}
-            di = janapati_di if metric == "janapati" else qiu_di
-            return {"stat_hi": di(x[i], x[j]), **di_moments[metric]}
-
-        for metric in metrics:
-            for cid, i, j in (pairs if metric in _PAIR_METRICS else probes):
-                label = entries[j].label
-                cases[metric].append(ScoredCase(cid, label, label == manifest.baseline_label,
-                                                metric, **stats(metric, i, j)))
+            if loaded.entries[j].label not in damage_labels:
+                damage_labels.append(loaded.entries[j].label)
+        for metric, cols in _score_set(loaded, metrics, band,
+                                       manifest.baseline_label).items():
+            parts[metric].append(cols)
 
     return PathScores(path=path, window=window, band=band, welch=welch_config,
                       holdout=int(holdout), seed=seed,
-                      cases={m: tuple(v) for m, v in cases.items()},
+                      cases={m: CaseTable.concat(m, p) for m, p in parts.items()},
                       damage_labels=tuple(damage_labels), sets=sets)
 
 
@@ -576,47 +732,62 @@ class DetectionReport:
         meta = {}
         rows = {}
         labels = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("metric,"):
                 continue
-            if line.startswith("#"):
-                key, value = (s.strip() for s in line[1:].split("=", 1))
-                meta[key] = value
-                continue
-            if line.startswith("metric,"):
-                continue
-            metric, kind, label, count, ncases, pct = line.split(",")
+            try:
+                if line.startswith("#"):
+                    key, value = (s.strip() for s in line[1:].split("=", 1))
+                    meta[key] = value
+                    continue
+                metric, kind, label, count, ncases, pct = line.split(",")
+                counts = (int(count), int(ncases))
+            except ValueError:
+                raise ValueError(f"line {ln}: expected a '# key = value' header or a "
+                                 f"metric,kind,label,count,cases,pct row") from None
             rec = rows.setdefault(metric, {"fa": (0, 0), "missed": {}})
             if kind == "false_alarm":
-                rec["fa"] = (int(count), int(ncases))
+                rec["fa"] = counts
             else:
-                rec["missed"][label] = (int(count), int(ncases))
+                rec["missed"][label] = counts
                 if label not in labels:
                     labels.append(label)
-        welch_kv = dict(item.split("=") for item in meta["welch"].split(","))
-        welch = WelchConfig(
-            segment_length=int(welch_kv["L"]),
-            overlap_fraction=float(welch_kv["overlap"]),
-            nfft=int(welch_kv["nfft"]),
-            window_kind=welch_kv["window"],
-            detrend_mean=bool(int(welch_kv["detrend"])),
-        )
+        missing = [k for k in _REPORT_KEYS if k not in meta]
+        if missing:
+            raise ValueError("not a detect report: missing "
+                             + ", ".join(f"'# {k}'" for k in missing) + " header")
+
+        def header(key, parse):
+            try:
+                return parse(meta[key])
+            except (IndexError, KeyError, ValueError):
+                raise ValueError(f"bad '# {key}' header {meta[key]!r}") from None
+
+        def welch_config(text):
+            kv = dict(item.split("=") for item in text.split(","))
+            return WelchConfig(segment_length=int(kv["L"]),
+                               overlap_fraction=float(kv["overlap"]), nfft=int(kv["nfft"]),
+                               window_kind=kv["window"], detrend_mean=bool(int(kv["detrend"])))
+
+        def band_edges(text):
+            lo, hi = text.split(":")
+            return (float(lo), float(hi))
+
         band = None
         if meta.get("band") and meta["band"] != "full":
-            lo, hi = meta["band"].split(":")
-            band = (float(lo), float(hi))
-        m_by_set = dict((kv.split(":")[0], int(kv.split(":")[1]))
-                        for kv in meta["m_train"].split(";") if kv)
+            band = header("band", band_edges)
+        m_by_set = header("m_train", lambda text: {
+            kv.split(":")[0]: int(kv.split(":")[1]) for kv in text.split(";") if kv})
         summaries = tuple(
             MetricSummary(metric=m, false_alarms=rec["fa"][0],
                           healthy_cases=rec["fa"][1], missed=dict(rec["missed"]))
             for m, rec in rows.items()
         )
-        return cls(path=meta["path"], window=meta["window"], alpha=float(meta["alpha"]),
-                   rows=summaries, verdicts=(), damage_labels=tuple(labels),
-                   holdout=int(meta["holdout"]), m_by_set=m_by_set, band=band,
-                   welch=welch)
+        return cls(path=meta["path"], window=meta["window"],
+                   alpha=header("alpha", float), rows=summaries, verdicts=(),
+                   damage_labels=tuple(labels), holdout=header("holdout", int),
+                   m_by_set=m_by_set, band=band, welch=header("welch", welch_config))
 
 
 def _band_str(band) -> str:
@@ -640,21 +811,20 @@ def run_inspection(manifest: DatasetManifest, path: str, window: str,
                                      set_id=set_id)
     rows = []
     verdicts = []
-    for metric in scores.cases:
-        fa = n_h = 0
-        missed = {label: [0, 0] for label in scores.damage_labels}
-        for case in scores.cases[metric]:
-            damaged = case_damaged(case, alpha)
-            verdicts.append((case.case_id, metric, case.label,
-                             DAMAGED if damaged else HEALTHY))
-            if case.is_healthy:
-                n_h += 1
-                fa += damaged
-            else:
-                missed[case.label][1] += 1
-                missed[case.label][0] += not damaged
-        rows.append(MetricSummary(metric=metric, false_alarms=fa, healthy_cases=n_h,
-                                  missed={k: tuple(v) for k, v in missed.items()}))
+    for metric, table in scores.cases.items():
+        damaged = _decide(table, alpha)
+        verdicts.extend((cid, metric, label, DAMAGED if flag else HEALTHY)
+                        for cid, label, flag in zip(table.case_ids, table.labels,
+                                                    damaged.tolist()))
+        labels = np.array(table.labels, dtype=str)
+        missed = {}
+        for label in scores.damage_labels:
+            cases = labels == label
+            missed[label] = (int(np.count_nonzero(cases & ~damaged)),
+                             int(np.count_nonzero(cases)))
+        rows.append(MetricSummary(
+            metric=metric, false_alarms=int(np.count_nonzero(damaged & table.is_healthy)),
+            healthy_cases=int(np.count_nonzero(table.is_healthy)), missed=missed))
     return DetectionReport(path=scores.path, window=scores.window, alpha=alpha,
                            rows=tuple(rows), verdicts=tuple(verdicts),
                            damage_labels=scores.damage_labels,
@@ -727,24 +897,27 @@ def roc_sweep(manifest: DatasetManifest, path: str, window: str, metric: str,
         scores = compute_path_scores(manifest, path, window, welch_config, [metric],
                                      holdout=holdout, seed=seed, band=band,
                                      set_id=set_id)
-    healthy = [c for c in scores.cases[metric] if c.is_healthy]
-    damage = [c for c in scores.cases[metric] if not c.is_healthy]
-    if not healthy or not damage:
+    table = scores.cases[metric]
+    healthy = table.is_healthy
+    n_healthy = int(np.count_nonzero(healthy))
+    n_damage = len(table) - n_healthy
+    if not n_healthy or not n_damage:
         raise ValueError(
             f"ROC needs both held-out healthy and damage cases; got "
-            f"{len(healthy)} healthy and {len(damage)} damage for metric {metric!r}"
+            f"{n_healthy} healthy and {n_damage} damage for metric {metric!r}"
         )
     fprs = []
     tprs = []
     for a in grid:
-        fprs.append(sum(case_damaged(c, a) for c in healthy) / len(healthy))
-        tprs.append(sum(case_damaged(c, a) for c in damage) / len(damage))
+        damaged = _decide(table, validate_alpha(a))
+        fprs.append(int(np.count_nonzero(damaged & healthy)) / n_healthy)
+        tprs.append(int(np.count_nonzero(damaged & ~healthy)) / n_damage)
     note = (f"train M=" + ";".join(f"{s}:{m}" for s, m in sorted(scores.m_by_set.items()))
             + f", holdout={scores.holdout}")
     return RocCurve(metric=metric, sweep=tuple(float(a) for a in grid),
                     sweep_kind="alpha", fprs=tuple(fprs), tprs=tuple(tprs),
-                    auc=_trapezoid_auc(fprs, tprs), n_healthy=len(healthy),
-                    n_damage=len(damage), split_note=note)
+                    auc=_trapezoid_auc(fprs, tprs), n_healthy=n_healthy,
+                    n_damage=n_damage, split_note=note)
 
 
 def score_roc(healthy_scores, damage_scores, metric: str = "score") -> RocCurve:

@@ -1,0 +1,242 @@
+"""The array scoring core against the per-case scalar path it replaces.
+
+``scalar_cases`` is the per-case loop over the scalar detectors; every row,
+verdict and ROC point of the array path must match it (the damage indices to
+1e-12 absolute, because a Gram matrix sums in another order than ``np.dot``),
+and every failure must carry the same message.
+"""
+
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import gwdetect.pipeline as pipeline
+from gwdetect.dataio import write_signal
+from gwdetect.detectors import (
+    DAMAGED,
+    HEALTHY,
+    _band_mask,
+    f_statistic,
+    fm_statistic,
+    janapati_di,
+    qiu_di,
+    z_statistic,
+)
+from gwdetect.pipeline import (
+    METRICS,
+    DatasetManifest,
+    ManifestEntry,
+    ScoredCase,
+    case_damaged,
+    compute_path_scores,
+    default_alpha_grid,
+    load_set,
+    roc_sweep,
+    run_inspection,
+)
+from gwdetect.spectral import Signal, WelchConfig
+
+FS = 1e4
+WELCH = WelchConfig(segment_length=16, overlap_fraction=0.5, nfft=32)
+WINDOW = {"w": (8, 80)}
+SUB_BAND = (1000.0, 3000.0)
+DI = {"janapati": janapati_di, "qiu": qiu_di}
+
+
+def scalar_cases(manifest, sets, metrics, band):
+    """Score every case of loaded sets one call at a time with the scalar
+    detectors: the reference for ``compute_path_scores``."""
+    cases = {m: [] for m in metrics}
+    for loaded in sets:
+        ens, psds, entries = loaded.ensemble, loaded.psds, loaded.entries
+        mask = _band_mask(ens.freq_grid, band)
+        names = [f"{loaded.set_id}:{Path(e.file).stem}" for e in entries]
+        x = [p.samples for p in loaded.packets]
+        d = 2 * ens.k_windows
+        in_train = [(i, j) for i in loaded.train for j in loaded.train if i != j]
+        healthy = ([(i, j) for i in loaded.train for j in loaded.held]
+                   if loaded.held else in_train)
+        damage = [(i, j) for j in loaded.inspect for i in loaded.train]
+        pairs = [(f"{names[i]}->{Path(entries[j].file).stem}", i, j)
+                 for i, j in healthy + damage]
+        probes = [(names[j], None, j) for j in loaded.held + loaded.inspect]
+        moments = {}
+        for metric in (m for m in metrics if m in DI):
+            scatter = [DI[metric](x[i], x[j]) for i, j in in_train]
+            moments[metric] = {"center": float(np.mean(scatter)),
+                               "spread": float(np.std(scatter, ddof=1))}
+        for metric in metrics:
+            for cid, i, j in (pairs if metric in ("f", *DI) else probes):
+                if metric in ("f", "fm"):
+                    series = (f_statistic(psds[i], psds[j], 0.5, band) if metric == "f"
+                              else fm_statistic(ens, psds[j], 0.5, band))
+                    vals = series.values[mask]
+                    stats = {"stat_lo": float(vals.min()), "stat_hi": float(vals.max()),
+                             "dof1": d if metric == "f" else d * ens.m, "dof2": d}
+                elif metric == "z":
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        series = z_statistic(ens, psds[j], 0.5, band)
+                    live = mask & (ens.var_psd > 0.0)
+                    stats = {"stat_hi": float(series.values[live].max())}
+                else:
+                    stats = {"stat_hi": DI[metric](x[i], x[j]), **moments[metric]}
+                label = entries[j].label
+                cases[metric].append(ScoredCase(cid, label, label == manifest.baseline_label,
+                                                metric, **stats))
+    return cases
+
+
+def write_dataset(root, rng, sizes):
+    """Records of several sets, healthy and damaged, dealt in shuffled
+    manifest order."""
+    entries = []
+    t = np.arange(96) / FS
+    for s, (n_healthy, n_damage) in enumerate(sizes):
+        for k in range(n_healthy + n_damage):
+            label = "healthy" if k < n_healthy else "ab"[k % 2]
+            x = rng.normal(0.0, 1.0 + 0.2 * rng.random(), t.size)
+            if label != "healthy":
+                x += 2.0 * np.sin(2 * np.pi * 2000.0 * t)
+            name = f"signals/s{s}_{k:02d}.csv"
+            (root / "signals").mkdir(exist_ok=True)
+            write_signal(root / name, Signal(x, FS, label))
+            entries.append(ManifestEntry(name, label, "p", f"set{s}"))
+    order = rng.permutation(len(entries))
+    return DatasetManifest(entries=[entries[k] for k in order], sample_rate=FS,
+                           packet_windows=WINDOW, base_dir=root)
+
+
+def assert_rows_match(scores, reference):
+    for metric, cases in reference.items():
+        table = scores.cases[metric]
+        assert len(table) == len(cases)
+        if metric not in DI:
+            assert [repr(c) for c in table] == [repr(c) for c in cases], metric
+            continue
+        for got, want in zip(table, cases):
+            assert (got.case_id, got.label, got.is_healthy, got.metric) == \
+                (want.case_id, want.label, want.is_healthy, want.metric)
+            for key in ("stat_hi", "center", "spread"):
+                assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, (metric, key)
+
+
+def assert_decisions_match(manifest, scores):
+    grid = default_alpha_grid()
+    for alpha in grid:
+        report = run_inspection(manifest, "p", "w", WELCH, METRICS, alpha, scores=scores)
+        want = [(c.case_id, m, c.label, DAMAGED if case_damaged(c, alpha) else HEALTHY)
+                for m in METRICS for c in scores.cases[m]]
+        assert list(report.verdicts) == want, alpha
+        for row in report.rows:
+            cases = scores.cases[row.metric]
+            flagged = [case_damaged(c, alpha) for c in cases]
+            assert row.false_alarms == sum(f for f, c in zip(flagged, cases) if c.is_healthy)
+            assert row.healthy_cases == sum(c.is_healthy for c in cases)
+            for label, (missed, n) in row.missed.items():
+                damage = [f for f, c in zip(flagged, cases) if c.label == label]
+                assert (missed, n) == (len(damage) - sum(damage), len(damage))
+    for metric in METRICS:
+        cases = list(scores.cases[metric])
+        healthy = [c for c in cases if c.is_healthy]
+        damage = [c for c in cases if not c.is_healthy]
+        if not healthy or not damage:
+            with pytest.raises(ValueError, match="ROC needs both"):
+                roc_sweep(manifest, "p", "w", metric, welch_config=WELCH, scores=scores)
+            continue
+        curve = roc_sweep(manifest, "p", "w", metric, welch_config=WELCH, scores=scores)
+        assert curve.fprs == tuple(sum(case_damaged(c, a) for c in healthy) / len(healthy)
+                                   for a in grid), metric
+        assert curve.tprs == tuple(sum(case_damaged(c, a) for c in damage) / len(damage)
+                                   for a in grid), metric
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data_seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.tuples(st.integers(3, 6), st.integers(0, 4)), min_size=1, max_size=3),
+       holdout=st.integers(0, 4),
+       shuffle=st.one_of(st.none(), st.integers(0, 1000)),
+       band=st.sampled_from([None, SUB_BAND]),
+       chunk=st.sampled_from([pipeline._CHUNK, 17, 50]))
+def test_array_core_equals_scalar_path(data_seed, sizes, holdout, shuffle, band, chunk):
+    holdout = min(holdout, min(h for h, _ in sizes) - 2)
+    rng = np.random.default_rng(data_seed)
+    saved = pipeline._CHUNK
+    pipeline._CHUNK = chunk  # small chunks split the pairwise ratio into many blocks
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = write_dataset(Path(tmp), rng, sizes)
+            scores = compute_path_scores(manifest, "p", "w", WELCH, METRICS,
+                                         holdout=holdout, seed=shuffle, band=band)
+            assert_rows_match(scores, scalar_cases(manifest, scores.sets, METRICS, band))
+            assert_decisions_match(manifest, scores)
+    finally:
+        pipeline._CHUNK = saved
+
+
+def _same_error(tmp_path, metrics, pick, record=None, band=None):
+    """Overwrite the records ``pick`` chooses with ``record`` (zeros by
+    default); the array path and the scalar path then fail with the same
+    message, which is returned."""
+    manifest = write_dataset(tmp_path, np.random.default_rng(3), [(5, 2)])
+    for e in pick(manifest):
+        samples = np.zeros(96) if record is None else record
+        write_signal(manifest.resolve(e), Signal(samples, FS, e.label))
+    with pytest.raises(ValueError) as array_err:
+        compute_path_scores(manifest, "p", "w", WELCH, metrics, holdout=1, band=band)
+    sets = [load_set(manifest, "p", "set0", "w", WELCH, holdout=1)]
+    with pytest.raises(ValueError) as scalar_err:
+        scalar_cases(manifest, sets, metrics, band)
+    assert str(array_err.value) == str(scalar_err.value)
+    return str(array_err.value)
+
+
+def _healthy(k):
+    return lambda man: [e for e in man.entries if e.label == "healthy"][k:k + 1]
+
+
+def _damaged(man):
+    return [e for e in man.entries if e.label != "healthy"][:1]
+
+
+@pytest.mark.parametrize("metric", ["f", "fm"])
+def test_probe_psd_zero_in_band_same_error(tmp_path, metric):
+    msg = _same_error(tmp_path, [metric], _damaged, band=SUB_BAND)
+    assert msg == "unknown PSD is zero inside the verdict band at 1250 Hz"
+
+
+@pytest.mark.parametrize("metric, pick, expected", [
+    ("janapati", _healthy(0), "baseline signal has zero energy"),
+    ("janapati", _healthy(1), "unknown signal has zero energy"),
+    ("janapati", _damaged, "unknown signal has zero energy"),
+    ("qiu", _healthy(0), "both signals must have nonzero energy"),
+    ("qiu", _damaged, "both signals must have nonzero energy"),
+])
+def test_zero_energy_packet_same_error(tmp_path, metric, pick, expected):
+    assert _same_error(tmp_path, [metric], pick) == expected
+
+
+def test_z_every_in_band_bin_dead_same_error(tmp_path):
+    same = np.random.default_rng(8).normal(0.0, 1.0, 96)
+    every_healthy = lambda man: [e for e in man.entries if e.label == "healthy"]
+    msg = _same_error(tmp_path, ["z"], every_healthy, record=same)
+    assert msg == "every in-band bin has zero baseline variance"
+
+
+def test_qiu_clamp_on_scaled_copies(tmp_path):
+    """For scaled copies of one packet rho^2 rounds above 1 in some pairs;
+    the clamp keeps those indices at 0, as ``qiu_di`` does, not below it."""
+    manifest = write_dataset(tmp_path, np.random.default_rng(3), [(6, 2)])
+    base = np.random.default_rng(0).normal(0.0, 1.0, 96)
+    healthy = [e for e in manifest.entries if e.label == "healthy"]
+    for e, scale in zip(healthy, (1.0, 3.0, -0.7, 0.1, 2.5, 1.3)):
+        write_signal(manifest.resolve(e), Signal(base * scale, FS, e.label))
+    scores = compute_path_scores(manifest, "p", "w", WELCH, ["qiu"], holdout=0)
+    cases = [c for c in scores.cases["qiu"] if c.is_healthy]
+    assert len(cases) == 30 and min(c.stat_hi for c in cases) == 0.0
+    assert_rows_match(scores, scalar_cases(manifest, scores.sets, ["qiu"], None))

@@ -314,21 +314,68 @@ def _set_line(text, number, new):
     ("signal", 1, "sample_rate,abc"),
     ("manifest", 5, "window.full = 1200"),
     ("manifest", 1, "sample_rate = fast"),
+    pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
+    pytest.param("option", "--alpha", "0", id="option-alpha-0"),
+    pytest.param("option", "--band", "a:b", id="option-band-a:b"),
+    pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
+    pytest.param("option", "--metrics", "z,z", id="option-metrics-z,z"),
+    pytest.param("report", "welch", "metric,kind", id="report-metric,kind"),
+    pytest.param("report", "m_train", "\n".join([
+        "# path = 1-2", "# window = first-packet", "# alpha = 0.05",
+        "# welch = L=100,overlap=0.5,nfft=2000,window=hamming,detrend=1",
+        "# holdout = 3", "# m_train = set0", "metric,kind,label,count,cases,pct"]),
+        id="report-bad-m_train"),
 ])
-def test_malformed_input_names_file_and_line(tmp_path, capsys, target, number, new):
+def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
+                                             target, number, new):
+    """Exit 2, no traceback, no output, and a message that says where: the
+    file and line, the report file and the header it lacks or garbles, or the
+    option and its value (checked before any record is read)."""
+    import gwdetect.pipeline as pipeline
+
     data = tmp_path / "data"
+    out = tmp_path / "res"
     simulate_small(data)
     capsys.readouterr()
-    man = DatasetManifest.load(data / "manifest.csv")
-    victim = (man.resolve(man.entries[1]) if target == "signal"
-              else data / "manifest.csv")
-    victim.write_text(_set_line(victim.read_text(), number, new))
-    rc = main(["detect", *_common(data), "--metrics", "z", "--holdout", "3",
-               "--out", str(tmp_path / "res")])
+    reads = []
+    real = pipeline.read_signal
+    monkeypatch.setattr(pipeline, "read_signal", lambda p: reads.append(p) or real(p))
+    if target == "option":
+        cmd = "roc" if number == "--alpha-grid" else "detect"
+        argv = [cmd, *_common(data), "--metrics", "z", "--holdout", "3", number, new]
+        where = [f"{number} {new!r}"]
+    elif target == "report":
+        victim = tmp_path / "not_a_report.csv"
+        victim.write_text(new + "\n")
+        argv = ["report", str(victim)]
+        where = [f"{victim}: ", f"'# {number}'"]
+    else:
+        man = DatasetManifest.load(data / "manifest.csv")
+        victim = (man.resolve(man.entries[1]) if target == "signal"
+                  else data / "manifest.csv")
+        victim.write_text(_set_line(victim.read_text(), number, new))
+        argv = ["detect", *_common(data), "--metrics", "z", "--holdout", "3"]
+        where = [f"{victim}:{number}:"]
+    rc = main(argv + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"{victim}:{number}:" in err, err
+    assert all(w in err for w in where), err
     assert "Traceback" not in err
+    assert not out.exists()
+    if target == "option":
+        assert reads == []
+
+
+def test_roc_writes_nothing_when_a_metric_cannot_be_swept(tmp_path, capsys):
+    simulate_small(tmp_path / "data")
+    out = tmp_path / "res"
+    rc = main(["roc", *_common(tmp_path / "data"), "--metrics", "f,fm",
+               "--holdout", "0", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "ROC needs both held-out healthy and damage cases" in captured.err
+    assert "auc" not in captured.out
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_each_command_reads_every_record_once(tmp_path, monkeypatch):
