@@ -26,11 +26,12 @@ from .pipeline import (
     DetectionReport,
     ManifestEntry,
     RocCurve,
+    compute_path_scores,
     default_alpha_grid,
     extract_packet,
+    load_set,
     locate_packet,
     roc_sweep,
-    run_baseline,
     run_inspection,
     score_roc,
     summary_table,

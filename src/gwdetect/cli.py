@@ -69,6 +69,9 @@ def _write(path: Path, text: str) -> None:
 
 
 def _load_config(path) -> dict:
+    """``section.key`` -> value from a config file; none given reads as empty."""
+    if not path:
+        return {}
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     read = cp.read(path)
     if not read:
@@ -84,6 +87,14 @@ def _opt(cfg: dict, flag, key: str, default=None):
     if key in cfg:
         return cfg[key]
     return default
+
+
+def _out_dir(args, cfg: dict) -> Path:
+    """--out > $GWDETECT_OUTDIR > [output] out_dir."""
+    out_dir = args.out or os.environ.get(OUTDIR_ENV) or cfg.get("output.out_dir")
+    if not out_dir:
+        raise ValueError(f"an output directory is required (--out, config, or {OUTDIR_ENV})")
+    return Path(out_dir)
 
 
 @dataclass
@@ -129,7 +140,7 @@ def _parse_alphas(text) -> list:
 
 
 def _build_runconfig(args) -> RunConfig:
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _load_config(args.config)
     manifest_path = _opt(cfg, getattr(args, "manifest", None), "data.manifest")
     if not manifest_path:
         raise ValueError("a manifest is required (--manifest or [data] manifest)")
@@ -182,11 +193,7 @@ def _build_runconfig(args) -> RunConfig:
 
     band = _parse_band(_opt(cfg, getattr(args, "band", None), "detect.band"))
 
-    out_flag = getattr(args, "out", None)
-    out_dir = out_flag or os.environ.get(OUTDIR_ENV) or cfg.get("output.out_dir")
-    if not out_dir:
-        raise ValueError("an output directory is required (--out, config, or "
-                         f"{OUTDIR_ENV})")
+    out_dir = _out_dir(args, cfg)
 
     holdout = int(_opt(cfg, getattr(args, "holdout", None), "detect.holdout", 0))
     if holdout < 0:
@@ -203,7 +210,7 @@ def _build_runconfig(args) -> RunConfig:
         band=band,
         holdout=holdout,
         seed=None if seed is None else int(seed),
-        out_dir=Path(out_dir),
+        out_dir=out_dir,
     )
 
 
@@ -262,8 +269,7 @@ def cmd_detect(args) -> int:
                                      holdout=rc.holdout, seed=rc.seed,
                                      band=rc.band, set_id=rc.set_id)
         for alpha in rc.alphas:
-            report = run_inspection(man, path, rc.window, rc.welch, rc.metrics,
-                                    alpha, scores=scores)
+            report = run_inspection(scores, alpha)
             reports.append(report)
             tag = f"{_slug(path)}_{_slug(rc.window)}_a{fmt(alpha)}"
             _write(rc.out_dir / f"report_{tag}.csv", report.to_csv())
@@ -316,9 +322,7 @@ def cmd_roc(args) -> int:
         scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
                                      holdout=rc.holdout, seed=rc.seed,
                                      band=rc.band, set_id=rc.set_id)
-        curves.extend((path, metric, roc_sweep(rc.manifest, path, rc.window, metric, grid,
-                                               welch_config=rc.welch, scores=scores))
-                      for metric in rc.metrics)
+        curves.extend((path, metric, roc_sweep(scores, metric, grid)) for metric in rc.metrics)
     for path, metric, curve in curves:
         _write(rc.out_dir / f"roc_{_slug(path)}_{_slug(rc.window)}_{metric}.csv",
                curve.to_csv())
@@ -327,10 +331,7 @@ def cmd_roc(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    out_dir = args.out or os.environ.get(OUTDIR_ENV) or cfg.get("output.out_dir")
-    if not out_dir:
-        raise ValueError(f"an output directory is required (--out, config, or {OUTDIR_ENV})")
+    out_dir = _out_dir(args, _load_config(args.config))
     burst = ToneBurstSpec(
         center_freq=float(args.center_freq),
         n_cycles=int(args.cycles),

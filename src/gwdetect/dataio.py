@@ -28,7 +28,7 @@ def fmt(x: float) -> str:
 def write_signal(path, signal: Signal) -> None:
     path = Path(path)
     lines = [f"sample_rate,{fmt(signal.sample_rate)}", f"label,{signal.label}"]
-    lines.extend(fmt(v) for v in signal.samples)
+    lines.extend(map(repr, signal.samples.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 

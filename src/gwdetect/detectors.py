@@ -218,7 +218,7 @@ def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
         mask = mask & ~dead
         if not mask.any():
             raise ValueError("every in-band bin has zero baseline variance")
-    upper = normal_quantile(1.0 - alpha / 2.0) if alpha < 1.0 else 0.0
+    upper = normal_quantile(1.0 - alpha / 2.0)
     damaged = bool((values[mask] > upper).any())
     return StatSeries(kind="z", freqs=freqs, values=values,
                       lower_threshold=0.0, upper_threshold=upper,
@@ -307,7 +307,7 @@ def experimental_band(samples, alpha, method: str = "normal") -> ConfidenceBand:
     if method == "normal":
         if arr.shape[0] < 2:
             raise ValueError("method='normal' needs at least 2 samples")
-        z = normal_quantile(1.0 - alpha / 2.0) if alpha < 1.0 else 0.0
+        z = normal_quantile(1.0 - alpha / 2.0)
         mean = arr.mean(axis=0)
         std = arr.std(axis=0, ddof=1)
         return ConfidenceBand(lower=mean - z * std, upper=mean + z * std,
@@ -329,8 +329,8 @@ def theoretical_band(psd: PsdEstimate, alpha) -> ConfidenceBand:
     """
     alpha = validate_alpha(alpha)
     d = 2 * psd.k_windows
-    q_lo = chi2_quantile(alpha / 2.0, d) if alpha < 1.0 else chi2_quantile(0.5, d)
-    q_hi = chi2_quantile(1.0 - alpha / 2.0, d) if alpha < 1.0 else q_lo
+    q_lo = chi2_quantile(alpha / 2.0, d)
+    q_hi = chi2_quantile(1.0 - alpha / 2.0, d)
     return ConfidenceBand(lower=psd.values * d / q_hi,
                           upper=psd.values * d / q_lo,
                           kind="theoretical", alpha=alpha)

@@ -28,12 +28,15 @@ pair is a test case; held-out healthy signals provide the false-alarm pairs
 (all ordered in-train pairs when nothing is held out).
 
 Scoring and decisions are array operations per set.  ``compute_path_scores``
-stacks a set's in-band PSD bins (records x bins) and packets (records x
-samples) and scores every case of a metric at once into a ``CaseTable``:
-pairwise PSD ratios, the ensemble statistics in one expression each, and both
-damage indices from one Gram matrix of the packets.
-``run_inspection`` and ``roc_sweep`` then decide every case at an alpha with
-one comparison per distinct degrees-of-freedom pair.  The scalar detectors,
+is the one function that takes the dataset arguments (manifest, path, window,
+Welch config, metrics, holdout, seed, band, set id).  It stacks a set's
+in-band PSD bins (records x bins) and packets (records x samples) and scores
+every case of a metric at once into a ``CaseTable``: pairwise PSD ratios, the
+ensemble statistics in one expression each, and both damage indices from one
+Gram matrix of the packets.  ``run_inspection(scores, alpha)`` and
+``roc_sweep(scores, metric)`` then only decide: every case at an alpha with
+one comparison per distinct degrees-of-freedom pair, so one scoring pass
+serves every alpha and every metric it scored.  The scalar detectors,
 ``case_damaged`` and ``case_score`` stay public as the reference the array
 path is tested against.
 """
@@ -66,7 +69,6 @@ __all__ = [
     "locate_packet",
     "extract_packet",
     "load_set",
-    "run_baseline",
     "compute_path_scores",
     "case_damaged",
     "case_score",
@@ -350,20 +352,6 @@ def load_set(manifest: DatasetManifest, path: str, set_id: str, window: str,
                       if e.label != manifest.baseline_label),
         ensemble=BaselineEnsemble.from_psds(psds[i] for i in train),
     )
-
-
-def run_baseline(manifest: DatasetManifest, path: str, window: str,
-                 welch_config: WelchConfig, holdout: int = 0,
-                 shuffle_seed=None, set_id: str = None):
-    """Build the healthy ensemble for a path and hold out test records.
-
-    The split is deterministic (first in manifest order train, remainder
-    held out) unless ``shuffle_seed`` is given.  Returns the ensemble and the
-    held-out healthy PSD estimates.
-    """
-    loaded = load_set(manifest, path, set_id, window, welch_config, holdout,
-                      shuffle_seed)
-    return loaded.ensemble, [loaded.psds[i] for i in loaded.held]
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +701,7 @@ class DetectionReport:
             f"nfft={self.welch.nfft},window={self.welch.window_kind},"
             f"detrend={int(self.welch.detrend_mean)}",
             f"# holdout = {self.holdout}",
-            "# m_train = " + ";".join(f"{s}:{m}" for s, m in sorted(self.m_by_set.items())),
+            f"# m_train = {_m_note(self.m_by_set)}",
             "metric,kind,label,count,cases,pct",
         ]
         for row in self.rows:
@@ -794,21 +782,19 @@ def _band_str(band) -> str:
     return "full" if band is None else f"{fmt(band[0])}:{fmt(band[1])}"
 
 
-def run_inspection(manifest: DatasetManifest, path: str, window: str,
-                   welch_config: WelchConfig, metrics, alpha, *,
-                   holdout: int = 0, seed=None, band=None,
-                   set_id: str = None, scores: PathScores = None) -> DetectionReport:
-    """Score every inspection entry of a path with every requested metric.
+def _m_note(m_by_set: dict) -> str:
+    """Training ensemble size per set, as ``set:M`` items in set order."""
+    return ";".join(f"{s}:{m}" for s, m in sorted(m_by_set.items()))
+
+
+def run_inspection(scores: PathScores, alpha) -> DetectionReport:
+    """Decide every scored case of a path at ``alpha``, for every metric the
+    scores hold.
 
     Held-out healthy records feed the false-alarm columns; missed-damage
-    percentages are aggregated per damage label.  Pass a precomputed
-    ``scores`` to reuse one scoring pass across several alphas.
+    percentages are aggregated per damage label.
     """
     alpha = validate_alpha(alpha)
-    if scores is None:
-        scores = compute_path_scores(manifest, path, window, welch_config, metrics,
-                                     holdout=holdout, seed=seed, band=band,
-                                     set_id=set_id)
     rows = []
     verdicts = []
     for metric, table in scores.cases.items():
@@ -882,21 +868,17 @@ def default_alpha_grid() -> np.ndarray:
     return np.logspace(-6.0, 0.0, 61)
 
 
-def roc_sweep(manifest: DatasetManifest, path: str, window: str, metric: str,
-              alpha_grid=None, *, welch_config: WelchConfig, holdout: int = 0,
-              seed=None, band=None, set_id: str = None,
-              scores: PathScores = None) -> RocCurve:
+def roc_sweep(scores: PathScores, metric: str, alpha_grid=None) -> RocCurve:
     """Decision-rule ROC: sweep alpha through the metric's own thresholds.
 
     fpr(alpha) is the flagged fraction of held-out healthy cases, tpr(alpha)
     the flagged fraction of damage cases.
     """
+    if metric not in scores.cases:
+        raise ValueError(f"metric {metric!r} was not scored; "
+                         f"the scores hold {tuple(scores.cases)}")
     grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, float)
     grid = np.sort(grid)
-    if scores is None:
-        scores = compute_path_scores(manifest, path, window, welch_config, [metric],
-                                     holdout=holdout, seed=seed, band=band,
-                                     set_id=set_id)
     table = scores.cases[metric]
     healthy = table.is_healthy
     n_healthy = int(np.count_nonzero(healthy))
@@ -912,8 +894,7 @@ def roc_sweep(manifest: DatasetManifest, path: str, window: str, metric: str,
         damaged = _decide(table, validate_alpha(a))
         fprs.append(int(np.count_nonzero(damaged & healthy)) / n_healthy)
         tprs.append(int(np.count_nonzero(damaged & ~healthy)) / n_damage)
-    note = (f"train M=" + ";".join(f"{s}:{m}" for s, m in sorted(scores.m_by_set.items()))
-            + f", holdout={scores.holdout}")
+    note = f"train M={_m_note(scores.m_by_set)}, holdout={scores.holdout}"
     return RocCurve(metric=metric, sweep=tuple(float(a) for a in grid),
                     sweep_kind="alpha", fprs=tuple(fprs), tprs=tuple(tprs),
                     auc=_trapezoid_auc(fprs, tprs), n_healthy=n_healthy,
@@ -973,9 +954,8 @@ def summary_table(reports) -> str:
         lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip())
         for r in body:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        m_note = ";".join(f"{s}:{m}" for s, m in sorted(rep.m_by_set.items()))
         lines.append(
-            f"[M={m_note}; holdout={rep.holdout}; band={_band_str(rep.band)}; "
+            f"[M={_m_note(rep.m_by_set)}; holdout={rep.holdout}; band={_band_str(rep.band)}; "
             f"welch L={rep.welch.segment_length} overlap={fmt(rep.welch.overlap_fraction)} "
             f"nfft={rep.welch.nfft} {rep.welch.window_kind}]"
         )

@@ -264,9 +264,7 @@ def test_criterion_7_qualitative_reproduction(ladder_dataset, bench_welch):
         metrics = ["z", "f", "janapati"]
         scores = compute_path_scores(ladder_dataset, "1-2", "first-packet",
                                      bench_welch, metrics, holdout=5)
-        auc = {m: roc_sweep(ladder_dataset, "1-2", "first-packet", m,
-                            welch_config=bench_welch, holdout=5, scores=scores).auc
-               for m in metrics}
+        auc = {m: roc_sweep(scores, m).auc for m in metrics}
         assert auc["z"] == 1.0
         assert auc["z"] >= auc["f"] >= auc["janapati"]
 
@@ -305,8 +303,7 @@ def test_criterion_8_monotonicity_invariants(ladder_dataset, bench_welch):
                 # shrinking alpha never flips healthy -> damaged
                 assert all(b >= a for a, b in zip(flags, flags[1:])), \
                     (metric, case.case_id)
-            curve = roc_sweep(ladder_dataset, "1-2", "first-packet", metric,
-                              welch_config=bench_welch, holdout=5, scores=scores)
+            curve = roc_sweep(scores, metric)
             assert all(b >= a for a, b in zip(curve.fprs, curve.fprs[1:])), metric
             assert all(b >= a for a, b in zip(curve.tprs, curve.tprs[1:])), metric
 

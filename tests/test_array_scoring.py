@@ -126,10 +126,10 @@ def assert_rows_match(scores, reference):
                 assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, (metric, key)
 
 
-def assert_decisions_match(manifest, scores):
+def assert_decisions_match(scores):
     grid = default_alpha_grid()
     for alpha in grid:
-        report = run_inspection(manifest, "p", "w", WELCH, METRICS, alpha, scores=scores)
+        report = run_inspection(scores, alpha)
         want = [(c.case_id, m, c.label, DAMAGED if case_damaged(c, alpha) else HEALTHY)
                 for m in METRICS for c in scores.cases[m]]
         assert list(report.verdicts) == want, alpha
@@ -147,9 +147,9 @@ def assert_decisions_match(manifest, scores):
         damage = [c for c in cases if not c.is_healthy]
         if not healthy or not damage:
             with pytest.raises(ValueError, match="ROC needs both"):
-                roc_sweep(manifest, "p", "w", metric, welch_config=WELCH, scores=scores)
+                roc_sweep(scores, metric)
             continue
-        curve = roc_sweep(manifest, "p", "w", metric, welch_config=WELCH, scores=scores)
+        curve = roc_sweep(scores, metric)
         assert curve.fprs == tuple(sum(case_damaged(c, a) for c in healthy) / len(healthy)
                                    for a in grid), metric
         assert curve.tprs == tuple(sum(case_damaged(c, a) for c in damage) / len(damage)
@@ -174,7 +174,7 @@ def test_array_core_equals_scalar_path(data_seed, sizes, holdout, shuffle, band,
             scores = compute_path_scores(manifest, "p", "w", WELCH, METRICS,
                                          holdout=holdout, seed=shuffle, band=band)
             assert_rows_match(scores, scalar_cases(manifest, scores.sets, METRICS, band))
-            assert_decisions_match(manifest, scores)
+            assert_decisions_match(scores)
     finally:
         pipeline._CHUNK = saved
 

@@ -235,6 +235,38 @@ def test_outdir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout").is_dir()
 
 
+@pytest.mark.parametrize("flag, env, config, where", [
+    (None, "envout", None, "envout"),
+    (None, None, "cfgout", "cfgout"),
+    ("flagout", "envout", "cfgout", "flagout"),
+    (None, "envout", "cfgout", "envout"),
+    (None, None, None, None),
+], ids=["env", "config", "flag-wins", "env-beats-config", "neither"])
+def test_simulate_output_directory_resolution(tmp_path, monkeypatch, capsys,
+                                              flag, env, config, where):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GWDETECT_OUTDIR", raising=False)
+    args = ["simulate", "--n-baseline", "3", "--ladder-steps", "1",
+            "--n-per-damage", "1", "--n-samples", "3000"]
+    if flag:
+        args += ["--out", flag]
+    if env:
+        monkeypatch.setenv("GWDETECT_OUTDIR", env)
+    if config:
+        (tmp_path / "sim.cfg").write_text(f"[output]\nout_dir = {config}\n")
+        args += ["--config", "sim.cfg"]
+    rc = main(args)
+    if where is None:
+        assert rc == 2
+        assert "an output directory is required" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == []
+        return
+    assert rc == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+    assert written == [where]
+    assert len(DatasetManifest.load(tmp_path / where / "manifest.csv").entries) == 4
+
+
 def test_missing_manifest_is_validation_error(tmp_path, capsys):
     rc = main(["detect", "--window", "w", "--out", str(tmp_path / "res")])
     assert rc == 2
@@ -403,7 +435,7 @@ def test_each_command_reads_every_record_once(tmp_path, monkeypatch):
 
 
 def test_roc_shared_scores_match_per_metric_sweeps(tmp_path):
-    from gwdetect.pipeline import roc_sweep
+    from gwdetect.pipeline import compute_path_scores, roc_sweep
     from gwdetect.spectral import WelchConfig
 
     simulate_small(tmp_path / "data")
@@ -412,6 +444,7 @@ def test_roc_shared_scores_match_per_metric_sweeps(tmp_path):
                  "--holdout", "3", "--out", str(out)]) == 0
     man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
     for metric in ("f", "z"):
-        curve = roc_sweep(man, "1-2", "first-packet", metric,
-                          welch_config=WelchConfig(100, 0.5, 2000), holdout=3)
+        scores = compute_path_scores(man, "1-2", "first-packet", WelchConfig(100, 0.5, 2000),
+                                     [metric], holdout=3)
+        curve = roc_sweep(scores, metric)
         assert (out / f"roc_1-2_first-packet_{metric}.csv").read_text() == curve.to_csv()

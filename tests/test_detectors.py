@@ -342,3 +342,18 @@ def test_theoretical_band_matches_quadrature_oracle():
     q_hi = oc.quantile_by_bisection(lambda x: oc.chi2_cdf_quad(x, d), 0.975, 10.0)
     assert np.allclose(band.lower, psd.values * d / q_hi, rtol=1e-6)
     assert np.allclose(band.upper, psd.values * d / q_lo, rtol=1e-6)
+
+
+def test_alpha_one_collapses_thresholds_and_bands():
+    # at alpha = 1 the critical points are the medians: the z threshold is 0
+    # and both bands shrink to a single curve
+    rng = np.random.default_rng(16)
+    ens = BaselineEnsemble.from_psds([white_psd(rng) for _ in range(6)])
+    series = z_statistic(ens, white_psd(rng), 1.0)
+    assert series.upper_threshold == 0.0
+    curves = [rng.normal(size=8) for _ in range(5)]
+    band = experimental_band(curves, 1.0)
+    mean = np.mean(curves, axis=0)
+    assert np.array_equal(band.lower, mean) and np.array_equal(band.upper, mean)
+    theo = theoretical_band(white_psd(rng), 1.0)
+    assert np.array_equal(theo.lower, theo.upper)

@@ -14,7 +14,6 @@ from gwdetect.pipeline import (
     load_set,
     locate_packet,
     roc_sweep,
-    run_baseline,
     run_inspection,
     score_roc,
     summary_table,
@@ -109,30 +108,26 @@ def test_locate_packet_finds_burst_onset():
 # ---------------------------------------------------------------------------
 
 def test_run_baseline_split(ladder_dataset, bench_welch):
-    ens, held = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
-                             holdout=5)
-    assert ens.m == 15
-    assert len(held) == 5
-    assert ens.k_windows == 9
-    all_in, none_out = run_baseline(ladder_dataset, "1-2", "first-packet",
-                                    bench_welch, holdout=0)
-    assert all_in.m == 20 and none_out == []
+    loaded = load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch,
+                      holdout=5)
+    assert loaded.ensemble.m == 15
+    assert len(loaded.held) == 5
+    assert loaded.ensemble.k_windows == 9
+    all_in = load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch,
+                      holdout=0)
+    assert all_in.ensemble.m == 20 and all_in.held == ()
 
 
 def test_run_baseline_shuffle_determinism(ladder_dataset, bench_welch):
-    a, _ = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
-                        holdout=5, shuffle_seed=11)
-    b, _ = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
-                        holdout=5, shuffle_seed=11)
-    c, _ = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
-                        holdout=5, shuffle_seed=12)
+    a, b, c = (load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch,
+                        holdout=5, seed=seed).ensemble for seed in (11, 11, 12))
     assert np.array_equal(a.mean_psd, b.mean_psd)
     assert not np.array_equal(a.mean_psd, c.mean_psd)
 
 
 def test_run_baseline_insufficient_entries(ladder_dataset, bench_welch):
     with pytest.raises(ValueError):
-        run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch, holdout=19)
+        load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch, holdout=19)
 
 
 def test_load_set_reads_once_and_splits_by_index(ladder_dataset, bench_welch):
@@ -146,11 +141,12 @@ def test_load_set_reads_once_and_splits_by_index(ladder_dataset, bench_welch):
     # packets own their samples: the full-length records are not kept alive
     assert all(p.samples.base is None and p.samples.size == 500
                for p in loaded.packets)
-    ens, held = run_baseline(ladder_dataset, "1-2", "first-packet", bench_welch,
-                             holdout=5, shuffle_seed=11, set_id="set0")
-    assert np.array_equal(loaded.ensemble.mean_psd, ens.mean_psd)
-    assert all(np.array_equal(loaded.psds[i].values, h.values)
-               for i, h in zip(loaded.held, held))
+    # one set, so pooling every set of the path (set_id=None) gives the same split
+    pooled = load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch,
+                      holdout=5, seed=11)
+    assert np.array_equal(loaded.ensemble.mean_psd, pooled.ensemble.mean_psd)
+    assert all(np.array_equal(loaded.psds[i].values, pooled.psds[k].values)
+               for i, k in zip(loaded.held, pooled.held))
     with pytest.raises(ValueError, match="holdout must be >= 0"):
         load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
                  holdout=-1)
@@ -162,14 +158,14 @@ def test_split_hygiene(tmp_path, bench_welch):
 
     man = synth_dataset(tmp_path, n_baseline=8, damage_specs=[], seed=9,
                         n_samples=3000)
-    ens_before, held = run_baseline(man, "1-2", "first-packet", bench_welch,
-                                    holdout=2)
+    ens_before = load_set(man, "1-2", None, "first-packet", bench_welch,
+                          holdout=2).ensemble
     victim = man.entries_for("1-2", label="healthy")[-1]  # last = held out
     sig = man.load_entry(victim)
     write_signal(man.resolve(victim),
                  Signal(sig.samples * 5.0 + 1.0, sig.sample_rate, sig.label))
-    ens_after, _ = run_baseline(man, "1-2", "first-packet", bench_welch,
-                                holdout=2)
+    ens_after = load_set(man, "1-2", None, "first-packet", bench_welch,
+                         holdout=2).ensemble
     assert np.array_equal(ens_before.mean_psd, ens_after.mean_psd)
     assert np.array_equal(ens_before.var_psd, ens_after.var_psd)
 
@@ -179,8 +175,8 @@ def test_split_hygiene(tmp_path, bench_welch):
 # ---------------------------------------------------------------------------
 
 def test_run_inspection_report_structure(ladder_dataset, bench_welch):
-    rep = run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                         ["z", "f"], 0.05, holdout=5)
+    rep = run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
+                                             bench_welch, ["z", "f"], holdout=5), 0.05)
     assert {r.metric for r in rep.rows} == {"z", "f"}
     assert len(rep.damage_labels) == 6
     z_row = next(r for r in rep.rows if r.metric == "z")
@@ -200,19 +196,30 @@ def test_run_inspection_healthy_only(tmp_path, bench_welch):
 
     man = synth_dataset(tmp_path, n_baseline=8, damage_specs=[], seed=4,
                         n_samples=3000)
-    rep = run_inspection(man, "1-2", "first-packet", bench_welch, ["z"], 0.05,
-                         holdout=3)
+    rep = run_inspection(compute_path_scores(man, "1-2", "first-packet", bench_welch,
+                                             ["z"], holdout=3), 0.05)
     assert rep.damage_labels == ()
     row = rep.rows[0]
     assert row.healthy_cases == 3
     assert row.missed == {}
 
 
+def test_decisions_cover_exactly_the_scored_metrics(ladder_dataset, bench_welch):
+    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                 ["z", "qiu"], holdout=5)
+    rep = run_inspection(scores, 0.05)
+    assert [r.metric for r in rep.rows] == ["z", "qiu"]
+    assert {metric for _, metric, _, _ in rep.verdicts} == {"z", "qiu"}
+    with pytest.raises(ValueError,
+                       match=r"metric 'f' was not scored; the scores hold \('z', 'qiu'\)"):
+        roc_sweep(scores, "f")
+
+
 def test_report_csv_roundtrip_and_recount(ladder_dataset, bench_welch):
     from gwdetect.pipeline import DetectionReport
 
-    rep = run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                         ["z", "qiu"], 0.05, holdout=5)
+    rep = run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
+                                             bench_welch, ["z", "qiu"], holdout=5), 0.05)
     text = rep.to_csv()
     back = DetectionReport.from_csv(text)
     assert back.alpha == rep.alpha
@@ -232,11 +239,10 @@ def test_report_csv_roundtrip_and_recount(ladder_dataset, bench_welch):
 
 
 def test_report_reproducibility(ladder_dataset, bench_welch):
-    kw = dict(holdout=5, seed=31)
-    a = run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                       ["f", "z", "janapati"], 0.05, **kw)
-    b = run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                       ["f", "z", "janapati"], 0.05, **kw)
+    a, b = (run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
+                                               bench_welch, ["f", "z", "janapati"],
+                                               holdout=5, seed=31), 0.05)
+            for _ in range(2))
     assert a.to_csv() == b.to_csv()
     assert a.verdicts == b.verdicts
 
@@ -268,8 +274,8 @@ def test_null_calibration_through_run_inspection(tmp_path):
     cfg = WelchConfig(16, 0.0, 16, "rectangular", detrend_mean=False)
     f4 = cfg.freq_grid(1e4)[4]
     alpha = 0.1
-    rep = run_inspection(man, "p", "w", cfg, ["f"], alpha, holdout=10,
-                         band=(f4, f4))
+    rep = run_inspection(compute_path_scores(man, "p", "w", cfg, ["f"], holdout=10,
+                                             band=(f4, f4)), alpha)
     row = rep.rows[0]
     assert row.healthy_cases == 10 * 10
     assert row.missed["fake"][1] == 10 * 150
@@ -282,8 +288,8 @@ def test_null_calibration_through_run_inspection(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_roc_sweep_perfect_separation(ladder_dataset, bench_welch):
-    curve = roc_sweep(ladder_dataset, "1-2", "first-packet", "z",
-                      welch_config=bench_welch, holdout=5)
+    curve = roc_sweep(compute_path_scores(ladder_dataset, "1-2", "first-packet",
+                                          bench_welch, ["z"], holdout=5), "z")
     assert curve.auc == 1.0
     assert curve.sweep[0] == pytest.approx(1e-6)
     assert curve.sweep[-1] == 1.0
@@ -291,9 +297,10 @@ def test_roc_sweep_perfect_separation(ladder_dataset, bench_welch):
 
 
 def test_roc_monotone_along_alpha(ladder_dataset, bench_welch):
+    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                 ["z", "f", "qiu"], holdout=5)
     for metric in ("z", "f", "qiu"):
-        curve = roc_sweep(ladder_dataset, "1-2", "first-packet", metric,
-                          welch_config=bench_welch, holdout=5)
+        curve = roc_sweep(scores, metric)
         assert all(b >= a for a, b in zip(curve.fprs, curve.fprs[1:]))
         assert all(b >= a for a, b in zip(curve.tprs, curve.tprs[1:]))
 
@@ -304,8 +311,8 @@ def test_roc_requires_both_splits(tmp_path, bench_welch):
     man = synth_dataset(tmp_path, n_baseline=6, damage_specs=[], seed=8,
                         n_samples=3000)
     with pytest.raises(ValueError):
-        roc_sweep(man, "1-2", "first-packet", "z", welch_config=bench_welch,
-                  holdout=2)  # no damage entries
+        roc_sweep(compute_path_scores(man, "1-2", "first-packet", bench_welch, ["z"],
+                                      holdout=2), "z")  # no damage entries
 
 
 def test_random_scores_give_half_auc():
@@ -373,8 +380,7 @@ def test_case_score_definition(ladder_dataset, bench_welch):
 def test_summary_table_formatting(ladder_dataset, bench_welch):
     scores = compute_path_scores(ladder_dataset, "1-2", "first-packet",
                                  bench_welch, ["z"], holdout=5)
-    reports = [run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                              ["z"], a, scores=scores) for a in (0.05, 0.01)]
+    reports = [run_inspection(scores, a) for a in (0.05, 0.01)]
     table = summary_table(reports)
     assert table.count("alpha =") == 2  # one block per alpha
     assert "missed_%[att-0.9]" in table
@@ -387,8 +393,8 @@ def test_summary_table_zero_misses_single_metric(tmp_path, bench_welch):
     man = synth_dataset(tmp_path, n_baseline=6,
                         damage_specs=[DamageSpec(attenuation=0.5, label="big")],
                         n_per_damage=2, seed=12, n_samples=3000)
-    rep = run_inspection(man, "1-2", "first-packet", bench_welch, ["z"], 0.05,
-                         holdout=2)
+    rep = run_inspection(compute_path_scores(man, "1-2", "first-packet", bench_welch,
+                                             ["z"], holdout=2), 0.05)
     table = summary_table([rep])
     row = [ln for ln in table.splitlines() if ln.startswith("z")][0]
     assert row.split()[-1] == "0"
@@ -400,10 +406,10 @@ def test_summary_table_inconsistent_labels(ladder_dataset, tmp_path, bench_welch
     other = synth_dataset(tmp_path, n_baseline=6,
                           damage_specs=[DamageSpec(attenuation=0.6, label="odd")],
                           n_per_damage=1, seed=13, n_samples=3000)
-    rep_a = run_inspection(ladder_dataset, "1-2", "first-packet", bench_welch,
-                           ["z"], 0.05, holdout=5)
-    rep_b = run_inspection(other, "1-2", "first-packet", bench_welch, ["z"],
-                           0.05, holdout=2)
+    rep_a = run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
+                                               bench_welch, ["z"], holdout=5), 0.05)
+    rep_b = run_inspection(compute_path_scores(other, "1-2", "first-packet", bench_welch,
+                                               ["z"], holdout=2), 0.05)
     with pytest.raises(ValueError):
         summary_table([rep_a, rep_b])
     with pytest.raises(ValueError):

@@ -1,0 +1,118 @@
+"""Write-then-read round trips of the three text formats: signal files,
+dataset manifests and detection reports.
+
+Ids and labels are drawn from ``[A-Za-z0-9._-]``: both readers strip the
+whitespace around a field, and ``,``/``=``/``#`` are format syntax.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gwdetect.dataio import read_signal, write_signal
+from gwdetect.pipeline import (
+    METRICS,
+    DatasetManifest,
+    DetectionReport,
+    ManifestEntry,
+    MetricSummary,
+)
+from gwdetect.spectral import Signal, WelchConfig
+
+NAME = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-",
+               min_size=1, max_size=12)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.lists(FINITE, min_size=1, max_size=40), rate=POSITIVE,
+       label=st.one_of(st.just(""), NAME))
+def test_signal_file_roundtrip_is_exact(samples, rate, label):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sig.csv"
+        write_signal(path, Signal(samples, rate, label))
+        back = read_signal(path)
+    assert back.samples.tobytes() == np.asarray(samples, dtype=float).tobytes()
+    assert back.sample_rate == rate and back.label == label
+
+
+@st.composite
+def manifests(draw):
+    baseline = draw(NAME)
+    rows = draw(st.lists(st.tuples(NAME, st.one_of(st.just(baseline), NAME), NAME, NAME),
+                         min_size=1, max_size=8))
+    # validate() wants a baseline entry on every path
+    rows += [(f"base-{p}.csv", baseline, p, s) for _, _, p, s in rows]
+    windows = draw(st.dictionaries(NAME, st.tuples(st.integers(0, 10**6),
+                                                   st.integers(1, 10**6)), max_size=3))
+    band = draw(st.one_of(st.none(), st.tuples(FINITE, FINITE)))
+    return DatasetManifest(entries=[ManifestEntry(*r) for r in rows],
+                           sample_rate=draw(POSITIVE), baseline_label=baseline,
+                           packet_windows=windows, band=band)
+
+
+@settings(max_examples=60, deadline=None)
+@given(man=manifests())
+def test_manifest_roundtrip(man):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = man.save(Path(tmp) / "manifest.csv")
+        back = DatasetManifest.load(path)
+        again = back.save(Path(tmp) / "again.csv")
+        assert again.read_text() == path.read_text()
+    assert back.entries == man.entries
+    assert back.sample_rate == man.sample_rate
+    assert back.baseline_label == man.baseline_label
+    assert back.packet_windows == man.packet_windows
+    assert back.band == man.band
+
+
+@st.composite
+def welch_configs(draw):
+    length = draw(st.integers(10, 64))  # keeps the hop >= 1 at overlap 0.9
+    return WelchConfig(segment_length=length,
+                       overlap_fraction=draw(st.floats(0.0, 0.9)),
+                       nfft=draw(st.integers(length, 256)),
+                       window_kind=draw(st.sampled_from(["hamming", "bartlett", "rectangular"])),
+                       detrend_mean=draw(st.booleans()))
+
+
+@st.composite
+def counts(draw):
+    cases = draw(st.integers(0, 10**6))
+    return draw(st.integers(0, cases)), cases
+
+
+@st.composite
+def reports(draw):
+    labels = tuple(draw(st.lists(NAME, unique=True, max_size=4)))
+    metrics = draw(st.lists(st.sampled_from(METRICS), unique=True, min_size=1))
+    rows = []
+    for metric in metrics:
+        false_alarms, healthy = draw(counts())
+        rows.append(MetricSummary(metric=metric, false_alarms=false_alarms,
+                                  healthy_cases=healthy,
+                                  missed={label: draw(counts()) for label in labels}))
+    return DetectionReport(
+        path=draw(NAME), window=draw(NAME),
+        alpha=draw(st.floats(min_value=1e-12, max_value=1.0)),
+        rows=tuple(rows), verdicts=(), damage_labels=labels,
+        holdout=draw(st.integers(0, 1000)),
+        m_by_set=draw(st.dictionaries(NAME, st.integers(0, 1000), max_size=3)),
+        band=draw(st.one_of(st.none(), st.tuples(FINITE, FINITE))),
+        welch=draw(welch_configs()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(report=reports())
+def test_report_csv_roundtrip_reproduces_text(report):
+    text = report.to_csv()
+    back = DetectionReport.from_csv(text)
+    assert back.to_csv() == text
+    assert (back.path, back.window, back.alpha, back.holdout, back.m_by_set, back.band,
+            back.welch) == (report.path, report.window, report.alpha, report.holdout,
+                            report.m_by_set, report.band, report.welch)
+    assert back.rows == report.rows
