@@ -26,7 +26,10 @@ headers, e.g.::
     [output]
     out_dir = results
 
-Command-line flags override config values.
+Command-line flags override config values.  A value that cannot be read
+names the flag, or the config file and ``[section] key``, it came from; every
+option is checked before any record is read.  Scores, decisions and ``stat_*``
+curves come from ``pipeline``; ``_write_curve`` writes every curve file.
 """
 
 import argparse
@@ -35,13 +38,13 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import fmt
-from .detectors import experimental_band, f_statistic, fm_statistic, \
-    theoretical_band, z_statistic
+from .detectors import experimental_band, theoretical_band
 from .pipeline import (
     METRICS,
     DatasetManifest,
@@ -50,10 +53,11 @@ from .pipeline import (
     load_set,
     roc_sweep,
     run_inspection,
+    statistic_curves,
     summary_table,
 )
 from .simulate import ToneBurstSpec, attenuation_ladder, synth_dataset
-from .spectral import WelchConfig
+from .spectral import WINDOW_KINDS, WelchConfig
 from .statdist import validate_alpha
 
 OUTDIR_ENV = "GWDETECT_OUTDIR"
@@ -80,13 +84,19 @@ def _load_config(path) -> dict:
             for sec in cp.sections() for key, value in cp.items(sec)}
 
 
-def _opt(cfg: dict, flag, key: str, default=None):
-    """flag > config > default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+def _opt(args, cfg: dict, dest: str, key: str, default=None, parse=str, expected=""):
+    """flag > config > default, converted by ``parse``; a value it rejects
+    names its flag, or the config file and ``[section] key`` it came from."""
+    value, where = getattr(args, dest, None), "--" + dest.replace("_", "-")
+    if value is None:
+        if key not in cfg:
+            return default
+        section, name = key.split(".", 1)
+        value, where = cfg[key], f"{args.config}: [{section}] {name}"
+    try:
+        return parse(value)
+    except ValueError:
+        raise _bad_option(where, value, expected) from None
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -117,44 +127,55 @@ def _bad_option(name: str, text, expected: str) -> ValueError:
 
 
 def _parse_band(text):
-    if text in (None, "", "full"):
+    if text in ("", "full"):
         return None
-    try:
-        lo, hi = (float(s) for s in str(text).split(":"))
-    except ValueError:
-        raise _bad_option("--band", text, "f_lo:f_hi in Hz, or 'full'") from None
+    lo, hi = (float(s) for s in str(text).split(":"))
     return (lo, hi)
 
 
-def _parse_alphas(text) -> list:
-    alphas = []
-    for a in str(text).split(","):
-        if a:
-            try:
-                alphas.append(validate_alpha(a))
-            except ValueError:
-                raise _bad_option("--alpha", a, "a false-alarm probability in (0, 1]") from None
-    if not alphas:
-        raise ValueError("alpha list must not be empty")
-    return alphas
+def _parse_list(text, item) -> list:
+    """A nonempty comma list of distinct values, each converted by ``item``."""
+    values = [item(v) for v in str(text).split(",") if v]
+    if not values or len(set(values)) < len(values):
+        raise ValueError(text)
+    return values
+
+
+def _member(choices):
+    """A parser that accepts one of ``choices`` and nothing else."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return parse
+
+
+def _parse_bool(text) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(text).lower()]
+    except KeyError:
+        raise ValueError(text) from None
 
 
 def _build_runconfig(args) -> RunConfig:
     cfg = _load_config(args.config)
-    manifest_path = _opt(cfg, getattr(args, "manifest", None), "data.manifest")
+    manifest_path = _opt(args, cfg, "manifest", "data.manifest")
     if not manifest_path:
         raise ValueError("a manifest is required (--manifest or [data] manifest)")
     manifest = DatasetManifest.load(manifest_path)
 
     welch = WelchConfig(
-        segment_length=int(_opt(cfg, args.segment_length, "welch.segment_length", 100)),
-        overlap_fraction=float(_opt(cfg, args.overlap, "welch.overlap", 0.5)),
-        nfft=int(_opt(cfg, args.nfft, "welch.nfft", 2000)),
-        window_kind=str(_opt(cfg, args.window_kind, "welch.window_kind", "hamming")),
-        detrend_mean=not bool(getattr(args, "no_detrend", False)
-                              or cfg.get("welch.detrend", "1") == "0"),
+        segment_length=_opt(args, cfg, "segment_length", "welch.segment_length", 100,
+                            int, "an integer"),
+        overlap_fraction=_opt(args, cfg, "overlap", "welch.overlap", 0.5, float, "a number"),
+        nfft=_opt(args, cfg, "nfft", "welch.nfft", 2000, int, "an integer"),
+        window_kind=_opt(args, cfg, "window_kind", "welch.window_kind", "hamming",
+                         lambda text: _member(WINDOW_KINDS)(text.lower()),
+                         f"one of {', '.join(WINDOW_KINDS)}"),
+        detrend_mean=_opt(args, cfg, "detrend", "welch.detrend", True, _parse_bool,
+                          "a boolean: 1, yes, true, on or 0, no, false, off"),
     )
-    window = _opt(cfg, getattr(args, "window", None), "data.window")
+    window = _opt(args, cfg, "window", "data.window")
     if window is None:
         raise ValueError("an analysis window is required (--window or [data] window)")
     if window not in manifest.packet_windows:
@@ -166,39 +187,31 @@ def _build_runconfig(args) -> RunConfig:
     if length < welch.segment_length:
         raise ValueError(f"window {window!r} is {length} samples, shorter than "
                          f"segment_length {welch.segment_length}")
-    path_flag = _opt(cfg, getattr(args, "path", None), "data.path")
+    path_flag = _opt(args, cfg, "path", "data.path")
     if path_flag and path_flag not in manifest.paths():
         raise ValueError(f"path {path_flag!r} is not in the manifest "
                          f"(available: {manifest.paths()})")
     paths = [path_flag] if path_flag else manifest.paths()
-    set_id = _opt(cfg, getattr(args, "set_id", None), "data.set")
+    set_id = _opt(args, cfg, "set_id", "data.set")
     for path in paths:
         if set_id is not None and set_id not in manifest.sets_for(path):
             raise ValueError(f"set {set_id!r} is not in path {path!r} "
                              f"(available: {manifest.sets_for(path)})")
 
-    metrics_text = _opt(cfg, getattr(args, "metrics", None), "detect.metrics",
-                        ",".join(METRICS))
-    metrics = [m for m in str(metrics_text).split(",") if m]
-    if not metrics:
-        raise ValueError("metrics list must not be empty")
-    for m in metrics:
-        if m not in METRICS:
-            raise ValueError(f"unknown metric {m!r}; choose from {METRICS}")
-    if len(set(metrics)) < len(metrics):
-        raise _bad_option("--metrics", metrics_text, "each metric at most once")
-
-    alphas_text = _opt(cfg, getattr(args, "alpha", None), "detect.alphas", "0.05")
-    alphas = _parse_alphas(alphas_text)
-
-    band = _parse_band(_opt(cfg, getattr(args, "band", None), "detect.band"))
+    metrics = _opt(args, cfg, "metrics", "detect.metrics", list(METRICS),
+                   lambda text: _parse_list(text, _member(METRICS)),
+                   f"a comma list of distinct metrics from {','.join(METRICS)}")
+    alphas = _opt(args, cfg, "alpha", "detect.alphas", [0.05],
+                  lambda text: _parse_list(text, validate_alpha),
+                  "a comma list of distinct false-alarm probabilities in (0, 1]")
+    band = _opt(args, cfg, "band", "detect.band", None, _parse_band,
+                "f_lo:f_hi in Hz, or 'full'")
 
     out_dir = _out_dir(args, cfg)
 
-    holdout = int(_opt(cfg, getattr(args, "holdout", None), "detect.holdout", 0))
+    holdout = _opt(args, cfg, "holdout", "detect.holdout", 0, int, "an integer")
     if holdout < 0:
         raise ValueError("holdout must be >= 0")
-    seed = _opt(cfg, getattr(args, "seed", None), "detect.seed")
     return RunConfig(
         manifest=manifest,
         window=window,
@@ -209,7 +222,7 @@ def _build_runconfig(args) -> RunConfig:
         alphas=alphas,
         band=band,
         holdout=holdout,
-        seed=None if seed is None else int(seed),
+        seed=_opt(args, cfg, "seed", "detect.seed", None, int, "an integer"),
         out_dir=out_dir,
     )
 
@@ -230,20 +243,13 @@ def cmd_psd(args) -> int:
             # file index: the record's position among all entries of the path
             index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
             for i, entry, psd in zip(index, loaded.entries, loaded.psds):
-                lines = ["freq,psd"]
-                lines.extend(f"{f},{v:.12g}" for f, v in zip(freq_col, psd.values.tolist()))
                 stem = _slug(Path(entry.file).stem)
-                _write(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                       "\n".join(lines) + "\n")
-            ensemble = loaded.ensemble
-            theo = theoretical_band(ensemble.mean_estimate(), alpha)
-            expe = experimental_band([p.values for p in ensemble.psds], alpha)
-            for tag, bandc in (("theoretical", theo), ("experimental", expe)):
-                lines = ["freq,lower,upper"]
-                lines.extend(f"{f},{lo:.12g},{hi:.12g}" for f, lo, hi in
-                             zip(freq_col, bandc.lower.tolist(), bandc.upper.tolist()))
-                _write(rc.out_dir / f"band_{tag}_{_slug(path)}_{_slug(s)}.csv",
-                       "\n".join(lines) + "\n")
+                _write_curve(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
+                             "freq,psd", freq_col, psd.values)
+            for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
+                          experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
+                _write_curve(rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
+                             "freq,lower,upper", freq_col, bandc.lower, bandc.upper)
     print(f"psd curves written to {rc.out_dir}")
     return 0
 
@@ -253,11 +259,12 @@ def _freq_column(freqs) -> list:
     return [fmt(f) for f in freqs.tolist()]
 
 
-def _curve_csv(series, freq_col) -> str:
-    bounds = f",{series.lower_threshold:.12g},{series.upper_threshold:.12g}"
-    lines = ["freq,value,lower,upper"]
-    lines.extend(f"{f},{v:.12g}{bounds}" for f, v in zip(freq_col, series.values.tolist()))
-    return "\n".join(lines) + "\n"
+def _write_curve(path: Path, header: str, freq_col: list, *columns) -> None:
+    """One plot-ready curve CSV: ``header``, then a row per frequency of the
+    formatted frequency and each column, an array or one value for every row."""
+    cells = [[f"{v:.12g}" for v in c.tolist()] if np.ndim(c) else repeat(f"{c:.12g}")
+             for c in columns]
+    _write(path, "\n".join([header, *map(",".join, zip(freq_col, *cells))]) + "\n")
 
 
 def cmd_detect(args) -> int:
@@ -277,24 +284,13 @@ def cmd_detect(args) -> int:
             lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
         # per-signal statistic curves against each set's baseline ensemble
-        curve_metrics = [m for m in rc.metrics if m in ("f", "fm", "z")]
         for loaded in scores.sets:
-            ensemble = loaded.ensemble
-            freq_col = _freq_column(ensemble.freq_grid)
-            for i, j in enumerate(loaded.inspect):
-                psd = loaded.psds[j]
-                stem = _slug(Path(loaded.entries[j].file).stem)
-                for metric in curve_metrics:
-                    for alpha in rc.alphas:
-                        if metric == "f":
-                            series = f_statistic(ensemble.psds[0], psd, alpha, rc.band)
-                        elif metric == "fm":
-                            series = fm_statistic(ensemble, psd, alpha, rc.band)
-                        else:
-                            series = z_statistic(ensemble, psd, alpha, rc.band)
-                        _write(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
-                               f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
-                               _curve_csv(series, freq_col))
+            freq_col = _freq_column(loaded.ensemble.freq_grid)
+            for metric, i, alpha, curve, lo, hi in statistic_curves(loaded, rc.metrics, rc.alphas):
+                stem = _slug(Path(loaded.entries[loaded.inspect[i]].file).stem)
+                _write_curve(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
+                             f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
+                             "freq,value,lower,upper", freq_col, curve, lo, hi)
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
@@ -391,7 +387,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window-kind", dest="window_kind",
                    choices=("hamming", "bartlett", "rectangular"),
                    help="taper kind (default hamming)")
-    p.add_argument("--no-detrend", dest="no_detrend", action="store_true",
+    p.add_argument("--no-detrend", dest="detrend", action="store_const", const=False,
                    help="skip mean subtraction")
     p.add_argument("--metrics", help=f"comma list from {','.join(METRICS)}")
     p.add_argument("--alpha", help="comma list of false-alarm probabilities (default 0.05)")

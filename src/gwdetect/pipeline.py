@@ -36,9 +36,10 @@ ensemble statistics in one expression each, and both damage indices from one
 Gram matrix of the packets.  ``run_inspection(scores, alpha)`` and
 ``roc_sweep(scores, metric)`` then only decide: every case at an alpha with
 one comparison per distinct degrees-of-freedom pair, so one scoring pass
-serves every alpha and every metric it scored.  The scalar detectors,
-``case_damaged`` and ``case_score`` stay public as the reference the array
-path is tested against.
+serves every alpha and every metric it scored.  The curves ``detect`` plots
+(``statistic_curves``) use the same per-bin expressions and critical points.
+The scalar detectors, ``case_damaged`` and ``case_score`` stay public as the
+reference the array path is tested against.
 """
 
 import math
@@ -70,6 +71,7 @@ __all__ = [
     "extract_packet",
     "load_set",
     "compute_path_scores",
+    "statistic_curves",
     "case_damaged",
     "case_score",
     "run_inspection",
@@ -465,20 +467,24 @@ def case_damaged(case: ScoredCase, alpha) -> bool:
     raise ValueError(f"unknown metric {case.metric!r}")
 
 
+def _critical_points(metric: str, alpha: float, dof1: int, dof2: int) -> tuple:
+    """``(lower, upper)`` critical points at a validated alpha: two-sided F for
+    ``f``/``fm``, else 0 and the Normal point (times the healthy DI spread)."""
+    if metric in ("f", "fm"):
+        return f_quantile(alpha / 2.0, dof1, dof2), f_quantile(1.0 - alpha / 2.0, dof1, dof2)
+    return 0.0, normal_quantile(1.0 - alpha / 2.0)
+
+
 def _decide(table: CaseTable, alpha: float) -> np.ndarray:
     """``case_damaged`` for every row of a table at a validated alpha: one
     array comparison per distinct dof pair, at the same critical points."""
-    if table.metric in ("f", "fm"):
-        damaged = np.zeros(len(table), dtype=bool)
-        for (d1, d2), rows in table.dof_groups:
-            lo = f_quantile(alpha / 2.0, d1, d2)
-            hi = f_quantile(1.0 - alpha / 2.0, d1, d2)
-            damaged[rows] = (table.stat_lo[rows] < lo) | (table.stat_hi[rows] > hi)
-        return damaged
-    if table.metric == "z":
-        return table.stat_hi > normal_quantile(1.0 - alpha / 2.0)
-    thr = normal_quantile(1.0 - alpha / 2.0) * table.spread
-    return np.abs(table.stat_hi - table.center) > thr
+    scale = table.spread if table.metric in _DI_METRICS else 1.0
+    damaged = np.zeros(len(table), dtype=bool)
+    for (d1, d2), rows in table.dof_groups:
+        lo, hi = _critical_points(table.metric, alpha, d1, d2)
+        damaged[rows] = ((table.stat_lo < lo)
+                         | (np.abs(table.stat_hi - table.center) > hi * scale))[rows]
+    return damaged
 
 
 def case_score(case: ScoredCase) -> float:
@@ -499,38 +505,42 @@ def _pairs(outer: np.ndarray, inner: np.ndarray):
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _ratio_extrema(inband: np.ndarray, freqs: np.ndarray, ref, probe):
-    """Min and max over the in-band bins of ``inband[ref] / inband[probe]``,
-    row by row, as ``f_statistic`` and ``fm_statistic`` take them."""
-    zero = (inband == 0.0).any(axis=1)[probe]
-    if zero.any():
-        j = probe[np.argmax(zero)]
-        raise ValueError(
-            f"unknown PSD is zero inside the verdict band at {freqs[inband[j] == 0.0][0]:g} Hz"
-        )
-    lo = np.empty(probe.size)
-    hi = np.empty(probe.size)
+def _statistic(metric: str, ref: np.ndarray, probe: np.ndarray, var=None) -> np.ndarray:
+    """Per-bin statistic of PSD rows ``probe`` against ``ref``: the ratio, or for
+    ``z`` the deviation over ``sqrt(2 * var)`` (0 where it and ``var`` are 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if metric != "z":
+            return ref / probe
+        num = np.abs(ref - probe)
+        return np.where((var == 0.0) & (num == 0.0), 0.0, num / np.sqrt(2.0 * var))
+
+
+def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, probe):
+    """Min and max over the in-band bins of each (ref, probe) row pair's statistic,
+    ``z`` skipping zero-variance bins; fails as the scalar detectors would."""
+    var = None
+    if metric == "z" and probe.size:
+        if ens.m < 2:
+            raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={ens.m}")
+        var = ens.var_psd[mask]
+        inband, var = inband[:, var > 0.0], var[var > 0.0]
+        if not var.size:
+            raise ValueError("every in-band bin has zero baseline variance")
+    elif (zero := (inband == 0.0).any(axis=1)[probe]).any():
+        raise ValueError("unknown PSD is zero inside the verdict band at "
+                         f"{ens.freq_grid[mask][inband[probe[np.argmax(zero)]] == 0.0][0]:g} Hz")
+    lo, hi = np.empty(probe.size), np.empty(probe.size)
     step = max(1, _CHUNK // inband.shape[1])
     for k in range(0, probe.size, step):
-        ratio = inband[ref[k:k + step]] / inband[probe[k:k + step]]
-        lo[k:k + step] = ratio.min(axis=1)
-        hi[k:k + step] = ratio.max(axis=1)
+        values = _statistic(metric, inband[ref[k:k + step]], inband[probe[k:k + step]], var)
+        lo[k:k + step], hi[k:k + step] = values.min(axis=1), values.max(axis=1)
     return lo, hi
 
 
-def _z_max(ens: BaselineEnsemble, inband: np.ndarray, mask, probes) -> np.ndarray:
-    """Largest ``z_statistic`` value of each probe over the in-band bins with
-    nonzero baseline variance; ``inband[-1]`` is the ensemble mean."""
-    if probes.size == 0:
-        return np.empty(0)
-    if ens.m < 2:
-        raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={ens.m}")
-    var = ens.var_psd[mask]
-    live = var > 0.0
-    if not live.any():
-        raise ValueError("every in-band bin has zero baseline variance")
-    num = np.abs(inband[-1, live] - inband[np.ix_(probes, live)])
-    return (num / np.sqrt(2.0 * var[live])).max(axis=1)
+def _dof(metric: str, ens: BaselineEnsemble) -> dict:
+    """(2K, 2K) degrees of freedom for ``f``, (2KM, 2K) for ``fm``."""
+    d = 2 * ens.k_windows
+    return {"dof1": d * ens.m if metric == "fm" else d, "dof2": d}
 
 
 def _di_values(metric: str, gram: np.ndarray, sums: np.ndarray, ref, probe) -> np.ndarray:
@@ -589,27 +599,20 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
             scatter = _di_values(metric, gram, sums, *in_train)
             moments[metric] = {"center": float(np.mean(scatter)),
                                "spread": float(np.std(scatter, ddof=1))}
-    if any(m not in _DI_METRICS for m in metrics):
-        # the in-band bins of each record, then of the ensemble mean
-        inband = np.stack([p.values[mask] for p in loaded.psds] + [ens.mean_psd[mask]])
-        freqs = ens.freq_grid[mask]
+    # the in-band bins of each record, then of the ensemble mean
+    inband = np.stack([p.values[mask] for p in loaded.psds] + [ens.mean_psd[mask]])
 
-    d = 2 * ens.k_windows
     out = {}
     for metric in metrics:
-        if metric == "f":
-            lo, hi = _ratio_extrema(inband, freqs, ref, probe)
-            out[metric] = {**pair_cols, "stat_lo": lo, "stat_hi": hi, "dof1": d, "dof2": d}
-        elif metric == "fm":
-            mean_row = np.full(probes.size, len(entries))
-            lo, hi = _ratio_extrema(inband, freqs, mean_row, probes)
-            out[metric] = {**probe_cols, "stat_lo": lo, "stat_hi": hi,
-                           "dof1": d * ens.m, "dof2": d}
-        elif metric == "z":
-            out[metric] = {**probe_cols, "stat_hi": _z_max(ens, inband, mask, probes)}
-        else:
+        if metric in _DI_METRICS:
             out[metric] = {**pair_cols, "stat_hi": _di_values(metric, gram, sums, ref, probe),
                            **moments[metric]}
+            continue
+        ref_rows, probe_rows, cols = ((ref, probe, pair_cols) if metric == "f" else
+                                      (np.full(probes.size, len(entries)), probes, probe_cols))
+        lo, hi = _extrema(metric, ens, inband, mask, ref_rows, probe_rows)
+        out[metric] = ({**cols, "stat_hi": hi} if metric == "z" else
+                       {**cols, "stat_lo": lo, "stat_hi": hi, **_dof(metric, ens)})
     return out
 
 
@@ -654,6 +657,20 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
                       holdout=int(holdout), seed=seed,
                       cases={m: CaseTable.concat(m, p) for m, p in parts.items()},
                       damage_labels=tuple(damage_labels), sets=sets)
+
+
+def statistic_curves(loaded: LoadedSet, metrics, alphas):
+    """``(metric, i, alpha, curve, lower, upper)`` per PSD metric, record
+    ``loaded.inspect[i]`` and alpha: the full-grid values and thresholds of
+    ``f_statistic`` (on the first training baseline), ``fm_statistic``, ``z_statistic``."""
+    ens = loaded.ensemble
+    alphas = [validate_alpha(a) for a in alphas]
+    for metric in (m for m in metrics if m not in _DI_METRICS):
+        ref = ens.psds[0].values if metric == "f" else ens.mean_psd
+        bounds = [_critical_points(metric, a, **_dof(metric, ens)) for a in alphas]
+        for i, j in enumerate(loaded.inspect):
+            curve = _statistic(metric, ref, loaded.psds[j].values, ens.var_psd)
+            yield from ((metric, i, a, curve, lo, hi) for a, (lo, hi) in zip(alphas, bounds))
 
 
 # ---------------------------------------------------------------------------

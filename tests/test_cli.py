@@ -334,6 +334,67 @@ def test_psd_set_id_restricts_curves_and_bands(tmp_path):
     assert len(tree_digest(full)) == len(man.entries) + 4
 
 
+def test_detect_curves_equal_the_scalar_detectors(tmp_path):
+    """Every line of every ``stat_*`` file is the scalar detector's curve and
+    thresholds for its record; ``f`` is taken against the first training
+    baseline, which the seed makes another record than the set's first."""
+    import warnings
+
+    from gwdetect.dataio import fmt
+    from gwdetect.detectors import f_statistic, fm_statistic, z_statistic
+    from gwdetect.pipeline import load_set
+    from gwdetect.spectral import WelchConfig
+
+    man = _two_set_dataset(tmp_path / "data")
+    out = tmp_path / "res"
+    alphas = (0.01, 0.05)
+    assert main(["detect", *_common(tmp_path / "data"), "--metrics", "f,fm,z",
+                 "--alpha", "0.01,0.05", "--holdout", "1", "--seed", "2",
+                 "--out", str(out)]) == 0
+    want = {}
+    for set_id in ("set0", "set1"):
+        loaded = load_set(man, "1-2", set_id, "first-packet", WelchConfig(100, 0.5, 2000),
+                          holdout=1, seed=2)
+        ens = loaded.ensemble
+        assert loaded.entries[loaded.train[0]] != man.entries_for(
+            "1-2", set_id, man.baseline_label)[0]
+        for i, j in enumerate(loaded.inspect):
+            stem = Path(loaded.entries[j].file).stem
+            for alpha in alphas:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    curves = {"f": f_statistic(ens.psds[0], loaded.psds[j], alpha),
+                              "fm": fm_statistic(ens, loaded.psds[j], alpha),
+                              "z": z_statistic(ens, loaded.psds[j], alpha)}
+                for metric, series in curves.items():
+                    bounds = f"{series.lower_threshold:.12g},{series.upper_threshold:.12g}"
+                    lines = ["freq,value,lower,upper"]
+                    lines += [f"{fmt(f)},{v:.12g},{bounds}"
+                              for f, v in zip(series.freqs.tolist(), series.values.tolist())]
+                    name = f"stat_{metric}_1-2_{set_id}_{i:03d}_{stem}_a{fmt(alpha)}.csv"
+                    want[name] = "\n".join(lines) + "\n"
+    n_damage = sum(e.label != man.baseline_label for e in man.entries)
+    assert len(want) == 3 * len(alphas) * n_damage
+    assert {p.name: p.read_text() for p in out.glob("stat_*.csv")} == want
+
+
+def test_config_detrend_takes_boolean_words(tmp_path):
+    """``[welch] detrend`` reads configparser's boolean words: the false ones
+    write what ``--no-detrend`` writes, the true ones what the default does."""
+    simulate_small(tmp_path / "data")
+    base = ["psd", *_common(tmp_path / "data")]
+    main(base + ["--out", str(tmp_path / "default")])
+    main(base + ["--no-detrend", "--out", str(tmp_path / "flag")])
+    on, off = tree_digest(tmp_path / "default"), tree_digest(tmp_path / "flag")
+    assert on != off
+    for word, want in (("false", off), ("No", off), ("off", off), ("0", off),
+                       ("true", on), ("yes", on), ("ON", on), ("1", on)):
+        cfg = tmp_path / f"{word}.cfg"
+        cfg.write_text(f"[welch]\ndetrend = {word}\n")
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / word)]) == 0
+        assert tree_digest(tmp_path / word) == want, word
+
+
 def _set_line(text, number, new):
     lines = text.splitlines()
     lines[number - 1] = new
@@ -351,6 +412,13 @@ def _set_line(text, number, new):
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
     pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
     pytest.param("option", "--metrics", "z,z", id="option-metrics-z,z"),
+    pytest.param("option", "--alpha", "0.05,0.05", id="option-alpha-0.05,0.05"),
+    pytest.param("config", "welch.nfft", "abc", id="config-nfft-abc"),
+    pytest.param("config", "welch.overlap", "half", id="config-overlap-half"),
+    pytest.param("config", "welch.detrend", "maybe", id="config-detrend-maybe"),
+    pytest.param("config", "welch.window_kind", "triangle", id="config-window_kind-triangle"),
+    pytest.param("config", "detect.seed", "x1", id="config-seed-x1"),
+    pytest.param("config", "detect.alphas", "abc", id="config-alphas-abc"),
     pytest.param("report", "welch", "metric,kind", id="report-metric,kind"),
     pytest.param("report", "m_train", "\n".join([
         "# path = 1-2", "# window = first-packet", "# alpha = 0.05",
@@ -361,8 +429,9 @@ def _set_line(text, number, new):
 def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):
     """Exit 2, no traceback, no output, and a message that says where: the
-    file and line, the report file and the header it lacks or garbles, or the
-    option and its value (checked before any record is read)."""
+    file and line, the report file and the header it lacks or garbles, the
+    option and its value, or the config file, entry and value (options and
+    config values are checked before any record is read)."""
     import gwdetect.pipeline as pipeline
 
     data = tmp_path / "data"
@@ -376,6 +445,13 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         cmd = "roc" if number == "--alpha-grid" else "detect"
         argv = [cmd, *_common(data), "--metrics", "z", "--holdout", "3", number, new]
         where = [f"{number} {new!r}"]
+    elif target == "config":
+        cfg = tmp_path / "run.cfg"
+        section, key = number.split(".")
+        cfg.write_text(f"[{section}]\n{key} = {new}\n")
+        argv = ["detect", "--config", str(cfg), *_common(data), "--metrics", "z",
+                "--holdout", "3"]
+        where = [f"{cfg}: [{section}] {key} {new!r}"]
     elif target == "report":
         victim = tmp_path / "not_a_report.csv"
         victim.write_text(new + "\n")
@@ -394,7 +470,7 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     assert all(w in err for w in where), err
     assert "Traceback" not in err
     assert not out.exists()
-    if target == "option":
+    if target in ("option", "config"):
         assert reads == []
 
 
