@@ -116,7 +116,7 @@ class RunConfig:
     welch: WelchConfig
     metrics: list
     alphas: list
-    band: tuple
+    band: tuple         # None: the full grid
     holdout: int
     seed: int
     out_dir: Path
@@ -204,7 +204,7 @@ def _build_runconfig(args) -> RunConfig:
     alphas = _opt(args, cfg, "alpha", "detect.alphas", [0.05],
                   lambda text: _parse_list(text, validate_alpha),
                   "a comma list of distinct false-alarm probabilities in (0, 1]")
-    band = _opt(args, cfg, "band", "detect.band", None, _parse_band,
+    band = _opt(args, cfg, "band", "detect.band", manifest.band, _parse_band,
                 "f_lo:f_hi in Hz, or 'full'")
 
     out_dir = _out_dir(args, cfg)

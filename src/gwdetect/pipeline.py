@@ -33,19 +33,18 @@ Welch config, metrics, holdout, seed, band, set id).  It stacks a set's
 in-band PSD bins (records x bins) and packets (records x samples) and scores
 every case of a metric at once into a ``CaseTable``: pairwise PSD ratios, the
 ensemble statistics in one expression each, and both damage indices from one
-Gram matrix of the packets.  ``run_inspection(scores, alpha)`` and
-``roc_sweep(scores, metric)`` then only decide: every case at an alpha with
-one comparison per distinct degrees-of-freedom pair, so one scoring pass
+Gram matrix of the packets, each case with its p-value.
+``run_inspection(scores, alpha)`` and ``roc_sweep(scores, metric)`` then only
+decide: a case is damaged at alpha when ``p < alpha``, so one scoring pass
 serves every alpha and every metric it scored.  The curves ``detect`` plots
-(``statistic_curves``) use the same per-bin expressions and critical points.
-The scalar detectors, ``case_damaged`` and ``case_score`` stay public as the
-reference the array path is tested against.
+(``statistic_curves``) use the same per-bin expressions and the critical
+points.  The scalar detectors, ``case_damaged`` and ``case_score`` stay public
+as the reference the array path is tested against.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -54,7 +53,7 @@ import numpy as np
 from .dataio import fmt, read_signal
 from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _check_pair
 from .spectral import Signal, WelchConfig, welch_psd
-from .statdist import f_quantile, normal_quantile, validate_alpha
+from .statdist import _f_tails, _normal_two_sided, f_quantile, normal_quantile, validate_alpha
 
 __all__ = [
     "METRICS",
@@ -385,8 +384,8 @@ class CaseTable(Sequence):
     """Every scored case of one metric as columns, one row per case.
 
     Indexing and iteration give ``ScoredCase`` rows with Python scalars, so a
-    table reads as the tuple of cases it stands for; decisions read the
-    columns.
+    table reads as the tuple of cases it stands for; decisions read only the
+    ``p`` column, which the rows leave out.
     """
 
     metric: str
@@ -399,6 +398,7 @@ class CaseTable(Sequence):
     dof2: np.ndarray
     center: np.ndarray
     spread: np.ndarray
+    p: np.ndarray           # p-value: damaged at alpha iff p < alpha
 
     @classmethod
     def concat(cls, metric: str, parts) -> "CaseTable":
@@ -410,7 +410,7 @@ class CaseTable(Sequence):
         return cls(metric=metric,
                    case_ids=tuple(chain.from_iterable(p["case_ids"] for p in parts)),
                    labels=tuple(chain.from_iterable(p["labels"] for p in parts)),
-                   is_healthy=column("is_healthy"),
+                   is_healthy=column("is_healthy"), p=column("p"),
                    **{key: column(key, default) for key, default in _STAT_DEFAULTS.items()})
 
     def __len__(self) -> int:
@@ -427,12 +427,6 @@ class CaseTable(Sequence):
         for cid, label, healthy, *row in zip(self.case_ids, self.labels,
                                              self.is_healthy.tolist(), *stats):
             yield ScoredCase(cid, label, healthy, self.metric, *row)
-
-    @cached_property
-    def dof_groups(self) -> list:
-        """``((dof1, dof2), row mask)`` for each distinct dof pair."""
-        pairs = sorted(set(zip(self.dof1.tolist(), self.dof2.tolist())))
-        return [((d1, d2), (self.dof1 == d1) & (self.dof2 == d2)) for d1, d2 in pairs]
 
 
 @dataclass(frozen=True)
@@ -475,16 +469,20 @@ def _critical_points(metric: str, alpha: float, dof1: int, dof2: int) -> tuple:
     return 0.0, normal_quantile(1.0 - alpha / 2.0)
 
 
-def _decide(table: CaseTable, alpha: float) -> np.ndarray:
-    """``case_damaged`` for every row of a table at a validated alpha: one
-    array comparison per distinct dof pair, at the same critical points."""
-    scale = table.spread if table.metric in _DI_METRICS else 1.0
-    damaged = np.zeros(len(table), dtype=bool)
-    for (d1, d2), rows in table.dof_groups:
-        lo, hi = _critical_points(table.metric, alpha, d1, d2)
-        damaged[rows] = ((table.stat_lo < lo)
-                         | (np.abs(table.stat_hi - table.center) > hi * scale))[rows]
-    return damaged
+def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,
+             spread=1.0) -> np.ndarray:
+    """Two-sided p-value of each of one set's cases, so that ``p < alpha`` is
+    ``case_damaged`` at alpha: from the F tails of ``stat_lo`` and ``stat_hi``
+    for ``f``/``fm``, else from the Normal tail of the deviation of
+    ``stat_hi`` from ``center`` in units of ``spread`` (``z``: 0 and 1); a
+    zero spread makes p 0 off center and 1 on it."""
+    if metric in ("f", "fm"):
+        below, above = _f_tails(stat_lo, dof1, dof2)[0], _f_tails(stat_hi, dof1, dof2)[1]
+        return np.minimum(1.0, 2.0 * np.minimum(below, above))
+    dev = np.abs(stat_hi - center)
+    if spread == 0.0:
+        return np.where(dev > 0.0, 0.0, 1.0)
+    return _normal_two_sided(dev / spread)
 
 
 def case_score(case: ScoredCase) -> float:
@@ -561,7 +559,7 @@ def _di_values(metric: str, gram: np.ndarray, sums: np.ndarray, ref, probe) -> n
 
 def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     """Columns of every case of one set, per metric, by array operations on
-    the set's stacked in-band PSD bins and packets.
+    the set's stacked in-band PSD bins and packets, with each case's p-value.
 
     Cases come in the order, and failures with the messages, of scoring each
     case with the scalar detectors, which stay the reference.
@@ -605,25 +603,30 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     out = {}
     for metric in metrics:
         if metric in _DI_METRICS:
-            out[metric] = {**pair_cols, "stat_hi": _di_values(metric, gram, sums, ref, probe),
-                           **moments[metric]}
-            continue
-        ref_rows, probe_rows, cols = ((ref, probe, pair_cols) if metric == "f" else
-                                      (np.full(probes.size, len(entries)), probes, probe_cols))
-        lo, hi = _extrema(metric, ens, inband, mask, ref_rows, probe_rows)
-        out[metric] = ({**cols, "stat_hi": hi} if metric == "z" else
-                       {**cols, "stat_lo": lo, "stat_hi": hi, **_dof(metric, ens)})
+            cols = pair_cols
+            stats = {"stat_hi": _di_values(metric, gram, sums, ref, probe), **moments[metric]}
+        else:
+            ref_rows, probe_rows, cols = ((ref, probe, pair_cols) if metric == "f" else
+                                          (np.full(probes.size, len(entries)), probes, probe_cols))
+            lo, hi = _extrema(metric, ens, inband, mask, ref_rows, probe_rows)
+            stats = ({"stat_hi": hi} if metric == "z" else
+                     {"stat_lo": lo, "stat_hi": hi, **_dof(metric, ens)})
+        out[metric] = {**cols, **stats, "p": _p_value(metric, **stats)}
     return out
+
+
+_MANIFEST_BAND = object()  # ``band`` not given: the manifest's band
 
 
 def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
                         welch_config: WelchConfig, metrics, *, holdout: int = 0,
-                        seed=None, band=None, set_id: str = None) -> PathScores:
+                        seed=None, band=_MANIFEST_BAND, set_id: str = None) -> PathScores:
     """Score every test case of a path once; verdicts then cost one array
     comparison per alpha.
 
-    ``band`` defaults to the manifest's band (full grid if the manifest has
-    none).  Baselines are scoped per set id; results are pooled across sets.
+    ``band`` is ``(f_lo, f_hi)`` in Hz, or ``None`` for the full grid; not
+    given, it is the manifest's band (full grid if the manifest has none).
+    Baselines are scoped per set id; results are pooled across sets.
     Pairwise metrics score (reference in train, probe) pairs, the probes being
     the held-out healthy records (every other in-train record when nothing is
     held out) and then the inspection records; ensemble metrics score the same
@@ -635,7 +638,7 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; choose from {METRICS}")
-    if band is None:
+    if band is _MANIFEST_BAND:
         band = manifest.band
     set_ids = [set_id] if set_id is not None else manifest.sets_for(path)
     if not set_ids:
@@ -815,7 +818,7 @@ def run_inspection(scores: PathScores, alpha) -> DetectionReport:
     rows = []
     verdicts = []
     for metric, table in scores.cases.items():
-        damaged = _decide(table, alpha)
+        damaged = table.p < alpha
         verdicts.extend((cid, metric, label, DAMAGED if flag else HEALTHY)
                         for cid, label, flag in zip(table.case_ids, table.labels,
                                                     damaged.tolist()))
@@ -885,37 +888,41 @@ def default_alpha_grid() -> np.ndarray:
     return np.logspace(-6.0, 0.0, 61)
 
 
-def roc_sweep(scores: PathScores, metric: str, alpha_grid=None) -> RocCurve:
-    """Decision-rule ROC: sweep alpha through the metric's own thresholds.
+def _sweep(metric: str, sweep_kind: str, cuts: np.ndarray, healthy: np.ndarray,
+           damage: np.ndarray, flag_below: bool, split_note: str = "") -> RocCurve:
+    """The ROC point at each cut, counted with one sort and one ``searchsorted``
+    per group: a value is flagged if it lies below the cut (``flag_below``),
+    else if it lies at or above it.  Each rate is one ``count / n`` division."""
+    rates = []
+    for values in (healthy, damage):
+        below = np.searchsorted(np.sort(values), cuts, side="left")
+        rates.append(tuple(((below if flag_below else values.size - below) / values.size).tolist()))
+    fprs, tprs = rates
+    return RocCurve(metric=metric, sweep=tuple(cuts.tolist()), sweep_kind=sweep_kind,
+                    fprs=fprs, tprs=tprs, auc=_trapezoid_auc(fprs, tprs),
+                    n_healthy=healthy.size, n_damage=damage.size, split_note=split_note)
 
-    fpr(alpha) is the flagged fraction of held-out healthy cases, tpr(alpha)
-    the flagged fraction of damage cases.
+
+def roc_sweep(scores: PathScores, metric: str, alpha_grid=None) -> RocCurve:
+    """Decision-rule ROC: sweep alpha through the metric's own decisions.
+
+    fpr(alpha) is the fraction of held-out healthy cases with ``p < alpha``,
+    tpr(alpha) the same fraction of damage cases.
     """
     if metric not in scores.cases:
         raise ValueError(f"metric {metric!r} was not scored; "
                          f"the scores hold {tuple(scores.cases)}")
-    grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid, float)
-    grid = np.sort(grid)
     table = scores.cases[metric]
-    healthy = table.is_healthy
-    n_healthy = int(np.count_nonzero(healthy))
-    n_damage = len(table) - n_healthy
-    if not n_healthy or not n_damage:
+    healthy, damage = table.p[table.is_healthy], table.p[~table.is_healthy]
+    if not healthy.size or not damage.size:
         raise ValueError(
             f"ROC needs both held-out healthy and damage cases; got "
-            f"{n_healthy} healthy and {n_damage} damage for metric {metric!r}"
+            f"{healthy.size} healthy and {damage.size} damage for metric {metric!r}"
         )
-    fprs = []
-    tprs = []
-    for a in grid:
-        damaged = _decide(table, validate_alpha(a))
-        fprs.append(int(np.count_nonzero(damaged & healthy)) / n_healthy)
-        tprs.append(int(np.count_nonzero(damaged & ~healthy)) / n_damage)
-    note = f"train M={_m_note(scores.m_by_set)}, holdout={scores.holdout}"
-    return RocCurve(metric=metric, sweep=tuple(float(a) for a in grid),
-                    sweep_kind="alpha", fprs=tuple(fprs), tprs=tuple(tprs),
-                    auc=_trapezoid_auc(fprs, tprs), n_healthy=n_healthy,
-                    n_damage=n_damage, split_note=note)
+    grid = default_alpha_grid() if alpha_grid is None else alpha_grid
+    grid = np.sort([validate_alpha(a) for a in grid])
+    return _sweep(metric, "alpha", grid, healthy, damage, flag_below=True,
+                  split_note=f"train M={_m_note(scores.m_by_set)}, holdout={scores.holdout}")
 
 
 def score_roc(healthy_scores, damage_scores, metric: str = "score") -> RocCurve:
@@ -925,11 +932,7 @@ def score_roc(healthy_scores, damage_scores, metric: str = "score") -> RocCurve:
     if h.size == 0 or d.size == 0:
         raise ValueError("need at least one healthy and one damage score")
     thresholds = np.unique(np.concatenate([h, d]))[::-1]
-    fprs = [float(np.mean(h >= t)) for t in thresholds]
-    tprs = [float(np.mean(d >= t)) for t in thresholds]
-    return RocCurve(metric=metric, sweep=tuple(float(t) for t in thresholds),
-                    sweep_kind="threshold", fprs=tuple(fprs), tprs=tuple(tprs),
-                    auc=_trapezoid_auc(fprs, tprs), n_healthy=h.size, n_damage=d.size)
+    return _sweep(metric, "threshold", thresholds, h, d, flag_below=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Averaged-windowed-periodogram (Welch) power spectral density estimation.
 
-The estimator slides a tapered window of length ``L`` across the analysis
-range in steps of ``D = round(L * (1 - overlap))``, averages the squared
+The estimator slides a tapered window of length ``L`` across the whole signal
+in steps of ``D = round(L * (1 - overlap))``, averages the squared
 zero-padded DFTs of the ``K = floor((N - L) / D) + 1`` segments and scales by
 ``1 / (K * L * U * fs)`` with ``U`` the mean squared window value.  Interior
 bins of the one-sided result are doubled (DC and Nyquist are not), so that
@@ -41,14 +41,11 @@ class Signal:
         Sampling frequency in Hz.
     label : str
         Structural-state tag, e.g. ``"healthy"`` or a damage name.
-    t0_offset : int
-        Sample index where the analysis window begins by default.
     """
 
     samples: np.ndarray
     sample_rate: float
     label: str = ""
-    t0_offset: int = 0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -58,11 +55,8 @@ class Signal:
             raise ValueError("samples must all be finite")
         if not (float(self.sample_rate) > 0.0):
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
-        if not 0 <= int(self.t0_offset) < samples.size:
-            raise ValueError("t0_offset must index into samples")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", float(self.sample_rate))
-        object.__setattr__(self, "t0_offset", int(self.t0_offset))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -182,16 +176,9 @@ def make_window(kind: str, length: int):
     return w, u
 
 
-def welch_psd(signal: Signal, config: WelchConfig, analysis_range=None) -> PsdEstimate:
-    """Estimate the one-sided PSD of ``signal`` over an analysis range.
-
-    Parameters
-    ----------
-    signal : Signal
-    config : WelchConfig
-    analysis_range : (start, length), optional
-        Sample range to analyse.  Defaults to everything from the signal's
-        ``t0_offset`` to its end.
+def welch_psd(signal: Signal, config: WelchConfig) -> PsdEstimate:
+    """Estimate the one-sided PSD of the whole of ``signal``; cut a packet
+    window out first (``pipeline.extract_packet``) to analyse only that.
 
     Returns
     -------
@@ -199,20 +186,10 @@ def welch_psd(signal: Signal, config: WelchConfig, analysis_range=None) -> PsdEs
         Deterministic for fixed input; an all-zero signal yields an all-zero
         estimate.
     """
-    x = signal.samples
-    if analysis_range is None:
-        start, length = signal.t0_offset, x.size - signal.t0_offset
-    else:
-        start, length = int(analysis_range[0]), int(analysis_range[1])
-    if start < 0 or length < 1 or start + length > x.size:
-        raise ValueError(
-            f"analysis range ({start}, {length}) exceeds the {x.size}-sample signal"
-        )
-    seg = x[start:start + length]
-
+    seg = signal.samples
     L = config.segment_length
     D = config.step
-    k = config.window_count(length)
+    k = config.window_count(seg.size)
     w, u = make_window(config.window_kind, L)
     if u == 0.0:
         raise ValueError("window has zero energy; pick a longer bartlett window")

@@ -1,18 +1,22 @@
-"""Distribution functions behind the decision thresholds.
+"""Distribution functions behind the decision rules.
 
 Scalar CDFs and quantiles (inverse CDFs) for the standard Normal, chi-square
 and F distributions.  The chi-square and F CDFs go through the regularized
 incomplete gamma/beta functions, evaluated by power series where they converge
 fast and by Lentz-style continued fractions elsewhere.  Quantiles invert the
 CDFs with a bracketed, safeguarded Newton iteration, so they stay inside the
-support and remain monotone in the probability argument.
+support and remain monotone in the probability argument.  The pipeline's
+p-values come from two array tails, ``_f_tails`` (even degrees of freedom) and
+``_normal_two_sided``; the scalar functions are their reference.
 
 All functions are pure and deterministic; quantiles are memoised because the
-detection pipeline asks for the same critical points over and over.
+scalar detectors ask for the same critical points over and over.
 """
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "validate_alpha",
@@ -29,6 +33,7 @@ _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _MAX_ITER = 20_000
 _CF_TINY = 1e-300
+_TAIL_CHUNK = 1 << 14  # elements per temporary of the binomial terms (128 kB)
 
 
 def validate_alpha(alpha) -> float:
@@ -287,6 +292,40 @@ def f_quantile(p: float, d1, d2) -> float:
     return _invert_positive_cdf(
         lambda x: f_cdf(x, d1, d2), lambda x: _f_pdf(x, d1, d2), p, 1.0
     )
+
+
+def _f_tails(x, d1: int, d2: int):
+    """Lower and upper tail, ``(P(F <= x), P(F > x))``, of F(d1, d2) at each
+    element of the 1-D array ``x``, for even ``d1 = 2a`` and ``d2 = 2b``.
+
+    With ``n = a + b - 1`` and ``y = d1 x / (d1 x + d2)`` the lower tail is
+    ``P(Bin(n, y) >= a)`` and the upper tail ``P(Bin(n, y) <= a - 1)``.  Both
+    are sums of positive binomial terms, taken in log space, so the upper tail
+    keeps its relative precision where ``1 - f_cdf`` rounds to 0.
+    """
+    if d1 < 2 or d2 < 2 or d1 % 2 or d2 % 2:
+        raise ValueError(f"degrees of freedom must be even and >= 2, got ({d1}, {d2})")
+    a, n = d1 // 2, (d1 + d2) // 2 - 1
+    k = np.arange(n + 1)
+    log_choose = math.lgamma(n + 1) - np.array([math.lgamma(j + 1) + math.lgamma(n - j + 1)
+                                                for j in range(n + 1)])
+    x = np.asarray(x, dtype=float)
+    lower, upper = np.empty(x.size), np.empty(x.size)
+    step = max(1, _TAIL_CHUNK // k.size)
+    for i in range(0, x.size, step):
+        xs = x[i:i + step, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_terms = (log_choose - k * np.log1p(d2 / (d1 * xs))
+                         - (n - k) * np.log1p(d1 * xs / d2))
+        # 0 * log(0) is 0: the one term that holds all the mass at x = 0 or inf
+        terms = np.exp(np.where(np.isnan(log_terms), 0.0, log_terms))
+        lower[i:i + step], upper[i:i + step] = terms[:, a:].sum(axis=1), terms[:, :a].sum(axis=1)
+    return lower, upper
+
+
+def _normal_two_sided(z):
+    """``P(|N(0, 1)| > z)`` at each element of the 1-D array ``z``: ``erfc(z / sqrt(2))``."""
+    return np.array([math.erfc(v / _SQRT2) for v in np.asarray(z, dtype=float).tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -524,3 +524,44 @@ def test_roc_shared_scores_match_per_metric_sweeps(tmp_path):
                                      [metric], holdout=3)
         curve = roc_sweep(scores, metric)
         assert (out / f"roc_1-2_first-packet_{metric}.csv").read_text() == curve.to_csv()
+
+
+def test_band_full_tests_the_full_grid(tmp_path):
+    """``--band full`` and ``[detect] band = full`` score every bin even though
+    the manifest declares a band; the library keeps the manifest's band as its
+    default."""
+    from gwdetect.dataio import fmt
+    from gwdetect.pipeline import compute_path_scores, run_inspection
+    from gwdetect.spectral import WelchConfig
+
+    simulate_small(tmp_path / "data")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    assert man.band is not None
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("[detect]\nband = full\n")
+    base = ["detect", *_common(tmp_path / "data"), "--metrics", "f,fm,z",
+            "--holdout", "3"]
+    assert main(base + ["--band", "full", "--out", str(tmp_path / "flag")]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    assert tree_digest(tmp_path / "flag") == tree_digest(tmp_path / "config")
+
+    welch = WelchConfig(100, 0.5, 2000)
+    full = compute_path_scores(man, "1-2", "first-packet", welch, ["f", "fm", "z"],
+                               holdout=3, band=None)
+    banded = compute_path_scores(man, "1-2", "first-packet", welch, ["f", "fm", "z"],
+                                 holdout=3)
+    assert full.band is None and banded.band == man.band
+    name = "report_1-2_first-packet_a0.05.csv"
+    for scores, run in ((full, "flag"), (banded, "default")):
+        report = run_inspection(scores, 0.05)
+        assert (tmp_path / run / name).read_text() == report.to_csv()
+        lines = ["case_id,metric,label,verdict"] + [",".join(v) for v in report.verdicts]
+        assert (tmp_path / run / "verdicts_1-2_first-packet_a0.05.csv").read_text() == \
+            "\n".join(lines) + "\n"
+    assert "# band = full\n" in (tmp_path / "flag" / name).read_text()
+    assert f"# band = {fmt(man.band[0])}:{fmt(man.band[1])}\n" in \
+        (tmp_path / "default" / name).read_text()
+    # the full grid reaches bins outside the manifest's band
+    assert (full.cases["f"].stat_hi >= banded.cases["f"].stat_hi).all()
+    assert (full.cases["f"].stat_hi > banded.cases["f"].stat_hi).any()

@@ -4,8 +4,11 @@ import pytest
 import oracles as oc
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import (
+    METRICS,
     DatasetManifest,
     ManifestEntry,
+    ScoredCase,
+    _p_value,
     case_damaged,
     case_score,
     compute_path_scores,
@@ -281,6 +284,63 @@ def test_null_calibration_through_run_inspection(tmp_path):
     assert row.missed["fake"][1] == 10 * 150
     assert row.missed_pct("fake") == pytest.approx(100.0 * (1 - alpha), abs=5.0)
     assert row.false_alarm_pct == pytest.approx(100.0 * alpha, abs=8.0)
+
+
+# ---------------------------------------------------------------------------
+# p-values
+# ---------------------------------------------------------------------------
+
+def test_p_value_edge_cases_match_case_damaged():
+    grid = default_alpha_grid()
+    # a reference PSD that is zero in band: stat_lo = 0 is damaged at every alpha
+    p = _p_value("f", stat_hi=np.array([1.0, 3.0]), stat_lo=np.array([0.0, 0.0]),
+                 dof1=18, dof2=18)
+    assert p.tolist() == [0.0, 0.0]
+    # a DI with no healthy scatter: damaged off center at every alpha, never on it
+    p = _p_value("janapati", stat_hi=np.array([0.25, 0.5]), center=0.5, spread=0.0)
+    assert p.tolist() == [0.0, 1.0]
+    cases = [(ScoredCase("c", "x", False, "f", stat_lo=0.0, stat_hi=1.0, dof1=18, dof2=18),
+              True),
+             (ScoredCase("c", "x", False, "janapati", stat_hi=0.25, center=0.5), True),
+             (ScoredCase("c", "x", False, "janapati", stat_hi=0.5, center=0.5), False)]
+    for case, damaged in cases:
+        assert all(case_damaged(case, a) == damaged for a in grid), case
+
+
+def test_p_values_lie_in_unit_interval_and_decide(ladder_dataset, bench_welch):
+    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                 METRICS, holdout=5)
+    for metric, table in scores.cases.items():
+        assert table.p.shape == (len(table),)
+        assert ((table.p >= 0.0) & (table.p <= 1.0)).all(), metric
+        for alpha in (0.01, 0.05):
+            assert (table.p < alpha).tolist() == [case_damaged(c, alpha) for c in table]
+
+
+def test_decisions_solve_no_quantile(ladder_dataset, bench_welch, monkeypatch):
+    import gwdetect.pipeline as pipeline
+    import gwdetect.statdist as statdist
+
+    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                 METRICS, holdout=5)
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for module in (pipeline, statdist):
+        for name in ("f_quantile", "normal_quantile"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for alpha in (1e-6, 0.01, 0.05, 1.0):
+        run_inspection(scores, alpha)
+    for metric in METRICS:
+        roc_sweep(scores, metric)
+    assert calls == []
+    case_damaged(scores.cases["f"][0], 0.05)  # the wrapper sees the scalar reference
+    assert sorted(calls) == ["f_quantile", "f_quantile"]
 
 
 # ---------------------------------------------------------------------------

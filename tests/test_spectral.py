@@ -66,8 +66,8 @@ def test_bench_configuration_window_counts():
     assert grid.size == 1001
     assert grid[1] - grid[0] == pytest.approx(12_000.0)
     sig = Signal(np.random.default_rng(0).normal(size=8000), 24e6)
-    assert welch_psd(sig, cfg, (0, 500)).k_windows == 9
-    assert welch_psd(sig, cfg, (0, 8000)).k_windows == 159
+    assert welch_psd(Signal(sig.samples[:500], 24e6), cfg).k_windows == 9
+    assert welch_psd(sig, cfg).k_windows == 159
 
 
 def test_matches_brute_force_oracle():
@@ -136,8 +136,6 @@ def test_welch_errors():
     sig = Signal(np.ones(50), 1e3)
     with pytest.raises(ValueError):
         welch_psd(sig, WelchConfig(100, 0.5, 200))  # N < L
-    with pytest.raises(ValueError):
-        welch_psd(sig, WelchConfig(10, 0.5, 20), (40, 20))  # range exceeds signal
 
 
 def test_theoretical_moments_examples():

@@ -5,6 +5,8 @@ import pytest
 
 import oracles as oc
 from gwdetect.statdist import (
+    _f_tails,
+    _normal_two_sided,
     chi2_cdf,
     chi2_quantile,
     f_cdf,
@@ -134,3 +136,43 @@ def test_validate_alpha_bounds():
     for bad in (0.0, -1e-9, 1.0000001, float("nan")):
         with pytest.raises(ValueError):
             validate_alpha(bad)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (18, 18), (30, 30), (270, 18), (1440, 18)])
+def test_f_tails_match_scalar_cdf_and_quadrature(d1, d2):
+    # P(F(d1, d2) > x) = P(F(d2, d1) < 1/x): each tail against a lower-tail reference
+    xs = np.array([f_quantile(p, d1, d2) for p in (1e-6, 0.01, 0.3, 0.5, 0.9, 0.999, 1 - 1e-6)])
+    lower, upper = _f_tails(xs, d1, d2)
+    for x, lo, up in zip(xs.tolist(), lower.tolist(), upper.tolist()):
+        for want_lo, want_up in ((f_cdf(x, d1, d2), f_cdf(1.0 / x, d2, d1)),
+                                 (oc.f_cdf_quad(x, d1, d2), oc.f_cdf_quad(1.0 / x, d2, d1))):
+            assert lo == pytest.approx(want_lo, rel=1e-11, abs=0.0), (x, "lower")
+            assert up == pytest.approx(want_up, rel=1e-11, abs=0.0), (x, "upper")
+
+
+def test_f_tails_keep_the_deep_upper_tail():
+    x = 1.0 / f_quantile(1e-30, 18, 18)  # P(F > x) = 1e-30: F(d, d) and 1/F share a law
+    lower, upper = _f_tails(np.array([x]), 18, 18)
+    assert 1.0 - f_cdf(x, 18, 18) == 0.0
+    assert upper[0] > 0.0
+    assert upper[0] == pytest.approx(1e-30, rel=1e-11)
+    assert lower[0] == 1.0
+
+
+def test_f_tails_edges_and_even_dofs():
+    lower, upper = _f_tails(np.array([0.0, np.inf]), 18, 270)
+    assert lower.tolist() == [0.0, 1.0] and upper.tolist() == [1.0, 0.0]
+    assert [t.shape for t in _f_tails(np.empty(0), 2, 2)] == [(0,), (0,)]
+    xs = np.linspace(0.05, 8.0, 2000)  # rows enough for several chunks
+    assert _f_tails(xs, 18, 18)[0] == pytest.approx([f_cdf(x, 18, 18) for x in xs.tolist()],
+                                                    rel=1e-11, abs=0.0)
+    for d1, d2 in ((3, 4), (4, 3), (0, 2)):
+        with pytest.raises(ValueError):
+            _f_tails(np.ones(2), d1, d2)
+
+
+def test_normal_two_sided_tail():
+    zs = np.linspace(0.0, 6.0, 61)
+    want = [2.0 * (1.0 - normal_cdf(z)) for z in zs.tolist()]
+    assert _normal_two_sided(zs) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert _normal_two_sided(np.array([0.0, 40.0])).tolist() == [1.0, 0.0]
