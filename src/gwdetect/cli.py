@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import fmt
-from .detectors import experimental_band, theoretical_band
+from .detectors import _band_mask, experimental_band, theoretical_band
 from .pipeline import (
     METRICS,
     DatasetManifest,
@@ -84,15 +84,24 @@ def _load_config(path) -> dict:
             for sec in cp.sections() for key, value in cp.items(sec)}
 
 
+def _lookup(args, cfg: dict, dest: str, key: str):
+    """An option's raw value and where it came from: its flag, else the config
+    file and ``[section] key``; ``(None, None)`` when neither sets it."""
+    value = getattr(args, dest, None)
+    if value is not None:
+        return value, "--" + dest.replace("_", "-")
+    if key not in cfg:
+        return None, None
+    section, name = key.split(".", 1)
+    return cfg[key], f"{args.config}: [{section}] {name}"
+
+
 def _opt(args, cfg: dict, dest: str, key: str, default=None, parse=str, expected=""):
     """flag > config > default, converted by ``parse``; a value it rejects
     names its flag, or the config file and ``[section] key`` it came from."""
-    value, where = getattr(args, dest, None), "--" + dest.replace("_", "-")
-    if value is None:
-        if key not in cfg:
-            return default
-        section, name = key.split(".", 1)
-        value, where = cfg[key], f"{args.config}: [{section}] {name}"
+    value, where = _lookup(args, cfg, dest, key)
+    if where is None:
+        return default
     try:
         return parse(value)
     except ValueError:
@@ -126,11 +135,21 @@ def _bad_option(name: str, text, expected: str) -> ValueError:
     return ValueError(f"{name} {text!r}: expected {expected}")
 
 
-def _parse_band(text):
+def _parse_band(text, grid):
+    """``None`` for the full grid, else ``(f_lo, f_hi)`` enclosing a frequency
+    of ``grid``."""
     if text in ("", "full"):
         return None
     lo, hi = (float(s) for s in str(text).split(":"))
+    _band_mask(grid, (lo, hi))
     return (lo, hi)
+
+
+def _non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
 
 
 def _parse_list(text, item) -> list:
@@ -164,7 +183,7 @@ def _build_runconfig(args) -> RunConfig:
         raise ValueError("a manifest is required (--manifest or [data] manifest)")
     manifest = DatasetManifest.load(manifest_path)
 
-    welch = WelchConfig(
+    fields = dict(
         segment_length=_opt(args, cfg, "segment_length", "welch.segment_length", 100,
                             int, "an integer"),
         overlap_fraction=_opt(args, cfg, "overlap", "welch.overlap", 0.5, float, "a number"),
@@ -175,6 +194,13 @@ def _build_runconfig(args) -> RunConfig:
         detrend_mean=_opt(args, cfg, "detrend", "welch.detrend", True, _parse_bool,
                           "a boolean: 1, yes, true, on or 0, no, false, off"),
     )
+    try:
+        welch = WelchConfig(**fields)
+    except ValueError as exc:  # a combination: name every Welch option that was set
+        given = (_lookup(args, cfg, dest, f"welch.{dest}")
+                 for dest in ("segment_length", "overlap", "nfft", "window_kind"))
+        raise ValueError(", ".join(f"{where} {value!r}" for value, where in given if where)
+                         + f": {exc}") from None
     window = _opt(args, cfg, "window", "data.window")
     if window is None:
         raise ValueError("an analysis window is required (--window or [data] window)")
@@ -204,8 +230,11 @@ def _build_runconfig(args) -> RunConfig:
     alphas = _opt(args, cfg, "alpha", "detect.alphas", [0.05],
                   lambda text: _parse_list(text, validate_alpha),
                   "a comma list of distinct false-alarm probabilities in (0, 1]")
-    band = _opt(args, cfg, "band", "detect.band", manifest.band, _parse_band,
-                "f_lo:f_hi in Hz, or 'full'")
+    grid = welch.freq_grid(manifest.sample_rate)
+    band = _opt(args, cfg, "band", "detect.band", manifest.band,
+                lambda text: _parse_band(text, grid),
+                f"f_lo:f_hi in Hz with f_lo <= f_hi and a frequency of the grid "
+                f"(0 to {grid[-1]:g} Hz in steps of {grid[1]:g} Hz) between them, or 'full'")
 
     out_dir = _out_dir(args, cfg)
 
@@ -222,7 +251,8 @@ def _build_runconfig(args) -> RunConfig:
         alphas=alphas,
         band=band,
         holdout=holdout,
-        seed=_opt(args, cfg, "seed", "detect.seed", None, int, "an integer"),
+        seed=_opt(args, cfg, "seed", "detect.seed", None, _non_negative_int,
+                  "a non-negative integer"),
         out_dir=out_dir,
     )
 
@@ -380,10 +410,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", help="actuator-sensor path id (default: all paths)")
     p.add_argument("--set-id", dest="set_id", help="restrict to one set id")
     p.add_argument("--window", help="named packet window from the manifest")
-    p.add_argument("--segment-length", dest="segment_length", type=int,
+    p.add_argument("--segment-length", dest="segment_length",
                    help="estimation window length L (default 100)")
-    p.add_argument("--overlap", type=float, help="window overlap fraction (default 0.5)")
-    p.add_argument("--nfft", type=int, help="FFT length (default 2000)")
+    p.add_argument("--overlap", help="window overlap fraction (default 0.5)")
+    p.add_argument("--nfft", help="FFT length (default 2000)")
     p.add_argument("--window-kind", dest="window_kind",
                    choices=("hamming", "bartlett", "rectangular"),
                    help="taper kind (default hamming)")
@@ -392,8 +422,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metrics", help=f"comma list from {','.join(METRICS)}")
     p.add_argument("--alpha", help="comma list of false-alarm probabilities (default 0.05)")
     p.add_argument("--band", help="verdict band f_lo:f_hi in Hz (default: manifest band)")
-    p.add_argument("--holdout", type=int, help="held-out healthy records per set (default 0)")
-    p.add_argument("--seed", type=int, help="shuffle seed for the baseline split")
+    p.add_argument("--holdout", help="held-out healthy records per set (default 0)")
+    p.add_argument("--seed", help="shuffle seed for the baseline split (>= 0)")
     p.add_argument("--out", help="output directory")
 
 

@@ -38,20 +38,19 @@ Gram matrix of the packets, each case with its p-value.
 decide: a case is damaged at alpha when ``p < alpha``, so one scoring pass
 serves every alpha and every metric it scored.  The curves ``detect`` plots
 (``statistic_curves``) use the same per-bin expressions and the critical
-points.  The scalar detectors, ``case_damaged`` and ``case_score`` stay public
-as the reference the array path is tested against.
+points.  The scalar detectors stay public as the reference the array path is
+tested against.
 """
 
 import math
-from collections.abc import Sequence
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import fmt, read_signal
-from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _check_pair
+from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask
 from .spectral import Signal, WelchConfig, welch_psd
 from .statdist import _f_tails, _normal_two_sided, f_quantile, normal_quantile, validate_alpha
 
@@ -59,7 +58,6 @@ __all__ = [
     "METRICS",
     "ManifestEntry",
     "DatasetManifest",
-    "ScoredCase",
     "CaseTable",
     "PathScores",
     "LoadedSet",
@@ -71,8 +69,6 @@ __all__ = [
     "load_set",
     "compute_path_scores",
     "statistic_curves",
-    "case_damaged",
-    "case_score",
     "run_inspection",
     "roc_sweep",
     "score_roc",
@@ -359,33 +355,15 @@ def load_set(manifest: DatasetManifest, path: str, set_id: str, window: str,
 # scoring (alpha-free sufficient statistics per test case)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoredCase:
-    """Alpha-free record of one test case, enough to decide at any alpha."""
-
-    case_id: str
-    label: str
-    is_healthy: bool
-    metric: str
-    stat_lo: float = math.nan  # min in-band statistic (ratio tests)
-    stat_hi: float = math.nan  # max in-band statistic, or the DI value
-    dof1: int = 0
-    dof2: int = 0
-    center: float = 0.0        # healthy DI mean (DI metrics)
-    spread: float = 0.0        # healthy DI std (DI metrics)
-
-
-# the columns a metric may leave unscored, with their ScoredCase defaults
-_STAT_DEFAULTS = {f.name: f.default for f in fields(ScoredCase) if f.default is not MISSING}
-
-
 @dataclass(frozen=True, eq=False)
-class CaseTable(Sequence):
-    """Every scored case of one metric as columns, one row per case.
+class CaseTable:
+    """Every scored case of one metric as columns, one entry per case.
 
-    Indexing and iteration give ``ScoredCase`` rows with Python scalars, so a
-    table reads as the tuple of cases it stands for; decisions read only the
-    ``p`` column, which the rows leave out.
+    ``stat_lo`` and ``stat_hi`` are the min and max in-band statistic (``z``
+    keeps only the max, a damage index its value in ``stat_hi``), ``dof1`` and
+    ``dof2`` the F degrees of freedom of ``f``/``fm``, ``center`` and
+    ``spread`` the healthy mean and std of a damage index.  Decisions read
+    only ``p``.
     """
 
     metric: str
@@ -403,30 +381,20 @@ class CaseTable(Sequence):
     @classmethod
     def concat(cls, metric: str, parts) -> "CaseTable":
         """One table from per-set column dicts, in set order; a column a
-        metric does not score takes its ``ScoredCase`` default."""
-        def column(key, default=None):
-            return np.concatenate([np.broadcast_to(p.get(key, default), len(p["case_ids"]))
-                                   for p in parts])
+        metric does not score is NaN (``stat_lo``, ``stat_hi``) or 0."""
+        unscored = {"stat_lo": math.nan, "stat_hi": math.nan, "dof1": 0, "dof2": 0,
+                    "center": 0.0, "spread": 0.0}
+
+        def column(key):
+            return np.concatenate([np.broadcast_to(p.get(key, unscored.get(key)),
+                                                   len(p["case_ids"])) for p in parts])
         return cls(metric=metric,
                    case_ids=tuple(chain.from_iterable(p["case_ids"] for p in parts)),
                    labels=tuple(chain.from_iterable(p["labels"] for p in parts)),
-                   is_healthy=column("is_healthy"), p=column("p"),
-                   **{key: column(key, default) for key, default in _STAT_DEFAULTS.items()})
+                   **{key: column(key) for key in ("is_healthy", "p", *unscored)})
 
     def __len__(self) -> int:
         return len(self.case_ids)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self)[k]
-        return ScoredCase(self.case_ids[k], self.labels[k], bool(self.is_healthy[k]),
-                          self.metric, *(getattr(self, key)[k].item() for key in _STAT_DEFAULTS))
-
-    def __iter__(self):
-        stats = (getattr(self, key).tolist() for key in _STAT_DEFAULTS)
-        for cid, label, healthy, *row in zip(self.case_ids, self.labels,
-                                             self.is_healthy.tolist(), *stats):
-            yield ScoredCase(cid, label, healthy, self.metric, *row)
 
 
 @dataclass(frozen=True)
@@ -436,7 +404,6 @@ class PathScores:
     band: tuple
     welch: WelchConfig
     holdout: int
-    seed: object
     cases: dict            # metric -> CaseTable
     damage_labels: tuple
     sets: tuple            # LoadedSet per set id
@@ -444,21 +411,6 @@ class PathScores:
     @property
     def m_by_set(self) -> dict:
         return {s.set_id: s.ensemble.m for s in self.sets}
-
-
-def case_damaged(case: ScoredCase, alpha) -> bool:
-    """Apply the metric's own decision rule to a scored case."""
-    alpha = validate_alpha(alpha)
-    if case.metric in ("f", "fm"):
-        lo = f_quantile(alpha / 2.0, case.dof1, case.dof2)
-        hi = f_quantile(1.0 - alpha / 2.0, case.dof1, case.dof2)
-        return bool(case.stat_lo < lo or case.stat_hi > hi)
-    if case.metric == "z":
-        return bool(case.stat_hi > normal_quantile(1.0 - alpha / 2.0))
-    if case.metric in _DI_METRICS:
-        thr = normal_quantile(1.0 - alpha / 2.0) * case.spread
-        return bool(abs(case.stat_hi - case.center) > thr)
-    raise ValueError(f"unknown metric {case.metric!r}")
 
 
 def _critical_points(metric: str, alpha: float, dof1: int, dof2: int) -> tuple:
@@ -472,8 +424,8 @@ def _critical_points(metric: str, alpha: float, dof1: int, dof2: int) -> tuple:
 def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,
              spread=1.0) -> np.ndarray:
     """Two-sided p-value of each of one set's cases, so that ``p < alpha`` is
-    ``case_damaged`` at alpha: from the F tails of ``stat_lo`` and ``stat_hi``
-    for ``f``/``fm``, else from the Normal tail of the deviation of
+    the metric's critical-point rule at alpha: from the F tails of ``stat_lo``
+    and ``stat_hi`` for ``f``/``fm``, else from the Normal tail of the deviation of
     ``stat_hi`` from ``center`` in units of ``spread`` (``z``: 0 and 1); a
     zero spread makes p 0 off center and 1 on it."""
     if metric in ("f", "fm"):
@@ -483,16 +435,6 @@ def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.
     if spread == 0.0:
         return np.where(dev > 0.0, 0.0, 1.0)
     return _normal_two_sided(dev / spread)
-
-
-def case_score(case: ScoredCase) -> float:
-    """Scalar score: the maximum in-band statistic (normalized DI deviation)."""
-    if case.metric in _DI_METRICS:
-        dev = abs(case.stat_hi - case.center)
-        if case.spread > 0.0:
-            return dev / case.spread
-        return math.inf if dev > 0.0 else 0.0
-    return case.stat_hi
 
 
 _CHUNK = 1 << 14  # elements per temporary of the pairwise PSD ratio (128 kB)
@@ -565,8 +507,6 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     case with the scalar detectors, which stay the reference.
     """
     ens, entries = loaded.ensemble, loaded.entries
-    for psd in loaded.psds:
-        _check_pair(ens.psds[0], psd)
     mask = _band_mask(ens.freq_grid, band)
     stems = [Path(e.file).stem for e in entries]
     names = [f"{loaded.set_id}:{s}" for s in stems]
@@ -657,7 +597,7 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
             parts[metric].append(cols)
 
     return PathScores(path=path, window=window, band=band, welch=welch_config,
-                      holdout=int(holdout), seed=seed,
+                      holdout=int(holdout),
                       cases={m: CaseTable.concat(m, p) for m, p in parts.items()},
                       damage_labels=tuple(damage_labels), sets=sets)
 

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity through a route the library never takes:
 direct summation for window normalization, an explicit DFT-matrix
 periodogram average for the PSD, Gauss-Legendre quadrature of the densities
-plus bisection for quantiles, and a rank-count AUC.  Keep them slow and
+plus bisection for quantiles, a rank-count AUC, and a per-case decision from
+critical points where the library compares p-values.  Keep them slow and
 obvious.
 """
 
@@ -11,6 +12,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from gwdetect.pipeline import _critical_points
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +200,26 @@ def mann_whitney_auc(healthy_scores, damage_scores) -> float:
     gt = (d[:, None] > h[None, :]).sum()
     eq = (d[:, None] == h[None, :]).sum()
     return float((gt + 0.5 * eq) / (d.size * h.size))
+
+
+# ---------------------------------------------------------------------------
+# decisions from critical points, one case at a time
+# ---------------------------------------------------------------------------
+
+def critical_point_damaged(table, alpha: float) -> list:
+    """Each case of a ``CaseTable`` decided at ``alpha`` from its columns and
+    the critical points ``detect`` prints in its ``stat_*`` files: ``f``/``fm``
+    flag ``stat_lo < lo or stat_hi > hi``, ``z`` flags ``stat_hi > hi``, and
+    a damage index flags ``|stat_hi - center| > hi * spread``."""
+    columns = (getattr(table, key).tolist()
+               for key in ("stat_lo", "stat_hi", "dof1", "dof2", "center", "spread"))
+    flags = []
+    for stat_lo, stat_hi, dof1, dof2, center, spread in zip(*columns):
+        lo, hi = _critical_points(table.metric, float(alpha), dof1, dof2)
+        if table.metric in ("f", "fm"):
+            flags.append(stat_lo < lo or stat_hi > hi)
+        elif table.metric == "z":
+            flags.append(stat_hi > hi)
+        else:
+            flags.append(abs(stat_hi - center) > hi * spread)
+    return flags

@@ -21,7 +21,6 @@ from gwdetect.detectors import (
     z_statistic,
 )
 from gwdetect.pipeline import (
-    case_damaged,
     compute_path_scores,
     default_alpha_grid,
     roc_sweep,
@@ -298,11 +297,12 @@ def test_criterion_8_monotonicity_invariants(ladder_dataset, bench_welch):
                                      bench_welch, metrics, holdout=5)
         grid = default_alpha_grid()
         for metric in metrics:
-            for case in scores.cases[metric]:
-                flags = [case_damaged(case, a) for a in grid]
+            table = scores.cases[metric]
+            flags = [oc.critical_point_damaged(table, a) for a in grid]
+            for k, case_id in enumerate(table.case_ids):
+                column = [flagged[k] for flagged in flags]
                 # shrinking alpha never flips healthy -> damaged
-                assert all(b >= a for a, b in zip(flags, flags[1:])), \
-                    (metric, case.case_id)
+                assert all(b >= a for a, b in zip(column, column[1:])), (metric, case_id)
             curve = roc_sweep(scores, metric)
             assert all(b >= a for a, b in zip(curve.fprs, curve.fprs[1:])), metric
             assert all(b >= a for a, b in zip(curve.tprs, curve.tprs[1:])), metric

@@ -1,11 +1,13 @@
 """The array scoring core against the per-case scalar path it replaces.
 
-``scalar_cases`` is the per-case loop over the scalar detectors; every row,
-verdict and ROC point of the array path must match it (the damage indices to
-1e-12 absolute, because a Gram matrix sums in another order than ``np.dot``),
-and every failure must carry the same message.
+``scalar_cases`` is the per-case loop over the scalar detectors; every column
+of the array path must match it (the damage indices to 1e-12 absolute,
+because a Gram matrix sums in another order than ``np.dot``), every verdict
+and ROC point must match the critical-point oracle, and every failure must
+carry the same message.
 """
 
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gwdetect.pipeline as pipeline
+import oracles as oc
 from gwdetect.dataio import write_signal
 from gwdetect.detectors import (
     DAMAGED,
@@ -31,8 +34,6 @@ from gwdetect.pipeline import (
     METRICS,
     DatasetManifest,
     ManifestEntry,
-    ScoredCase,
-    case_damaged,
     compute_path_scores,
     default_alpha_grid,
     load_set,
@@ -46,12 +47,16 @@ WELCH = WelchConfig(segment_length=16, overlap_fraction=0.5, nfft=32)
 WINDOW = {"w": (8, 80)}
 SUB_BAND = (1000.0, 3000.0)
 DI = {"janapati": janapati_di, "qiu": qiu_di}
+# the value of each statistic column a metric does not score
+UNSCORED = {"stat_lo": math.nan, "stat_hi": math.nan, "dof1": 0, "dof2": 0,
+            "center": 0.0, "spread": 0.0}
+COLUMNS = ("case_ids", "labels", "is_healthy", *UNSCORED)
 
 
 def scalar_cases(manifest, sets, metrics, band):
     """Score every case of loaded sets one call at a time with the scalar
-    detectors: the reference for ``compute_path_scores``."""
-    cases = {m: [] for m in metrics}
+    detectors: the reference columns for ``compute_path_scores``."""
+    cases = {m: {key: [] for key in COLUMNS} for m in metrics}
     for loaded in sets:
         ens, psds, entries = loaded.ensemble, loaded.psds, loaded.entries
         mask = _band_mask(ens.freq_grid, band)
@@ -87,8 +92,10 @@ def scalar_cases(manifest, sets, metrics, band):
                 else:
                     stats = {"stat_hi": DI[metric](x[i], x[j]), **moments[metric]}
                 label = entries[j].label
-                cases[metric].append(ScoredCase(cid, label, label == manifest.baseline_label,
-                                                metric, **stats))
+                row = {**UNSCORED, "case_ids": cid, "labels": label,
+                       "is_healthy": label == manifest.baseline_label, **stats}
+                for key, column in cases[metric].items():
+                    column.append(row[key])
     return cases
 
 
@@ -112,48 +119,51 @@ def write_dataset(root, rng, sizes):
                            packet_windows=WINDOW, base_dir=root)
 
 
-def assert_rows_match(scores, reference):
-    for metric, cases in reference.items():
+def assert_columns_match(scores, reference):
+    for metric, want in reference.items():
         table = scores.cases[metric]
-        assert len(table) == len(cases)
-        if metric not in DI:
-            assert [repr(c) for c in table] == [repr(c) for c in cases], metric
-            continue
-        for got, want in zip(table, cases):
-            assert (got.case_id, got.label, got.is_healthy, got.metric) == \
-                (want.case_id, want.label, want.is_healthy, want.metric)
-            for key in ("stat_hi", "center", "spread"):
-                assert abs(getattr(got, key) - getattr(want, key)) <= 1e-12, (metric, key)
+        assert table.metric == metric and len(table) == len(want["case_ids"])
+        for key, values in want.items():
+            got = getattr(table, key)
+            got = list(got) if isinstance(got, tuple) else got.tolist()
+            if metric in DI and key in ("stat_hi", "center", "spread"):
+                assert all(abs(g - w) <= 1e-12 for g, w in zip(got, values)), (metric, key)
+            else:
+                assert repr(got) == repr(values), (metric, key)
 
 
 def assert_decisions_match(scores):
     grid = default_alpha_grid()
-    for alpha in grid:
+    flags = {m: [oc.critical_point_damaged(scores.cases[m], a) for a in grid]
+             for m in METRICS}
+    for k, alpha in enumerate(grid):
         report = run_inspection(scores, alpha)
-        want = [(c.case_id, m, c.label, DAMAGED if case_damaged(c, alpha) else HEALTHY)
-                for m in METRICS for c in scores.cases[m]]
+        want = [(cid, m, label, DAMAGED if flag else HEALTHY)
+                for m in METRICS
+                for cid, label, flag in zip(scores.cases[m].case_ids, scores.cases[m].labels,
+                                            flags[m][k])]
         assert list(report.verdicts) == want, alpha
         for row in report.rows:
-            cases = scores.cases[row.metric]
-            flagged = [case_damaged(c, alpha) for c in cases]
-            assert row.false_alarms == sum(f for f, c in zip(flagged, cases) if c.is_healthy)
-            assert row.healthy_cases == sum(c.is_healthy for c in cases)
+            table, flagged = scores.cases[row.metric], flags[row.metric][k]
+            healthy = table.is_healthy.tolist()
+            assert row.false_alarms == sum(f for f, h in zip(flagged, healthy) if h)
+            assert row.healthy_cases == sum(healthy)
             for label, (missed, n) in row.missed.items():
-                damage = [f for f, c in zip(flagged, cases) if c.label == label]
+                damage = [f for f, lbl in zip(flagged, table.labels) if lbl == label]
                 assert (missed, n) == (len(damage) - sum(damage), len(damage))
     for metric in METRICS:
-        cases = list(scores.cases[metric])
-        healthy = [c for c in cases if c.is_healthy]
-        damage = [c for c in cases if not c.is_healthy]
-        if not healthy or not damage:
+        healthy = scores.cases[metric].is_healthy.tolist()
+        n_healthy = sum(healthy)
+        n_damage = len(healthy) - n_healthy
+        if not n_healthy or not n_damage:
             with pytest.raises(ValueError, match="ROC needs both"):
                 roc_sweep(scores, metric)
             continue
         curve = roc_sweep(scores, metric)
-        assert curve.fprs == tuple(sum(case_damaged(c, a) for c in healthy) / len(healthy)
-                                   for a in grid), metric
-        assert curve.tprs == tuple(sum(case_damaged(c, a) for c in damage) / len(damage)
-                                   for a in grid), metric
+        assert curve.fprs == tuple(sum(f for f, h in zip(flagged, healthy) if h) / n_healthy
+                                   for flagged in flags[metric]), metric
+        assert curve.tprs == tuple(sum(f for f, h in zip(flagged, healthy) if not h) / n_damage
+                                   for flagged in flags[metric]), metric
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -173,7 +183,7 @@ def test_array_core_equals_scalar_path(data_seed, sizes, holdout, shuffle, band,
             manifest = write_dataset(Path(tmp), rng, sizes)
             scores = compute_path_scores(manifest, "p", "w", WELCH, METRICS,
                                          holdout=holdout, seed=shuffle, band=band)
-            assert_rows_match(scores, scalar_cases(manifest, scores.sets, METRICS, band))
+            assert_columns_match(scores, scalar_cases(manifest, scores.sets, METRICS, band))
             assert_decisions_match(scores)
     finally:
         pipeline._CHUNK = saved
@@ -237,6 +247,7 @@ def test_qiu_clamp_on_scaled_copies(tmp_path):
     for e, scale in zip(healthy, (1.0, 3.0, -0.7, 0.1, 2.5, 1.3)):
         write_signal(manifest.resolve(e), Signal(base * scale, FS, e.label))
     scores = compute_path_scores(manifest, "p", "w", WELCH, ["qiu"], holdout=0)
-    cases = [c for c in scores.cases["qiu"] if c.is_healthy]
-    assert len(cases) == 30 and min(c.stat_hi for c in cases) == 0.0
-    assert_rows_match(scores, scalar_cases(manifest, scores.sets, ["qiu"], None))
+    table = scores.cases["qiu"]
+    healthy = table.stat_hi[table.is_healthy]
+    assert healthy.size == 30 and healthy.min() == 0.0
+    assert_columns_match(scores, scalar_cases(manifest, scores.sets, ["qiu"], None))

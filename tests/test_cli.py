@@ -410,6 +410,11 @@ def _set_line(text, number, new):
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
     pytest.param("option", "--alpha", "0", id="option-alpha-0"),
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
+    pytest.param("option", "--band", "300000:100000", id="option-band-300000:100000"),
+    pytest.param("option", "--band", "1e9:2e9", id="option-band-1e9:2e9"),
+    pytest.param("option", "--seed", "-1", id="option-seed--1"),
+    pytest.param("option", "--nfft", "50", id="option-nfft-50"),
+    pytest.param("option", "--overlap", "1.5", id="option-overlap-1.5"),
     pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
     pytest.param("option", "--metrics", "z,z", id="option-metrics-z,z"),
     pytest.param("option", "--alpha", "0.05,0.05", id="option-alpha-0.05,0.05"),
@@ -418,6 +423,7 @@ def _set_line(text, number, new):
     pytest.param("config", "welch.detrend", "maybe", id="config-detrend-maybe"),
     pytest.param("config", "welch.window_kind", "triangle", id="config-window_kind-triangle"),
     pytest.param("config", "detect.seed", "x1", id="config-seed-x1"),
+    pytest.param("config", "detect.seed", "-1", id="config-seed--1"),
     pytest.param("config", "detect.alphas", "abc", id="config-alphas-abc"),
     pytest.param("report", "welch", "metric,kind", id="report-metric,kind"),
     pytest.param("report", "m_train", "\n".join([
@@ -430,48 +436,54 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):
     """Exit 2, no traceback, no output, and a message that says where: the
     file and line, the report file and the header it lacks or garbles, the
-    option and its value, or the config file, entry and value (options and
-    config values are checked before any record is read)."""
+    option and its value, or the config file, entry and value.  Options and
+    config values are checked before any record is read, by every command
+    that takes them (``detect``, ``roc`` and ``psd``; ``--alpha-grid`` is
+    ``roc``'s alone)."""
     import gwdetect.pipeline as pipeline
 
     data = tmp_path / "data"
-    out = tmp_path / "res"
     simulate_small(data)
     capsys.readouterr()
     reads = []
     real = pipeline.read_signal
     monkeypatch.setattr(pipeline, "read_signal", lambda p: reads.append(p) or real(p))
+    cmds = ["detect"]
     if target == "option":
-        cmd = "roc" if number == "--alpha-grid" else "detect"
-        argv = [cmd, *_common(data), "--metrics", "z", "--holdout", "3", number, new]
+        cmds = ["roc"] if number == "--alpha-grid" else ["detect", "roc", "psd"]
+        argv = [*_common(data), "--metrics", "z", "--holdout", "3", number, new]
         where = [f"{number} {new!r}"]
     elif target == "config":
+        cmds = ["detect", "roc", "psd"]
         cfg = tmp_path / "run.cfg"
         section, key = number.split(".")
         cfg.write_text(f"[{section}]\n{key} = {new}\n")
-        argv = ["detect", "--config", str(cfg), *_common(data), "--metrics", "z",
-                "--holdout", "3"]
+        argv = ["--config", str(cfg), *_common(data), "--metrics", "z", "--holdout", "3"]
         where = [f"{cfg}: [{section}] {key} {new!r}"]
     elif target == "report":
+        cmds = ["report"]
         victim = tmp_path / "not_a_report.csv"
         victim.write_text(new + "\n")
-        argv = ["report", str(victim)]
+        argv = [str(victim)]
         where = [f"{victim}: ", f"'# {number}'"]
     else:
         man = DatasetManifest.load(data / "manifest.csv")
         victim = (man.resolve(man.entries[1]) if target == "signal"
                   else data / "manifest.csv")
         victim.write_text(_set_line(victim.read_text(), number, new))
-        argv = ["detect", *_common(data), "--metrics", "z", "--holdout", "3"]
+        argv = [*_common(data), "--metrics", "z", "--holdout", "3"]
         where = [f"{victim}:{number}:"]
-    rc = main(argv + ["--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert all(w in err for w in where), err
-    assert "Traceback" not in err
-    assert not out.exists()
-    if target in ("option", "config"):
-        assert reads == []
+    for cmd in cmds:
+        out = tmp_path / f"res_{cmd}"
+        reads.clear()
+        rc = main([cmd, *argv, "--out", str(out)])
+        assert rc == 2, cmd
+        err = capsys.readouterr().err
+        assert all(w in err for w in where), (cmd, err)
+        assert "Traceback" not in err
+        assert not out.exists(), cmd
+        if target in ("option", "config"):
+            assert reads == [], cmd
 
 
 def test_roc_writes_nothing_when_a_metric_cannot_be_swept(tmp_path, capsys):

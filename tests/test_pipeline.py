@@ -5,12 +5,11 @@ import oracles as oc
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import (
     METRICS,
+    CaseTable,
     DatasetManifest,
     ManifestEntry,
-    ScoredCase,
+    _critical_points,
     _p_value,
-    case_damaged,
-    case_score,
     compute_path_scores,
     default_alpha_grid,
     extract_packet,
@@ -290,21 +289,21 @@ def test_null_calibration_through_run_inspection(tmp_path):
 # p-values
 # ---------------------------------------------------------------------------
 
-def test_p_value_edge_cases_match_case_damaged():
+def test_p_value_edge_cases_match_critical_points():
     grid = default_alpha_grid()
     # a reference PSD that is zero in band: stat_lo = 0 is damaged at every alpha
-    p = _p_value("f", stat_hi=np.array([1.0, 3.0]), stat_lo=np.array([0.0, 0.0]),
-                 dof1=18, dof2=18)
-    assert p.tolist() == [0.0, 0.0]
+    f_stats = {"stat_hi": np.array([1.0, 3.0]), "stat_lo": np.array([0.0, 0.0]),
+               "dof1": 18, "dof2": 18}
     # a DI with no healthy scatter: damaged off center at every alpha, never on it
-    p = _p_value("janapati", stat_hi=np.array([0.25, 0.5]), center=0.5, spread=0.0)
-    assert p.tolist() == [0.0, 1.0]
-    cases = [(ScoredCase("c", "x", False, "f", stat_lo=0.0, stat_hi=1.0, dof1=18, dof2=18),
-              True),
-             (ScoredCase("c", "x", False, "janapati", stat_hi=0.25, center=0.5), True),
-             (ScoredCase("c", "x", False, "janapati", stat_hi=0.5, center=0.5), False)]
-    for case, damaged in cases:
-        assert all(case_damaged(case, a) == damaged for a in grid), case
+    di_stats = {"stat_hi": np.array([0.25, 0.5]), "center": 0.5, "spread": 0.0}
+    for metric, stats, p_want, damaged in (("f", f_stats, [0.0, 0.0], [True, True]),
+                                           ("janapati", di_stats, [0.0, 1.0], [True, False])):
+        p = _p_value(metric, **stats)
+        assert p.tolist() == p_want
+        table = CaseTable.concat(metric, [{"case_ids": ("a", "b"), "labels": ("x", "x"),
+                                           "is_healthy": False, **stats, "p": p}])
+        assert all((table.p < a).tolist() == damaged == oc.critical_point_damaged(table, a)
+                   for a in grid), metric
 
 
 def test_p_values_lie_in_unit_interval_and_decide(ladder_dataset, bench_welch):
@@ -314,7 +313,7 @@ def test_p_values_lie_in_unit_interval_and_decide(ladder_dataset, bench_welch):
         assert table.p.shape == (len(table),)
         assert ((table.p >= 0.0) & (table.p <= 1.0)).all(), metric
         for alpha in (0.01, 0.05):
-            assert (table.p < alpha).tolist() == [case_damaged(c, alpha) for c in table]
+            assert (table.p < alpha).tolist() == oc.critical_point_damaged(table, alpha)
 
 
 def test_decisions_solve_no_quantile(ladder_dataset, bench_welch, monkeypatch):
@@ -339,7 +338,7 @@ def test_decisions_solve_no_quantile(ladder_dataset, bench_welch, monkeypatch):
     for metric in METRICS:
         roc_sweep(scores, metric)
     assert calls == []
-    case_damaged(scores.cases["f"][0], 0.05)  # the wrapper sees the scalar reference
+    _critical_points("f", 0.05, 18, 18)  # the wrapper sees the critical-point path
     assert sorted(calls) == ["f_quantile", "f_quantile"]
 
 
@@ -416,21 +415,11 @@ def test_verdicts_monotone_in_alpha(ladder_dataset, bench_welch):
                                  bench_welch, ["f", "fm", "z", "janapati", "qiu"],
                                  holdout=5)
     grid = default_alpha_grid()
-    for metric, cases in scores.cases.items():
-        for case in cases:
-            flags = [case_damaged(case, a) for a in grid]
-            assert all(b >= a for a, b in zip(flags, flags[1:])), (metric, case.case_id)
-
-
-def test_case_score_definition(ladder_dataset, bench_welch):
-    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet",
-                                 bench_welch, ["z", "janapati"], holdout=5)
-    for case in scores.cases["z"]:
-        assert case_score(case) == case.stat_hi
-    for case in scores.cases["janapati"]:
-        if case.spread > 0:
-            assert case_score(case) == pytest.approx(
-                abs(case.stat_hi - case.center) / case.spread)
+    for metric, table in scores.cases.items():
+        flags = [oc.critical_point_damaged(table, a) for a in grid]
+        for k, case_id in enumerate(table.case_ids):
+            column = [flagged[k] for flagged in flags]
+            assert all(b >= a for a, b in zip(column, column[1:])), (metric, case_id)
 
 
 # ---------------------------------------------------------------------------
