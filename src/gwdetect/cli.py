@@ -176,7 +176,10 @@ def _parse_bool(text) -> bool:
         raise ValueError(text) from None
 
 
-def _build_runconfig(args) -> RunConfig:
+def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
+    """The run's settings, every one checked before any record is read;
+    ``scores`` says whether the command scores in the band, and with it
+    whether the manifest's own band must lie on the Welch grid."""
     cfg = _load_config(args.config)
     manifest_path = _opt(args, cfg, "manifest", "data.manifest")
     if not manifest_path:
@@ -231,10 +234,16 @@ def _build_runconfig(args) -> RunConfig:
                   lambda text: _parse_list(text, validate_alpha),
                   "a comma list of distinct false-alarm probabilities in (0, 1]")
     grid = welch.freq_grid(manifest.sample_rate)
+    on_grid = (f"in Hz with f_lo <= f_hi and a frequency of the grid "
+               f"(0 to {grid[-1]:g} Hz in steps of {grid[1]:g} Hz) between them")
     band = _opt(args, cfg, "band", "detect.band", manifest.band,
-                lambda text: _parse_band(text, grid),
-                f"f_lo:f_hi in Hz with f_lo <= f_hi and a frequency of the grid "
-                f"(0 to {grid[-1]:g} Hz in steps of {grid[1]:g} Hz) between them, or 'full'")
+                lambda text: _parse_band(text, grid), f"f_lo:f_hi {on_grid}, or 'full'")
+    if scores and manifest.band is not None and band is manifest.band:
+        try:
+            _band_mask(grid, band)
+        except ValueError:
+            raise _bad_option(f"{manifest_path}: band", ",".join(map(fmt, band)),
+                              f"f_lo,f_hi {on_grid}") from None
 
     out_dir = _out_dir(args, cfg)
 
@@ -262,7 +271,7 @@ def _build_runconfig(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_psd(args) -> int:
-    rc = _build_runconfig(args)
+    rc = _build_runconfig(args, scores=False)
     man = rc.manifest
     alpha = rc.alphas[0]
     for path in rc.paths:
@@ -358,6 +367,9 @@ def cmd_roc(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir = _out_dir(args, _load_config(args.config))
+    for flag, value in (("--seed", args.seed), ("--n-per-damage", args.n_per_damage)):
+        if value < 0:
+            raise _bad_option(flag, str(value), "a non-negative integer")
     burst = ToneBurstSpec(
         center_freq=float(args.center_freq),
         n_cycles=int(args.cycles),

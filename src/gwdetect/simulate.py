@@ -196,6 +196,10 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     n_baseline = int(n_baseline)
     if n_baseline < 2:
         raise ValueError("n_baseline must be >= 2")
+    if int(seed) < 0:
+        raise ValueError("seed must be >= 0")
+    if int(n_per_damage) < 0:
+        raise ValueError("n_per_damage must be >= 0")
     if burst is None:
         burst = ToneBurstSpec(center_freq=250e3)
     damage_specs = list(damage_specs)

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from gwdetect.cli import main
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import DatasetManifest, ManifestEntry
+from gwdetect.simulate import synth_dataset
 from gwdetect.spectral import Signal
 
 
@@ -46,6 +48,19 @@ def test_simulate_rejects_aliasing_center_freq(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--center-freq", "13e6"])
     assert rc == 2
     assert "alias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--n-per-damage"])
+def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "data"
+    assert main(["simulate", "--out", str(out), flag, "-1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} '-1': expected a non-negative integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="must be >= 0"):
+        synth_dataset(out, **{flag[2:].replace("-", "_"): -1})
+    assert not out.exists()
 
 
 def test_psd_output_grid(tmp_path, capsys):
@@ -407,6 +422,8 @@ def _set_line(text, number, new):
     ("signal", 1, "sample_rate,abc"),
     ("manifest", 5, "window.full = 1200"),
     ("manifest", 1, "sample_rate = fast"),
+    pytest.param("manifest", 3, "band = 350000.0,150000.0", id="manifest-band-inverted"),
+    pytest.param("manifest", 3, "band = 2e7,3e7", id="manifest-band-off-grid"),
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
     pytest.param("option", "--alpha", "0", id="option-alpha-0"),
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
@@ -439,7 +456,8 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     option and its value, or the config file, entry and value.  Options and
     config values are checked before any record is read, by every command
     that takes them (``detect``, ``roc`` and ``psd``; ``--alpha-grid`` is
-    ``roc``'s alone)."""
+    ``roc``'s alone), and so is the manifest's band, by the commands that
+    score in it (``detect`` and ``roc``)."""
     import gwdetect.pipeline as pipeline
 
     data = tmp_path / "data"
@@ -473,6 +491,9 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         victim.write_text(_set_line(victim.read_text(), number, new))
         argv = [*_common(data), "--metrics", "z", "--holdout", "3"]
         where = [f"{victim}:{number}:"]
+        if new.startswith("band"):  # checked against the Welch grid, with the options
+            cmds = ["detect", "roc"]
+            where = [f"{victim}: band '"]
     for cmd in cmds:
         out = tmp_path / f"res_{cmd}"
         reads.clear()
@@ -482,8 +503,22 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert all(w in err for w in where), (cmd, err)
         assert "Traceback" not in err
         assert not out.exists(), cmd
-        if target in ("option", "config"):
+        if target in ("option", "config") or new.startswith("band"):
             assert reads == [], cmd
+
+
+@pytest.mark.parametrize("band", ["350000.0,150000.0", "2e7,3e7"])
+def test_psd_ignores_the_manifest_band(tmp_path, band):
+    """``psd`` draws whole-grid curves and never uses the band, so a band that
+    ``detect`` rejects leaves its output unchanged."""
+    data = tmp_path / "data"
+    simulate_small(data)
+    argv = ["psd", *_common(data)]
+    assert main([*argv, "--out", str(tmp_path / "before")]) == 0
+    manifest = data / "manifest.csv"
+    manifest.write_text(_set_line(manifest.read_text(), 3, f"band = {band}"))
+    assert main([*argv, "--out", str(tmp_path / "after")]) == 0
+    assert tree_digest(tmp_path / "after") == tree_digest(tmp_path / "before")
 
 
 def test_roc_writes_nothing_when_a_metric_cannot_be_swept(tmp_path, capsys):
@@ -520,6 +555,32 @@ def test_each_command_reads_every_record_once(tmp_path, monkeypatch):
         assert main([cmd, *_common(tmp_path / "data", *extra),
                      "--out", str(tmp_path / cmd)]) == 0
         assert sorted(reads) == every, cmd
+
+
+def test_sidecars_replace_parsing_and_text_alone_gives_the_same_outputs(tmp_path,
+                                                                      monkeypatch):
+    """On a simulated dataset no command parses signal text; a copy without
+    the sidecars is parsed record by record, gives the same bytes, and gains
+    no file."""
+    simulate_small(tmp_path / "data")
+    plain = tmp_path / "plain"
+    shutil.copytree(tmp_path / "data", plain)
+    shutil.rmtree(plain / "signals" / "__gwcache__")
+    before = tree_digest(plain)
+    parses = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(a) or real(*a, **k))
+    for data, want in (("data", 0), ("plain", 12)):
+        for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu",
+                                       "--alpha", "0.01,0.05", "--holdout", "3"]),
+                           ("roc", ["--metrics", "f,fm,z", "--holdout", "3"]),
+                           ("psd", [])):
+            parses.clear()
+            assert main([cmd, *_common(tmp_path / data, *extra),
+                         "--out", str(tmp_path / f"res_{data}")]) == 0
+            assert len(parses) == want, (data, cmd)
+    assert tree_digest(tmp_path / "res_data") == tree_digest(tmp_path / "res_plain")
+    assert tree_digest(plain) == before
 
 
 def test_roc_shared_scores_match_per_metric_sweeps(tmp_path):

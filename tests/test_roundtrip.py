@@ -1,14 +1,17 @@
 """Write-then-read round trips of the three text formats: signal files,
-dataset manifests and detection reports.
+dataset manifests and detection reports.  Signal files are read both through
+the binary sidecar that ``write_signal`` leaves and from the text alone.
 
 Ids and labels are drawn from ``[A-Za-z0-9._-]``: both readers strip the
 whitespace around a field, and ``,``/``=``/``#`` are format syntax.
 """
 
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +38,72 @@ def test_signal_file_roundtrip_is_exact(samples, rate, label):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sig.csv"
         write_signal(path, Signal(samples, rate, label))
-        back = read_signal(path)
-    assert back.samples.tobytes() == np.asarray(samples, dtype=float).tobytes()
-    assert back.sample_rate == rate and back.label == label
+        stored = read_signal(path)
+        sidecar(path).unlink()
+        parsed = read_signal(path)
+    for back in (stored, parsed):
+        assert back.samples.tobytes() == np.asarray(samples, dtype=float).tobytes()
+        assert back.sample_rate == rate and back.label == label
+
+
+@pytest.mark.parametrize("label", ["a\n1.5", "a\r1.5", "a\r\n", "\n", "a\u2028b", "a\x85"])
+def test_signal_label_with_a_line_break_is_refused_before_writing(tmp_path, label):
+    """A label is one header line; one that breaks would read back as a sample
+    or a shorter label, so the text and the sidecar would disagree."""
+    path = tmp_path / "sig.csv"
+    with pytest.raises(ValueError, match="holds a line break"):
+        write_signal(path, Signal([1.0, 2.0], 10.0, label))
+    assert list(tmp_path.iterdir()) == []
+
+
+def sidecar(path: Path) -> Path:
+    return path.parent / "__gwcache__" / f"{path.name}.npy"
+
+
+def test_signal_file_edits_win_over_a_stale_sidecar(tmp_path):
+    """The text is the reference: an edited sample reads as its new value, and
+    a sample that is not a number gives the same error with a stale sidecar
+    as without one."""
+    path = tmp_path / "sig.csv"
+    write_signal(path, Signal([1.0, 2.0, 3.0], 10.0, "x"))
+    text = path.read_text()
+    path.write_text(text.replace("\n2.0\n", "\n2.5\n"))
+    assert read_signal(path).samples.tolist() == [1.0, 2.5, 3.0]
+    path.write_text(text.replace("\n2.0\n", "\nabc\n"))
+    with pytest.raises(ValueError) as stale:
+        read_signal(path)
+    sidecar(path).unlink()
+    with pytest.raises(ValueError) as plain:
+        read_signal(path)
+    assert str(stale.value) == str(plain.value) == f"{path}:4: sample 'abc' is not a finite number"
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda digest, payload: b"", id="empty"),
+    pytest.param(lambda digest, payload: digest[:20], id="short-digest"),
+    pytest.param(lambda digest, payload: digest, id="digest-only"),
+    pytest.param(lambda digest, payload: digest + payload[:40], id="truncated-header"),
+    pytest.param(lambda digest, payload: digest + payload[:-8], id="truncated-data"),
+    pytest.param(lambda digest, payload: digest + b"garbage" * 30, id="garbage-payload"),
+    pytest.param(lambda digest, payload: b"garbage" * 30, id="garbage"),
+    pytest.param(lambda digest, payload: bytes(32) + _npy(np.zeros(3)), id="wrong-digest"),
+    pytest.param(lambda digest, payload: digest + _npy(np.zeros(3, np.float32)), id="float32"),
+    pytest.param(lambda digest, payload: digest + _npy(np.zeros((3, 1))), id="2-d"),
+    pytest.param(lambda digest, payload: digest + _npy(np.array(["a", "b", "c"])), id="strings"),
+])
+def test_unusable_sidecar_falls_back_to_the_text(tmp_path, damage):
+    path = tmp_path / "sig.csv"
+    samples = np.array([0.5, -1.25, 3e-300])
+    write_signal(path, Signal(samples, 10.0, "x"))
+    raw = sidecar(path).read_bytes()
+    sidecar(path).write_bytes(damage(raw[:32], raw[32:]))
+    assert read_signal(path).samples.tobytes() == samples.tobytes()
 
 
 @st.composite
