@@ -30,6 +30,11 @@ Command-line flags override config values.  A value that cannot be read
 names the flag, or the config file and ``[section] key``, it came from; every
 option is checked before any record is read.  Scores, decisions and ``stat_*``
 curves come from ``pipeline``; ``_write_curve`` writes every curve file.
+
+``simulate`` and the curve files of ``detect`` and ``psd`` are written on every
+CPU the process may run on (``dataio.fan_out``); ``taskset -c 0`` runs them on
+one, and the outputs are the same bytes either way.  Reports, verdicts and
+``summary.txt`` are written by the command's own process.
 """
 
 import argparse
@@ -38,12 +43,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import fmt
+from .dataio import fan_out, fmt
 from .detectors import _band_mask, experimental_band, theoretical_band
 from .pipeline import (
     METRICS,
@@ -272,6 +276,13 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
 
 def cmd_psd(args) -> int:
     rc = _build_runconfig(args, scores=False)
+    fan_out(_write_curve, _psd_curves(rc))
+    print(f"psd curves written to {rc.out_dir}")
+    return 0
+
+
+def _psd_curves(rc: RunConfig):
+    """A ``_write_curve`` task for each PSD and healthy band of ``psd``."""
     man = rc.manifest
     alpha = rc.alphas[0]
     for path in rc.paths:
@@ -283,14 +294,12 @@ def cmd_psd(args) -> int:
             index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
             for i, entry, psd in zip(index, loaded.entries, loaded.psds):
                 stem = _slug(Path(entry.file).stem)
-                _write_curve(rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                             "freq,psd", freq_col, psd.values)
+                yield (rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
+                       "freq,psd", freq_col, psd.values)
             for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
                           experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
-                _write_curve(rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
-                             "freq,lower,upper", freq_col, bandc.lower, bandc.upper)
-    print(f"psd curves written to {rc.out_dir}")
-    return 0
+                yield (rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
+                       "freq,lower,upper", freq_col, bandc.lower, bandc.upper)
 
 
 def _freq_column(freqs) -> list:
@@ -301,17 +310,26 @@ def _freq_column(freqs) -> list:
 def _write_curve(path: Path, header: str, freq_col: list, *columns) -> None:
     """One plot-ready curve CSV: ``header``, then a row per frequency of the
     formatted frequency and each column, an array or one value for every row."""
-    cells = [[f"{v:.12g}" for v in c.tolist()] if np.ndim(c) else repeat(f"{c:.12g}")
-             for c in columns]
-    _write(path, "\n".join([header, *map(",".join, zip(freq_col, *cells))]) + "\n")
+    row = "%s" + "".join(",%.12g" if np.ndim(c) else f",{c:.12g}" for c in columns)
+    cells = [c.tolist() for c in columns if np.ndim(c)]
+    _write(path, "\n".join([header, *(row % r for r in zip(freq_col, *cells))]) + "\n")
 
 
 def cmd_detect(args) -> int:
     rc = _build_runconfig(args)
-    man = rc.manifest
     reports = []
+    fan_out(_write_curve, _detect_outputs(rc, reports))
+    _write(rc.out_dir / "summary.txt", summary_table(reports))
+    print(f"detection report written to {rc.out_dir}")
+    return 0
+
+
+def _detect_outputs(rc: RunConfig, reports: list):
+    """Score each path, write its reports and verdicts here (appending each
+    report to ``reports``), and yield a ``_write_curve`` task for each of its
+    per-signal statistic curves against each set's baseline ensemble."""
     for path in rc.paths:
-        scores = compute_path_scores(man, path, rc.window, rc.welch, rc.metrics,
+        scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
                                      holdout=rc.holdout, seed=rc.seed,
                                      band=rc.band, set_id=rc.set_id)
         for alpha in rc.alphas:
@@ -322,17 +340,13 @@ def cmd_detect(args) -> int:
             lines = ["case_id,metric,label,verdict"]
             lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
-        # per-signal statistic curves against each set's baseline ensemble
         for loaded in scores.sets:
             freq_col = _freq_column(loaded.ensemble.freq_grid)
             for metric, i, alpha, curve, lo, hi in statistic_curves(loaded, rc.metrics, rc.alphas):
                 stem = _slug(Path(loaded.entries[loaded.inspect[i]].file).stem)
-                _write_curve(rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
-                             f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
-                             "freq,value,lower,upper", freq_col, curve, lo, hi)
-    _write(rc.out_dir / "summary.txt", summary_table(reports))
-    print(f"detection report written to {rc.out_dir}")
-    return 0
+                yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
+                       f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
+                       "freq,value,lower,upper", freq_col, curve, lo, hi)
 
 
 def _parse_alpha_grid(text):

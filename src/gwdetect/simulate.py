@@ -7,14 +7,19 @@ delay, and a delayed secondary echo.  White Gaussian noise models the
 acquisition-to-acquisition variability of a controlled environment.  Every
 random quantity is driven by an explicit seed, so datasets are reproducible
 sample for sample.
+
+``synth_dataset`` synthesizes and writes its records on every CPU the process
+may run on (``dataio.fan_out``), and ``taskset -c 0`` runs it on one.  Each
+record has its own seed, so the files are the same bytes either way.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import write_signal
+from .dataio import fan_out, write_signal
 from .pipeline import DatasetManifest, ManifestEntry
 from .spectral import Signal
 
@@ -203,36 +208,35 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     if burst is None:
         burst = ToneBurstSpec(center_freq=250e3)
     damage_specs = list(damage_specs)
+    for spec in damage_specs:
+        if not spec.label:
+            raise ValueError("every damage spec needs a label")
+        if "".join(spec.label.splitlines()) != spec.label:
+            raise ValueError(f"damage label {spec.label!r} holds a line break")
+    names = [f"baseline_{i:03d}" for i in range(n_baseline)]
+    damages = [IDENTITY_DAMAGE] * n_baseline
+    for spec in damage_specs:
+        names += [f"{spec.label}_{j:03d}" for j in range(int(n_per_damage))]
+        damages += [spec] * int(n_per_damage)
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"two records would be written to signals/{name}.csv; "
+                             "give each damage spec its own label")
+        seen.add(name)
     pulse = tone_burst(burst)
     clean = propagate(pulse, arrival_delay, path_gain, IDENTITY_DAMAGE,
                       noise_std=0.0, n_samples=n_samples)
     if noise_std is None:
         noise_std = noise_std_for_snr(clean, snr_db)
 
-    sig_dir = out_dir / "signals"
-    sig_dir.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(int(seed)).spawn(
-        n_baseline + len(damage_specs) * int(n_per_damage))
-    entries = []
-
-    def emit(name: str, damage: DamageSpec, child_seed) -> None:
-        sig = propagate(pulse, arrival_delay, path_gain, damage,
-                        noise_std=noise_std, seed=child_seed, n_samples=n_samples)
-        rel = f"signals/{name}.csv"
-        write_signal(out_dir / rel, sig)
-        entries.append(ManifestEntry(file=rel, label=sig.label,
-                                     path_id=path_id, set_id=set_id))
-
-    k = 0
-    for i in range(n_baseline):
-        emit(f"baseline_{i:03d}", IDENTITY_DAMAGE, seeds[k])
-        k += 1
-    for spec in damage_specs:
-        if not spec.label:
-            raise ValueError("every damage spec needs a label")
-        for j in range(int(n_per_damage)):
-            emit(f"{spec.label}_{j:03d}", spec, seeds[k])
-            k += 1
+    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
+    seeds = np.random.SeedSequence(int(seed)).spawn(len(names))
+    emit = partial(_emit, out_dir, pulse, arrival_delay, path_gain, noise_std, n_samples)
+    labels = fan_out(emit, zip(names, damages, seeds))
+    entries = [ManifestEntry(file=f"signals/{name}.csv", label=label,
+                             path_id=path_id, set_id=set_id)
+               for name, label in zip(names, labels)]
 
     start = int(round(arrival_delay * burst.sample_rate))
     packet_len = min(max(pulse.samples.size, 500), n_samples - start)
@@ -248,3 +252,14 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     manifest.validate()
     manifest.save(out_dir / "manifest.csv")
     return manifest
+
+
+def _emit(out_dir: Path, pulse: Signal, arrival_delay: float, path_gain: float,
+          noise_std: float, n_samples: int, name: str, damage: DamageSpec,
+          seed) -> str:
+    """Synthesize one record of ``synth_dataset``, write it to
+    ``signals/<name>.csv`` and return its label."""
+    sig = propagate(pulse, arrival_delay, path_gain, damage,
+                    noise_std=noise_std, seed=seed, n_samples=n_samples)
+    write_signal(out_dir / "signals" / f"{name}.csv", sig)
+    return sig.label

@@ -137,6 +137,31 @@ def test_synth_dataset_baseline_only(tmp_path):
     assert all(e.label == "healthy" for e in man.entries)
 
 
+@pytest.mark.parametrize("labels, twice", [
+    (["x", "x"], "x_000"),
+    (["baseline", "y"], "baseline_000"),
+])
+def test_synth_dataset_rejects_two_records_with_one_name(tmp_path, labels, twice):
+    specs = [DamageSpec(att, label=lbl) for att, lbl in zip((0.5, 0.9), labels)]
+    with pytest.raises(ValueError, match=f"signals/{twice}.csv"):
+        synth_dataset(tmp_path, n_baseline=3, damage_specs=specs, seed=1,
+                      n_samples=2200)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("label, message", [
+    ("", "needs a label"),
+    ("a\nb", "holds a line break"),
+    ("a\u2028b", "holds a line break"),
+])
+def test_synth_dataset_checks_every_label_before_writing(tmp_path, label, message):
+    specs = [DamageSpec(0.9, label="ok"), DamageSpec(0.5, label=label)]
+    with pytest.raises(ValueError, match=message):
+        synth_dataset(tmp_path, n_baseline=3, damage_specs=specs, seed=1,
+                      n_samples=2200)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_noiseless_identity_signal_is_healthy_everywhere():
     # a clean record must sit inside every healthy bound once the baseline
     # ensemble carries any noise at all
