@@ -39,6 +39,7 @@ one, and the outputs are the same bytes either way.  Reports, verdicts and
 
 import argparse
 import configparser
+import math
 import os
 import re
 import sys
@@ -152,6 +153,13 @@ def _parse_band(text, grid):
 def _non_negative_int(text) -> int:
     value = int(text)
     if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def _noise_level(text) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(text)
     return value
 
@@ -384,6 +392,12 @@ def cmd_simulate(args) -> int:
     for flag, value in (("--seed", args.seed), ("--n-per-damage", args.n_per_damage)):
         if value < 0:
             raise _bad_option(flag, str(value), "a non-negative integer")
+    if not math.isfinite(args.snr_db):
+        raise _bad_option("--snr-db", str(args.snr_db), "a finite number")
+    try:
+        noise_std = None if args.noise_std is None else _noise_level(args.noise_std)
+    except ValueError:
+        raise _bad_option("--noise-std", args.noise_std, "a finite number >= 0") from None
     burst = ToneBurstSpec(
         center_freq=float(args.center_freq),
         n_cycles=int(args.cycles),
@@ -397,7 +411,7 @@ def cmd_simulate(args) -> int:
         out_dir,
         n_baseline=int(args.n_baseline),
         damage_specs=ladder,
-        noise_std=args.noise_std if args.noise_std is None else float(args.noise_std),
+        noise_std=noise_std,
         seed=int(args.seed),
         burst=burst,
         n_per_damage=int(args.n_per_damage),

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import Signal
+from .spectral import Signal, _checked_rate
 
 __all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
 
@@ -83,9 +83,9 @@ def read_signal(path) -> Signal:
             raise ValueError(f"{path}: expected a two-line sample_rate/label header")
         rate = first.split(",", 1)[1]
         try:
-            sample_rate = float(rate)
+            sample_rate = _checked_rate(rate)
         except ValueError:
-            raise ValueError(f"{path}:1: sample_rate {rate!r} is not a number") from None
+            raise ValueError(f"{path}:1: sample_rate {rate!r} is not a finite number > 0") from None
         label = second.split(",", 1)[1]
         samples = _stored_samples(path)
         if samples is None:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .dataio import fmt, read_signal
 from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask
-from .spectral import Signal, WelchConfig, welch_psd
+from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
 from .statdist import _f_tails, _normal_two_sided, f_quantile, normal_quantile, validate_alpha
 
 __all__ = [
@@ -104,9 +104,7 @@ class DatasetManifest:
     def __post_init__(self):
         self.entries = [e if isinstance(e, ManifestEntry) else ManifestEntry(*e)
                         for e in self.entries]
-        self.sample_rate = float(self.sample_rate)
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be > 0")
+        self.sample_rate = _checked_rate(self.sample_rate)
         self.packet_windows = {
             str(name): (int(start), int(length))
             for name, (start, length) in self.packet_windows.items()
@@ -207,7 +205,7 @@ class DatasetManifest:
                         lo, hi = value.split(",")
                         meta[key] = (float(lo), float(hi))
                     elif key == "sample_rate":
-                        meta[key] = float(value)
+                        meta[key] = _checked_rate(value)
                     else:
                         meta[key] = value
                 except ValueError:

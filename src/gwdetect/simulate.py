@@ -13,6 +13,7 @@ may run on (``dataio.fan_out``), and ``taskset -c 0`` runs it on one.  Each
 record has its own seed, so the files are the same bytes either way.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dataio import fan_out, write_signal
 from .pipeline import DatasetManifest, ManifestEntry
-from .spectral import Signal
+from .spectral import Signal, _checked_rate
 
 __all__ = [
     "ToneBurstSpec",
@@ -50,6 +51,7 @@ class ToneBurstSpec:
     sample_rate: float = 24e6
 
     def __post_init__(self):
+        _checked_rate(self.sample_rate)
         if not self.center_freq < self.sample_rate / 2.0:
             raise ValueError(
                 f"center_freq {self.center_freq:g} Hz would alias at "
@@ -101,6 +103,10 @@ class DamageSpec:
 
 
 IDENTITY_DAMAGE = DamageSpec(1.0, 0.0, 0.0, label="healthy")
+
+# A damage label starts the name of its records' files (signals/<label>_000.csv)
+# and is a field of the comma-separated manifest.
+_NOT_IN_LABEL = ("/", "\\", "\0", ",")
 
 
 def tone_burst(spec: ToneBurstSpec) -> Signal:
@@ -205,6 +211,10 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
         raise ValueError("seed must be >= 0")
     if int(n_per_damage) < 0:
         raise ValueError("n_per_damage must be >= 0")
+    if noise_std is not None and not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if burst is None:
         burst = ToneBurstSpec(center_freq=250e3)
     damage_specs = list(damage_specs)
@@ -213,6 +223,9 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
             raise ValueError("every damage spec needs a label")
         if "".join(spec.label.splitlines()) != spec.label:
             raise ValueError(f"damage label {spec.label!r} holds a line break")
+        if any(c in spec.label for c in _NOT_IN_LABEL):
+            raise ValueError(f"damage label {spec.label!r} is not a plain file-name part "
+                             "(it holds '/', '\\', ',' or NUL)")
     names = [f"baseline_{i:03d}" for i in range(n_baseline)]
     damages = [IDENTITY_DAMAGE] * n_baseline
     for spec in damage_specs:

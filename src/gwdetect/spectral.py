@@ -7,10 +7,18 @@ zero-padded DFTs of the ``K = floor((N - L) / D) + 1`` segments and scales by
 bins of the one-sided result are doubled (DC and Nyquist are not), so that
 integrating the returned values over the frequency grid recovers the
 mean-square power of the (detrended) input.
+
+Everything ``welch_psd`` needs besides the samples depends on the config
+alone: the taper, the index that gathers the ``K`` frames, and the frequency
+grid.  Each is built once per config (a small bounded cache per process) and
+is read-only, so every estimate of one config and sample rate carries the
+same grid array, and ``PsdEstimate.same_grid`` compares such grids by
+identity.  ``make_window`` still returns a fresh, writable taper.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +35,14 @@ __all__ = [
 ]
 
 WINDOW_KINDS = ("hamming", "bartlett", "rectangular")
+
+
+def _checked_rate(value) -> float:
+    """``value`` as a sample rate in Hz: a finite float > 0."""
+    rate = float(value)
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"sample_rate must be finite and > 0, got {value!r}")
+    return rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +69,8 @@ class Signal:
             raise ValueError("samples must be a nonempty 1-D sequence")
         if not np.isfinite(samples).all():
             raise ValueError("samples must all be finite")
-        if not (float(self.sample_rate) > 0.0):
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        object.__setattr__(self, "sample_rate", _checked_rate(self.sample_rate))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -112,8 +126,12 @@ class WelchConfig:
         return (n - self.segment_length) // self.step + 1
 
     def freq_grid(self, sample_rate: float) -> np.ndarray:
-        """One-sided frequency grid, 0 ... fs/2 at spacing fs/nfft."""
-        return np.arange(self.nfft // 2 + 1) * (float(sample_rate) / self.nfft)
+        """One-sided frequency grid, 0 ... fs/2 at spacing fs/nfft.
+
+        The array is read-only and shared by every call with the same
+        ``nfft`` and sample rate.
+        """
+        return _one_sided_grid(self.nfft, float(sample_rate))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +167,8 @@ class PsdEstimate:
 
     def same_grid(self, other: "PsdEstimate") -> bool:
         return (self.config == other.config
-                and np.array_equal(self.freq_grid, other.freq_grid))
+                and (self.freq_grid is other.freq_grid
+                     or np.array_equal(self.freq_grid, other.freq_grid)))
 
 
 def make_window(kind: str, length: int):
@@ -176,6 +195,33 @@ def make_window(kind: str, length: int):
     return w, u
 
 
+# The caches below are keyed on config values only.  Their sizes bound what
+# a process keeps: one command uses one or two configs, and a miss only
+# rebuilds what every call built before.
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _taper(kind: str, length: int):
+    """``make_window(kind, length)``, built once and read-only."""
+    w, u = make_window(kind, length)
+    return _read_only(w), u
+
+
+@lru_cache(maxsize=8)
+def _frame_index(k: int, length: int, step: int) -> np.ndarray:
+    """Sample index of every frame: row ``i`` is ``i*step ... i*step+length-1``."""
+    return _read_only((np.arange(k) * step)[:, None] + np.arange(length))
+
+
+@lru_cache(maxsize=16)
+def _one_sided_grid(nfft: int, sample_rate: float) -> np.ndarray:
+    return _read_only(np.arange(nfft // 2 + 1) * (_checked_rate(sample_rate) / nfft))
+
+
 def welch_psd(signal: Signal, config: WelchConfig) -> PsdEstimate:
     """Estimate the one-sided PSD of the whole of ``signal``; cut a packet
     window out first (``pipeline.extract_packet``) to analyse only that.
@@ -188,16 +234,15 @@ def welch_psd(signal: Signal, config: WelchConfig) -> PsdEstimate:
     """
     seg = signal.samples
     L = config.segment_length
-    D = config.step
     k = config.window_count(seg.size)
-    w, u = make_window(config.window_kind, L)
+    w, u = _taper(config.window_kind, L)
     if u == 0.0:
         raise ValueError("window has zero energy; pick a longer bartlett window")
     if config.detrend_mean:
         seg = seg - seg.mean()
 
-    offsets = np.arange(k) * D
-    frames = np.lib.stride_tricks.sliding_window_view(seg, L)[offsets] * w
+    frames = seg[_frame_index(k, L, config.step)]
+    frames *= w
     spec = np.fft.rfft(frames, n=config.nfft, axis=1)
     values = (np.abs(spec) ** 2).sum(axis=0) / (k * L * u * signal.sample_rate)
     # one-sided doubling: interior bins only (DC never; Nyquist exists for even nfft)

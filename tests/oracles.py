@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity through a route the library never takes:
 direct summation for window normalization, an explicit DFT-matrix
-periodogram average for the PSD, Gauss-Legendre quadrature of the densities
+periodogram average for the PSD, a per-call strided-view Welch estimate
+(what the cached frame index must reproduce byte for byte), Gauss-Legendre quadrature of the densities
 plus bisection for quantiles, a rank-count AUC, and a per-case decision from
 critical points where the library compares p-values.  Keep them slow and
 obvious.
@@ -14,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from gwdetect.pipeline import _critical_points
+from gwdetect.spectral import make_window
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +62,29 @@ def brute_force_welch(x, fs: float, seg_len: int, step: int, nfft: int,
     else:
         half[1:] *= 2.0
     return half
+
+
+def welch_reference(signal, config):
+    """``(values, freq_grid, k)`` of ``welch_psd(signal, config)``, with all of
+    its set-up rebuilt on every call: a fresh taper, frames cut from a
+    ``sliding_window_view`` of the record, and a fresh grid.  The arithmetic
+    is the library's, so the results must match byte for byte."""
+    seg = signal.samples
+    L = config.segment_length
+    k = config.window_count(seg.size)
+    w, u = make_window(config.window_kind, L)
+    if config.detrend_mean:
+        seg = seg - seg.mean()
+    offsets = np.arange(k) * config.step
+    frames = np.lib.stride_tricks.sliding_window_view(seg, L)[offsets] * w
+    spec = np.fft.rfft(frames, n=config.nfft, axis=1)
+    values = (np.abs(spec) ** 2).sum(axis=0) / (k * L * u * signal.sample_rate)
+    if config.nfft % 2 == 0:
+        values[1:-1] *= 2.0
+    else:
+        values[1:] *= 2.0
+    grid = np.arange(config.nfft // 2 + 1) * (signal.sample_rate / config.nfft)
+    return values, grid, k
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,23 @@ def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--noise-std", "-1", "a finite number >= 0"),
+    ("--noise-std", "nan", "a finite number >= 0"),
+    ("--noise-std", "abc", "a finite number >= 0"),
+    ("--snr-db", "nan", "a finite number"),
+    ("--snr-db", "inf", "a finite number"),
+])
+def test_simulate_rejects_bad_noise_levels_before_writing(tmp_path, capsys, flag,
+                                                          value, expected):
+    out = tmp_path / "data"
+    assert main(["simulate", "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} '{value}': expected {expected}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_psd_output_grid(tmp_path, capsys):
     simulate_small(tmp_path / "data")
     out = tmp_path / "res"
@@ -420,8 +437,10 @@ def _set_line(text, number, new):
     ("signal", 7, "nan"),
     ("signal", 5, "abc"),
     ("signal", 1, "sample_rate,abc"),
+    ("signal", 1, "sample_rate,inf"),
     ("manifest", 5, "window.full = 1200"),
     ("manifest", 1, "sample_rate = fast"),
+    ("manifest", 1, "sample_rate = nan"),
     pytest.param("manifest", 3, "band = 350000.0,150000.0", id="manifest-band-inverted"),
     pytest.param("manifest", 3, "band = 2e7,3e7", id="manifest-band-off-grid"),
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def test_manifest_requires_baseline_per_path(tmp_path):
     )
     with pytest.raises(ValueError):
         man.validate()
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan", "-inf", "0", "-5"])
+def test_manifest_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, rate):
+    with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+        DatasetManifest(entries=[ManifestEntry("a.csv", "healthy", "1-2", "s0")],
+                        sample_rate=float(rate))
+    path = tmp_path / "manifest.csv"
+    path.write_text(f"# comment\nsample_rate = {rate}\nfile,label,path_id,set_id\n"
+                    "a.csv,healthy,1-2,s0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad value '{rate}' for 'sample_rate'")):
+        DatasetManifest.load(path)
 
 
 def test_manifest_rejects_malformed_rows(tmp_path):

@@ -44,6 +44,9 @@ def test_burst_validation():
         ToneBurstSpec(center_freq=250e3, amplitude=0.0)
     with pytest.raises(ValueError):
         ToneBurstSpec(center_freq=250e3, envelope="boxcar")
+    for rate in (float("inf"), float("nan"), -24e6):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            ToneBurstSpec(center_freq=250e3, sample_rate=rate)
 
 
 def test_damage_spec_validation():
@@ -153,12 +156,31 @@ def test_synth_dataset_rejects_two_records_with_one_name(tmp_path, labels, twice
     ("", "needs a label"),
     ("a\nb", "holds a line break"),
     ("a\u2028b", "holds a line break"),
+    ("a/b", "not a plain file-name part"),
+    ("a\\b", "not a plain file-name part"),
+    ("a,b", "not a plain file-name part"),
+    ("a\0b", "not a plain file-name part"),
 ])
 def test_synth_dataset_checks_every_label_before_writing(tmp_path, label, message):
     specs = [DamageSpec(0.9, label="ok"), DamageSpec(0.5, label=label)]
     with pytest.raises(ValueError, match=message):
         synth_dataset(tmp_path, n_baseline=3, damage_specs=specs, seed=1,
                       n_samples=2200)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("level", [
+    {"noise_std": -1.0},
+    {"noise_std": float("nan")},
+    {"noise_std": float("inf")},
+    {"snr_db": float("nan")},
+    {"snr_db": float("inf")},
+    {"snr_db": float("-inf"), "noise_std": 0.1},
+])
+def test_synth_dataset_checks_the_noise_level_before_writing(tmp_path, level):
+    name = next(iter(level))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        synth_dataset(tmp_path, n_baseline=3, seed=1, n_samples=2200, **level)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles as oc
+from gwdetect import spectral
 from gwdetect.spectral import (
+    WINDOW_KINDS,
     PsdEstimate,
     Signal,
     WelchConfig,
@@ -46,8 +50,11 @@ def test_signal_validation():
         Signal(np.array([]), 1.0)
     with pytest.raises(ValueError):
         Signal(np.array([1.0, np.nan]), 1.0)
-    with pytest.raises(ValueError):
-        Signal(np.ones(4), 0.0)
+    for rate in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            Signal(np.ones(4), rate)
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            WelchConfig(16).freq_grid(rate)
 
 
 def test_zero_signal_gives_zero_psd():
@@ -162,3 +169,82 @@ def test_psd_estimate_invariants():
         PsdEstimate(values=-np.ones(9), freq_grid=grid, config=cfg, k_windows=3)
     with pytest.raises(ValueError):
         PsdEstimate(values=np.ones(5), freq_grid=grid, config=cfg, k_windows=3)
+
+
+@st.composite
+def welch_cases(draw):
+    """A signal and a config over every window kind, odd and even ``nfft``,
+    detrend on and off, and contiguous or strided samples."""
+    L = draw(st.integers(2, 64))
+    overlap = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 0.9]))
+    kind = draw(st.sampled_from(WINDOW_KINDS))
+    assume(round(L * (1.0 - overlap)) >= 1)
+    assume(not (kind == "bartlett" and L == 2))  # a zero-energy taper
+    cfg = WelchConfig(L, overlap, L + draw(st.integers(0, 70)), kind,
+                      detrend_mean=draw(st.booleans()))
+    n = L + draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(0.0, draw(st.sampled_from([0.1, 1.0, 7.0])), 2 * n)
+    x = x[::2] if draw(st.booleans()) else x[:n]
+    return Signal(x, draw(st.sampled_from([1.0, 3.3, 5e5, 24e6]))), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=welch_cases())
+def test_welch_psd_is_byte_equal_to_the_per_call_reference(case):
+    sig, cfg = case
+    values, grid, k = oc.welch_reference(sig, cfg)
+    psd = welch_psd(sig, cfg)
+    assert psd.values.tobytes() == values.tobytes()
+    assert psd.freq_grid.tobytes() == grid.tobytes()
+    assert psd.k_windows == k
+
+
+def test_cached_setup_is_read_only_and_make_window_stays_fresh():
+    cfg = WelchConfig(32, 0.5, 64, "hamming")
+    x = np.random.default_rng(3).normal(size=400)
+    first = welch_psd(Signal(x, 1e3), cfg)
+    taper, _ = spectral._taper("hamming", 32)
+    index = spectral._frame_index(cfg.window_count(x.size), 32, cfg.step)
+    for cached in (taper, index, first.freq_grid, cfg.freq_grid(1e3)):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1
+    fresh, _ = make_window("hamming", 32)
+    assert fresh.flags.writeable and fresh is not taper
+    fresh[:] = 0.0
+    assert np.array_equal(make_window("hamming", 32)[0], taper)
+    assert welch_psd(Signal(x, 1e3), cfg).values.tobytes() == first.values.tobytes()
+
+
+def test_alternating_configs_and_rates_get_their_own_grids():
+    x = np.random.default_rng(4).normal(size=300)
+    configs = (WelchConfig(16, 0.5, 16), WelchConfig(16, 0.5, 33, "bartlett"),
+               WelchConfig(20, 0.0, 64, "rectangular", detrend_mean=False))
+    for _ in range(2):
+        for cfg in configs:
+            for fs in (1.0, 24e6, 5e5):
+                sig = Signal(x, fs)
+                values, grid, k = oc.welch_reference(sig, cfg)
+                psd = welch_psd(sig, cfg)
+                assert psd.freq_grid.tobytes() == grid.tobytes()
+                assert psd.values.tobytes() == values.tobytes()
+                assert psd.freq_grid is cfg.freq_grid(fs)
+
+
+def test_same_grid_by_identity_by_value_and_not_across_grids():
+    cfg = WelchConfig(8, 0.5, 16)
+    x = np.random.default_rng(6).normal(size=64)
+    a = welch_psd(Signal(x, 100.0), cfg)
+    b = welch_psd(Signal(2.0 * x, 100.0), cfg)
+    assert a.freq_grid is b.freq_grid and a.same_grid(b)
+    copy = PsdEstimate(values=b.values, freq_grid=np.array(b.freq_grid), config=cfg,
+                       k_windows=b.k_windows)
+    assert copy.freq_grid is not a.freq_grid
+    assert a.same_grid(copy) and copy.same_grid(a)
+    shifted = PsdEstimate(values=a.values, freq_grid=a.freq_grid + 1.0, config=cfg,
+                          k_windows=a.k_windows)
+    assert not a.same_grid(shifted)
+    assert not a.same_grid(welch_psd(Signal(x, 200.0), cfg))
+    # equal grid values under another config
+    assert not a.same_grid(welch_psd(Signal(x, 100.0), WelchConfig(8, 0.5, 16, "bartlett")))
