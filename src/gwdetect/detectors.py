@@ -14,6 +14,11 @@ Three PSD-based statistics with binary decision rules:
 A verdict is "damaged" as soon as any frequency inside the verdict band
 violates its bounds, so restrict the band to where the actuation actually put
 energy unless you want the multiple-comparison inflation of a full-grid test.
+
+The per-bin statistic (``_statistic``), its degrees of freedom (``_dof``) and
+its critical points (``_critical_points``) are defined here once: the scalar
+detectors are thin builders over them, and ``pipeline`` scores whole sets of
+cases with the same three definitions.
 """
 
 import warnings
@@ -64,7 +69,7 @@ class BaselineEnsemble:
         for p in psds[1:]:
             if not first.same_grid(p) or p.k_windows != first.k_windows:
                 raise ValueError("all ensemble members must share grid, config and K")
-        stack = np.stack([p.values for p in psds])
+        stack = np.array([p.values for p in psds])
         mean = stack.mean(axis=0)
         var = stack.var(axis=0, ddof=1) if len(psds) >= 2 else None
         return cls(psds=psds, mean_psd=mean, var_psd=var)
@@ -121,7 +126,7 @@ def _band_mask(freqs: np.ndarray, band) -> np.ndarray:
     if f_hi < f_lo:
         raise ValueError(f"band upper edge {f_hi} is below lower edge {f_lo}")
     mask = (freqs >= f_lo) & (freqs <= f_hi)
-    if not mask.any():
+    if not np.count_nonzero(mask):
         raise ValueError(f"band ({f_lo}, {f_hi}) Hz contains no grid frequency")
     return mask
 
@@ -136,24 +141,49 @@ def _check_pair(baseline: PsdEstimate, unknown: PsdEstimate):
         )
 
 
-def _ratio_series(kind: str, numer: np.ndarray, unknown: PsdEstimate, alpha: float,
-                  band, d1: int, d2: int) -> StatSeries:
-    alpha = validate_alpha(alpha)
-    freqs = unknown.freq_grid
-    mask = _band_mask(freqs, band)
-    denom = unknown.values
-    if (denom[mask] == 0.0).any():
-        bad = freqs[mask & (denom == 0.0)]
-        raise ValueError(
-            f"unknown PSD is zero inside the verdict band at {bad[0]:g} Hz"
-        )
+def _statistic(metric: str, ref: np.ndarray, probe: np.ndarray, var=None) -> np.ndarray:
+    """Per-bin statistic of PSD rows ``probe`` against ``ref``: the ratio, or for
+    ``z`` the deviation over ``sqrt(2 * var)`` (0 where it and ``var`` are 0)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = numer / denom
-    lower = f_quantile(alpha / 2.0, d1, d2)
-    upper = f_quantile(1.0 - alpha / 2.0, d1, d2)
+        if metric != "z":
+            return ref / probe
+        num = np.abs(ref - probe)
+        return np.where((var == 0.0) & (num == 0.0), 0.0, num / np.sqrt(2.0 * var))
+
+
+def _dof(metric: str, k_windows: int, m: int) -> dict:
+    """(2K, 2K) degrees of freedom for ``f``, (2KM, 2K) for ``fm``."""
+    d = 2 * k_windows
+    return {"dof1": d * m if metric == "fm" else d, "dof2": d}
+
+
+def _critical_points(metric: str, alpha: float, dof1: int = None, dof2: int = None) -> tuple:
+    """``(lower, upper)`` critical points at a validated alpha: two-sided F for
+    ``f``/``fm``, else 0 and the Normal point (times the healthy DI spread)."""
+    if metric in ("f", "fm"):
+        return f_quantile(alpha / 2.0, dof1, dof2), f_quantile(1.0 - alpha / 2.0, dof1, dof2)
+    return 0.0, normal_quantile(1.0 - alpha / 2.0)
+
+
+# A verdict is one reduction of the in-band values: ``fmin``/``fmax`` skip NaN
+# as the comparisons ``(v < lower).any()``/``(v > upper).any()`` would.  Zeros
+# in the unknown PSD or the baseline variance are looked for bin by bin only
+# when the minimum over the grid is not positive.
+
+def _ratio_series(metric: str, ref: np.ndarray, unknown: PsdEstimate, alpha, band,
+                  k_windows: int, m: int) -> StatSeries:
+    alpha = validate_alpha(alpha)
+    freqs, probe = unknown.freq_grid, unknown.values
+    mask = _band_mask(freqs, band)
+    if not np.minimum.reduce(probe) > 0.0 and (zero := mask & (probe == 0.0)).any():
+        raise ValueError(
+            f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz"
+        )
+    values = _statistic(metric, ref, probe)
+    lower, upper = _critical_points(metric, alpha, **_dof(metric, k_windows, m))
     in_band = values[mask]
-    damaged = bool((in_band < lower).any() or (in_band > upper).any())
-    return StatSeries(kind=kind, freqs=freqs, values=values,
+    damaged = np.fmin.reduce(in_band) < lower or np.fmax.reduce(in_band) > upper
+    return StatSeries(kind=metric, freqs=freqs, values=values,
                       lower_threshold=lower, upper_threshold=upper,
                       band=band, verdict=DAMAGED if damaged else HEALTHY)
 
@@ -167,9 +197,8 @@ def f_statistic(baseline_psd: PsdEstimate, unknown_psd: PsdEstimate, alpha,
     is damaged if any in-band frequency falls outside them.
     """
     _check_pair(baseline_psd, unknown_psd)
-    k = baseline_psd.k_windows
     return _ratio_series("f", baseline_psd.values, unknown_psd, alpha, band,
-                         2 * k, 2 * k)
+                         baseline_psd.k_windows, 1)
 
 
 def fm_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
@@ -179,9 +208,8 @@ def fm_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
     With M == 1 this reduces exactly to :func:`f_statistic`.
     """
     _check_pair(baseline.psds[0], unknown_psd)
-    k = baseline.k_windows
     return _ratio_series("fm", baseline.mean_psd, unknown_psd, alpha, band,
-                         2 * k * baseline.m, 2 * k)
+                         baseline.k_windows, baseline.m)
 
 
 def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
@@ -201,13 +229,9 @@ def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
         raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={baseline.m}")
     freqs = unknown_psd.freq_grid
     mask = _band_mask(freqs, band)
-    num = np.abs(baseline.mean_psd - unknown_psd.values)
     var = baseline.var_psd
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = num / np.sqrt(2.0 * var)
-    values = np.where((var == 0.0) & (num == 0.0), 0.0, values)
-    dead = mask & (var == 0.0)
-    if dead.any():
+    values = _statistic("z", baseline.mean_psd, unknown_psd.values, var)
+    if not np.minimum.reduce(var) > 0.0 and (dead := mask & (var == 0.0)).any():
         warnings.warn(
             "zero baseline variance at "
             f"{', '.join(f'{f:g}' for f in freqs[dead][:5])} Hz; "
@@ -218,8 +242,8 @@ def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
         mask = mask & ~dead
         if not mask.any():
             raise ValueError("every in-band bin has zero baseline variance")
-    upper = normal_quantile(1.0 - alpha / 2.0)
-    damaged = bool((values[mask] > upper).any())
+    _, upper = _critical_points("z", alpha)
+    damaged = np.fmax.reduce(values[mask]) > upper
     return StatSeries(kind="z", freqs=freqs, values=values,
                       lower_threshold=0.0, upper_threshold=upper,
                       band=band, verdict=DAMAGED if damaged else HEALTHY)

@@ -38,8 +38,8 @@ Gram matrix of the packets, each case with its p-value.
 decide: a case is damaged at alpha when ``p < alpha``, so one scoring pass
 serves every alpha and every metric it scored.  The curves ``detect`` plots
 (``statistic_curves``) use the same per-bin expressions and the critical
-points.  The scalar detectors stay public as the reference the array path is
-tested against.
+points.  Those definitions live in ``detectors``, where the scalar detectors
+build on them too; the tests hold both paths equal to call-by-call oracles.
 """
 
 import math
@@ -50,9 +50,10 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import fmt, read_signal
-from .detectors import DAMAGED, HEALTHY, BaselineEnsemble, _band_mask
+from .detectors import (DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _critical_points,
+                        _dof, _statistic)
 from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
-from .statdist import _f_tails, _normal_two_sided, f_quantile, normal_quantile, validate_alpha
+from .statdist import _f_tails, _normal_two_sided, validate_alpha
 
 __all__ = [
     "METRICS",
@@ -411,14 +412,6 @@ class PathScores:
         return {s.set_id: s.ensemble.m for s in self.sets}
 
 
-def _critical_points(metric: str, alpha: float, dof1: int, dof2: int) -> tuple:
-    """``(lower, upper)`` critical points at a validated alpha: two-sided F for
-    ``f``/``fm``, else 0 and the Normal point (times the healthy DI spread)."""
-    if metric in ("f", "fm"):
-        return f_quantile(alpha / 2.0, dof1, dof2), f_quantile(1.0 - alpha / 2.0, dof1, dof2)
-    return 0.0, normal_quantile(1.0 - alpha / 2.0)
-
-
 def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,
              spread=1.0) -> np.ndarray:
     """Two-sided p-value of each of one set's cases, so that ``p < alpha`` is
@@ -443,16 +436,6 @@ def _pairs(outer: np.ndarray, inner: np.ndarray):
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _statistic(metric: str, ref: np.ndarray, probe: np.ndarray, var=None) -> np.ndarray:
-    """Per-bin statistic of PSD rows ``probe`` against ``ref``: the ratio, or for
-    ``z`` the deviation over ``sqrt(2 * var)`` (0 where it and ``var`` are 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if metric != "z":
-            return ref / probe
-        num = np.abs(ref - probe)
-        return np.where((var == 0.0) & (num == 0.0), 0.0, num / np.sqrt(2.0 * var))
-
-
 def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, probe):
     """Min and max over the in-band bins of each (ref, probe) row pair's statistic,
     ``z`` skipping zero-variance bins; fails as the scalar detectors would."""
@@ -473,12 +456,6 @@ def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, 
         values = _statistic(metric, inband[ref[k:k + step]], inband[probe[k:k + step]], var)
         lo[k:k + step], hi[k:k + step] = values.min(axis=1), values.max(axis=1)
     return lo, hi
-
-
-def _dof(metric: str, ens: BaselineEnsemble) -> dict:
-    """(2K, 2K) degrees of freedom for ``f``, (2KM, 2K) for ``fm``."""
-    d = 2 * ens.k_windows
-    return {"dof1": d * ens.m if metric == "fm" else d, "dof2": d}
 
 
 def _di_values(metric: str, gram: np.ndarray, sums: np.ndarray, ref, probe) -> np.ndarray:
@@ -502,7 +479,7 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     the set's stacked in-band PSD bins and packets, with each case's p-value.
 
     Cases come in the order, and failures with the messages, of scoring each
-    case with the scalar detectors, which stay the reference.
+    case with the scalar detectors.
     """
     ens, entries = loaded.ensemble, loaded.entries
     mask = _band_mask(ens.freq_grid, band)
@@ -548,7 +525,7 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
                                           (np.full(probes.size, len(entries)), probes, probe_cols))
             lo, hi = _extrema(metric, ens, inband, mask, ref_rows, probe_rows)
             stats = ({"stat_hi": hi} if metric == "z" else
-                     {"stat_lo": lo, "stat_hi": hi, **_dof(metric, ens)})
+                     {"stat_lo": lo, "stat_hi": hi, **_dof(metric, ens.k_windows, ens.m)})
         out[metric] = {**cols, **stats, "p": _p_value(metric, **stats)}
     return out
 
@@ -608,7 +585,8 @@ def statistic_curves(loaded: LoadedSet, metrics, alphas):
     alphas = [validate_alpha(a) for a in alphas]
     for metric in (m for m in metrics if m not in _DI_METRICS):
         ref = ens.psds[0].values if metric == "f" else ens.mean_psd
-        bounds = [_critical_points(metric, a, **_dof(metric, ens)) for a in alphas]
+        dof = _dof(metric, ens.k_windows, ens.m)
+        bounds = [_critical_points(metric, a, **dof) for a in alphas]
         for i, j in enumerate(loaded.inspect):
             curve = _statistic(metric, ref, loaded.psds[j].values, ens.var_psd)
             yield from ((metric, i, a, curve, lo, hi) for a, (lo, hi) in zip(alphas, bounds))

@@ -226,6 +226,9 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
         if any(c in spec.label for c in _NOT_IN_LABEL):
             raise ValueError(f"damage label {spec.label!r} is not a plain file-name part "
                              "(it holds '/', '\\', ',' or NUL)")
+        if spec.label == IDENTITY_DAMAGE.label:
+            raise ValueError(f"damage label {spec.label!r} is the baseline label; "
+                             "its records would be read as baselines")
     names = [f"baseline_{i:03d}" for i in range(n_baseline)]
     damages = [IDENTITY_DAMAGE] * n_baseline
     for spec in damage_specs:
@@ -260,7 +263,7 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     band = (max(burst.center_freq - 2.0 * burst.bandwidth, 0.0),
             min(burst.center_freq + 2.0 * burst.bandwidth, burst.sample_rate / 2.0))
     manifest = DatasetManifest(entries=entries, sample_rate=burst.sample_rate,
-                               baseline_label="healthy", packet_windows=windows,
+                               baseline_label=IDENTITY_DAMAGE.label, packet_windows=windows,
                                band=band, base_dir=out_dir)
     manifest.validate()
     manifest.save(out_dir / "manifest.csv")

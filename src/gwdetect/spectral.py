@@ -9,11 +9,13 @@ integrating the returned values over the frequency grid recovers the
 mean-square power of the (detrended) input.
 
 Everything ``welch_psd`` needs besides the samples depends on the config
-alone: the taper, the index that gathers the ``K`` frames, and the frequency
-grid.  Each is built once per config (a small bounded cache per process) and
-is read-only, so every estimate of one config and sample rate carries the
-same grid array, and ``PsdEstimate.same_grid`` compares such grids by
-identity.  ``make_window`` still returns a fresh, writable taper.
+and the record length alone.  One plan per ``(config, n_samples)`` holds
+``K``, the taper and its ``U``, and the index that gathers the ``K`` frames;
+one grid per ``(nfft, sample_rate)`` holds the frequencies.  Both come from
+small bounded caches and are read-only, so a call looks its set-up up once,
+every estimate of one config and sample rate carries the same grid array, and
+``PsdEstimate.same_grid`` compares such grids by identity.  ``make_window``
+still returns a fresh, writable taper.
 """
 
 import math
@@ -150,9 +152,12 @@ class PsdEstimate:
             raise ValueError("values and freq_grid must be 1-D arrays of equal length")
         if values.size != self.config.nfft // 2 + 1:
             raise ValueError("values length must be nfft//2 + 1")
-        if not np.isfinite(values).all():
+        # min and max hold every value check: NaN propagates into both, an
+        # infinity shows at one end, and a negative value at the low end
+        lo, hi = np.minimum.reduce(values), np.maximum.reduce(values)
+        if not (-math.inf < lo and hi < math.inf):
             raise ValueError("PSD values must be finite")
-        if (values < 0.0).any():
+        if lo < 0.0:
             raise ValueError("PSD values must be nonnegative")
         if int(self.k_windows) < 1:
             raise ValueError("k_windows must be >= 1")
@@ -166,7 +171,7 @@ class PsdEstimate:
         return float(self.freq_grid[1] - self.freq_grid[0]) if self.freq_grid.size > 1 else 0.0
 
     def same_grid(self, other: "PsdEstimate") -> bool:
-        return (self.config == other.config
+        return ((self.config is other.config or self.config == other.config)
                 and (self.freq_grid is other.freq_grid
                      or np.array_equal(self.freq_grid, other.freq_grid)))
 
@@ -195,26 +200,34 @@ def make_window(kind: str, length: int):
     return w, u
 
 
-# The caches below are keyed on config values only.  Their sizes bound what
-# a process keeps: one command uses one or two configs, and a miss only
-# rebuilds what every call built before.
+# The caches below are keyed on config values and record lengths only.
+# Their sizes bound what a process keeps: one command uses one or two configs
+# and record lengths, and a miss only rebuilds what every call built before.
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-@lru_cache(maxsize=16)
-def _taper(kind: str, length: int):
-    """``make_window(kind, length)``, built once and read-only."""
-    w, u = make_window(kind, length)
-    return _read_only(w), u
+class _WelchPlan(NamedTuple):
+    """The set-up of ``welch_psd`` for one config and record length."""
+
+    k: int                # windows averaged
+    taper: np.ndarray     # None for the all-ones taper, which changes no frame
+    u: float              # mean squared taper value
+    index: np.ndarray     # row i gathers samples i*step ... i*step+L-1
 
 
 @lru_cache(maxsize=8)
-def _frame_index(k: int, length: int, step: int) -> np.ndarray:
-    """Sample index of every frame: row ``i`` is ``i*step ... i*step+length-1``."""
-    return _read_only((np.arange(k) * step)[:, None] + np.arange(length))
+def _plan(config: "WelchConfig", n_samples: int) -> _WelchPlan:
+    k = config.window_count(n_samples)
+    L = config.segment_length
+    w, u = make_window(config.window_kind, L)
+    if u == 0.0:
+        raise ValueError("window has zero energy; pick a longer bartlett window")
+    taper = None if config.window_kind == "rectangular" else _read_only(w)
+    index = (np.arange(k) * config.step)[:, None] + np.arange(L)
+    return _WelchPlan(k, taper, u, _read_only(index))
 
 
 @lru_cache(maxsize=16)
@@ -233,18 +246,17 @@ def welch_psd(signal: Signal, config: WelchConfig) -> PsdEstimate:
         estimate.
     """
     seg = signal.samples
-    L = config.segment_length
-    k = config.window_count(seg.size)
-    w, u = _taper(config.window_kind, L)
-    if u == 0.0:
-        raise ValueError("window has zero energy; pick a longer bartlett window")
+    k, taper, u, index = _plan(config, seg.size)
     if config.detrend_mean:
         seg = seg - seg.mean()
 
-    frames = seg[_frame_index(k, L, config.step)]
-    frames *= w
+    frames = seg[index]
+    if taper is not None:
+        frames *= taper
     spec = np.fft.rfft(frames, n=config.nfft, axis=1)
-    values = (np.abs(spec) ** 2).sum(axis=0) / (k * L * u * signal.sample_rate)
+    power = np.abs(spec)
+    values = np.add.reduce(np.square(power, out=power), axis=0)
+    values /= k * config.segment_length * u * signal.sample_rate
     # one-sided doubling: interior bins only (DC never; Nyquist exists for even nfft)
     if config.nfft % 2 == 0:
         values[1:-1] *= 2.0

@@ -3,19 +3,24 @@
 Each oracle recomputes a quantity through a route the library never takes:
 direct summation for window normalization, an explicit DFT-matrix
 periodogram average for the PSD, a per-call strided-view Welch estimate
-(what the cached frame index must reproduce byte for byte), Gauss-Legendre quadrature of the densities
-plus bisection for quantiles, a rank-count AUC, and a per-case decision from
-critical points where the library compares p-values.  Keep them slow and
-obvious.
+(what the cached Welch plan must reproduce byte for byte), Gauss-Legendre
+quadrature of the densities plus bisection for quantiles, a rank-count AUC,
+a per-case decision from critical points where the library compares
+p-values, and the ``f``/``fm``/``z`` detectors and ensemble moments written
+out call by call, with every comparison over a boolean mask (what the
+shared statistic and its min/max verdicts must reproduce byte for byte).
+Keep them slow and obvious.
 """
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from gwdetect.pipeline import _critical_points
+from gwdetect.detectors import _critical_points
 from gwdetect.spectral import make_window
+from gwdetect.statdist import f_quantile, normal_quantile, validate_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,90 @@ def welch_reference(signal, config):
         values[1:] *= 2.0
     grid = np.arange(config.nfft // 2 + 1) * (signal.sample_rate / config.nfft)
     return values, grid, k
+
+
+# ---------------------------------------------------------------------------
+# scalar detectors, one call at a time
+# ---------------------------------------------------------------------------
+
+def ensemble_moments_reference(psds):
+    """``(mean, var)`` of ``BaselineEnsemble.from_psds(psds)``: the stacked
+    members' mean, and their unbiased variance (``None`` for one member)."""
+    stack = np.stack([p.values for p in psds])
+    return stack.mean(axis=0), (stack.var(axis=0, ddof=1) if len(psds) >= 2 else None)
+
+
+def _band_mask_reference(freqs, band):
+    if band is None:
+        return np.ones(freqs.size, dtype=bool)
+    f_lo, f_hi = float(band[0]), float(band[1])
+    if f_hi < f_lo:
+        raise ValueError(f"band upper edge {f_hi} is below lower edge {f_lo}")
+    mask = (freqs >= f_lo) & (freqs <= f_hi)
+    if not mask.any():
+        raise ValueError(f"band ({f_lo}, {f_hi}) Hz contains no grid frequency")
+    return mask
+
+
+def _ratio_reference(numer, unknown, alpha, band, d1, d2):
+    alpha = validate_alpha(alpha)
+    freqs = unknown.freq_grid
+    mask = _band_mask_reference(freqs, band)
+    denom = unknown.values
+    if (denom[mask] == 0.0).any():
+        bad = freqs[mask & (denom == 0.0)]
+        raise ValueError(f"unknown PSD is zero inside the verdict band at {bad[0]:g} Hz")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = numer / denom
+    lower = f_quantile(alpha / 2.0, d1, d2)
+    upper = f_quantile(1.0 - alpha / 2.0, d1, d2)
+    in_band = values[mask]
+    damaged = bool((in_band < lower).any() or (in_band > upper).any())
+    return values, lower, upper, "damaged" if damaged else "healthy"
+
+
+def f_reference(baseline_psd, unknown_psd, alpha, band=None):
+    """``(values, lower, upper, verdict)`` of ``f_statistic``, for inputs
+    that share grid, config and K."""
+    d = 2 * baseline_psd.k_windows
+    return _ratio_reference(baseline_psd.values, unknown_psd, alpha, band, d, d)
+
+
+def fm_reference(psds, unknown_psd, alpha, band=None):
+    """``fm_statistic`` of ``unknown_psd`` against the ensemble of ``psds``."""
+    d = 2 * psds[0].k_windows
+    mean, _ = ensemble_moments_reference(psds)
+    return _ratio_reference(mean, unknown_psd, alpha, band, d * len(psds), d)
+
+
+def z_reference(psds, unknown_psd, alpha, band=None):
+    """``z_statistic`` of ``unknown_psd`` against the ensemble of ``psds``,
+    warning as it does about in-band zero-variance bins."""
+    alpha = validate_alpha(alpha)
+    if len(psds) < 2:
+        raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={len(psds)}")
+    freqs = unknown_psd.freq_grid
+    mask = _band_mask_reference(freqs, band)
+    mean, var = ensemble_moments_reference(psds)
+    num = np.abs(mean - unknown_psd.values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = num / np.sqrt(2.0 * var)
+    values = np.where((var == 0.0) & (num == 0.0), 0.0, values)
+    dead = mask & (var == 0.0)
+    if dead.any():
+        warnings.warn(
+            "zero baseline variance at "
+            f"{', '.join(f'{f:g}' for f in freqs[dead][:5])} Hz; "
+            "these bins are excluded from the verdict",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        mask = mask & ~dead
+        if not mask.any():
+            raise ValueError("every in-band bin has zero baseline variance")
+    upper = normal_quantile(1.0 - alpha / 2.0)
+    damaged = bool((values[mask] > upper).any())
+    return values, 0.0, upper, "damaged" if damaged else "healthy"
 
 
 # ---------------------------------------------------------------------------

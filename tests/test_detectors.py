@@ -1,7 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as oc
 from gwdetect.detectors import (
@@ -357,3 +360,128 @@ def test_alpha_one_collapses_thresholds_and_bands():
     assert np.array_equal(band.lower, mean) and np.array_equal(band.upper, mean)
     theo = theoretical_band(white_psd(rng), 1.0)
     assert np.array_equal(theo.lower, theo.upper)
+
+
+# ---------------------------------------------------------------------------
+# every check and message, and byte equality with the call-by-call oracles
+# ---------------------------------------------------------------------------
+
+def test_from_psds_checks_name_their_rule():
+    rng = np.random.default_rng(17)
+    a = white_psd(rng)
+    with pytest.raises(ValueError, match="ensemble needs at least one PSD estimate"):
+        BaselineEnsemble.from_psds([])
+    x = rng.normal(size=288)
+    others = (
+        welch_psd(Signal(x, 2.0 * FS), CFG),                                     # grid
+        welch_psd(Signal(x, FS), WelchConfig(32, 0.0, 32, "rectangular")),      # config
+        white_psd(rng, k=5),                                                     # K
+    )
+    for other in others:
+        with pytest.raises(ValueError, match="all ensemble members must share grid, config and K"):
+            BaselineEnsemble.from_psds([a, white_psd(rng), other])
+
+
+def test_scalar_detector_checks_name_their_rule():
+    rng = np.random.default_rng(18)
+    ens = BaselineEnsemble.from_psds([white_psd(rng) for _ in range(4)])
+    dead = ens.psds[1].values.copy()
+    dead[[4, 6]] = 0.0
+    unknown = psd_like(ens.psds[1], dead)
+    f4 = ens.freq_grid[4]
+    message = f"unknown PSD is zero inside the verdict band at {f4:g} Hz"
+    for series in (lambda: f_statistic(ens.psds[0], unknown, 0.05),
+                   lambda: fm_statistic(ens, unknown, 0.05, (f4, ens.freq_grid[9]))):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series()
+    with pytest.raises(ValueError, match="z_statistic needs at least 2 baseline PSDs, got M=1"):
+        z_statistic(BaselineEnsemble.from_psds(ens.psds[:1]), ens.psds[1], 0.05)
+
+    # identical members; with M a power of 2 their mean is exact, so the variance is 0
+    flat = BaselineEnsemble.from_psds([psd_like(ens.psds[0], ens.psds[0].values.copy())
+                                       for _ in range(4)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="every in-band bin has zero baseline variance"):
+            z_statistic(flat, ens.psds[1], 0.05)
+    grid = ens.freq_grid
+    expected = (f"zero baseline variance at {', '.join(f'{f:g}' for f in grid[:5])} Hz; "
+                "these bins are excluded from the verdict")
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, expected)]
+    assert caught[0].filename == __file__  # the warning names the caller
+
+    values = [p.values.copy() for p in ens.psds]
+    for v in values:
+        v[[2, 7]] = 1.0
+    partial = BaselineEnsemble.from_psds([psd_like(ens.psds[0], v) for v in values])
+    message = (f"zero baseline variance at {grid[2]:g}, {grid[7]:g} Hz; "
+               "these bins are excluded from the verdict")
+    with pytest.warns(RuntimeWarning, match=re.escape(message)):
+        series = z_statistic(partial, ens.psds[1], 0.05)
+    assert series.verdict in (HEALTHY, DAMAGED)
+
+
+@st.composite
+def detector_cases(draw):
+    """A baseline ensemble of M members and an unknown PSD on one grid, with
+    zero-variance bins, zeros in the unknown and the unknown on the mean in
+    some bins, a full, narrow or wide band, and alpha up to 1."""
+    cfg = WelchConfig(8, 0.5, draw(st.sampled_from([8, 9, 16])), "rectangular")
+    grid = cfg.freq_grid(draw(st.sampled_from([1.0, 5e5])))
+    n, k, m = grid.size, draw(st.sampled_from([1, 3, 9])), draw(st.sampled_from([1, 2, 15]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    truth = rng.exponential(1.0, n) * draw(st.sampled_from([1e-30, 1.0, 1e30]))
+    members = truth * rng.chisquare(2 * k, (m, n)) / (2 * k)
+    bins = st.lists(st.integers(0, n - 1), max_size=n)
+    members[:, draw(bins)] = truth[0]                  # zero variance
+    members[:, draw(bins)] = 0.0                       # zero variance on zero power
+    unknown = truth * rng.chisquare(2 * k, n) / (2 * k)
+    unknown[draw(bins)] = 0.0
+    on_mean = draw(bins)
+    unknown[on_mean] = members.mean(axis=0)[on_mean]
+    band = draw(st.one_of(
+        st.none(),
+        st.integers(0, n - 1).map(lambda i: (grid[i], grid[i])),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+            lambda ij: (grid[min(ij)], grid[max(ij)])),
+    ))
+    alpha = draw(st.one_of(st.sampled_from([1.0, 0.5, 0.05, 1e-6]),
+                           st.floats(1e-9, 1.0, exclude_min=True)))
+    psds = [PsdEstimate(values=v, freq_grid=grid, config=cfg, k_windows=k) for v in members]
+    # a grid equal by value, or the very same array
+    probe_grid = np.array(grid) if draw(st.booleans()) else grid
+    return psds, PsdEstimate(unknown, probe_grid, cfg, k), alpha, band
+
+
+def _outcome(detector, *args):
+    """What a call gives back: the values' bytes, thresholds and verdict, or
+    the error message; and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = detector(*args)
+        except ValueError as exc:
+            out = str(exc)
+        else:
+            if isinstance(out, tuple):
+                out = (out[0].tobytes(), *out[1:])
+            else:
+                out = (out.values.tobytes(), out.lower_threshold, out.upper_threshold,
+                       out.verdict)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=detector_cases())
+def test_scalar_detectors_are_byte_equal_to_the_call_by_call_oracles(case):
+    psds, unknown, alpha, band = case
+    ens = BaselineEnsemble.from_psds(psds)
+    mean, var = oc.ensemble_moments_reference(psds)
+    assert ens.mean_psd.tobytes() == mean.tobytes()
+    assert (ens.var_psd is None) if var is None else (ens.var_psd.tobytes() == var.tobytes())
+    for detector, oracle, baseline in ((f_statistic, oc.f_reference, psds[0]),
+                                       (fm_statistic, oc.fm_reference, ens),
+                                       (z_statistic, oc.z_reference, ens)):
+        expected = _outcome(oracle, baseline if detector is f_statistic else psds,
+                            unknown, alpha, band)
+        assert _outcome(detector, baseline, unknown, alpha, band) == expected, detector

@@ -331,7 +331,7 @@ def test_p_values_lie_in_unit_interval_and_decide(ladder_dataset, bench_welch):
 
 
 def test_decisions_solve_no_quantile(ladder_dataset, bench_welch, monkeypatch):
-    import gwdetect.pipeline as pipeline
+    import gwdetect.detectors as detectors
     import gwdetect.statdist as statdist
 
     scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
@@ -344,7 +344,7 @@ def test_decisions_solve_no_quantile(ladder_dataset, bench_welch, monkeypatch):
             return real(*args)
         return wrapper
 
-    for module in (pipeline, statdist):
+    for module in (detectors, statdist):
         for name in ("f_quantile", "normal_quantile"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for alpha in (1e-6, 0.01, 0.05, 1.0):

@@ -160,6 +160,7 @@ def test_synth_dataset_rejects_two_records_with_one_name(tmp_path, labels, twice
     ("a\\b", "not a plain file-name part"),
     ("a,b", "not a plain file-name part"),
     ("a\0b", "not a plain file-name part"),
+    ("healthy", "'healthy' is the baseline label"),
 ])
 def test_synth_dataset_checks_every_label_before_writing(tmp_path, label, message):
     specs = [DamageSpec(0.9, label="ok"), DamageSpec(0.5, label=label)]

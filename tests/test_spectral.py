@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -165,10 +167,73 @@ def test_theoretical_moments_requires_bartlett():
 def test_psd_estimate_invariants():
     cfg = WelchConfig(8, 0.5, 16)
     grid = cfg.freq_grid(100.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="PSD values must be nonnegative"):
         PsdEstimate(values=-np.ones(9), freq_grid=grid, config=cfg, k_windows=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="values and freq_grid must be 1-D arrays of equal"):
         PsdEstimate(values=np.ones(5), freq_grid=grid, config=cfg, k_windows=3)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([1.0, np.nan, 2.0], "samples must all be finite"),
+    ([1.0, np.inf], "samples must all be finite"),
+    ([-np.inf, 1.0], "samples must all be finite"),
+    (np.ones((2, 3)), "samples must be a nonempty 1-D sequence"),
+    (3.0, "samples must be a nonempty 1-D sequence"),
+    ([], "samples must be a nonempty 1-D sequence"),
+])
+def test_signal_checks_name_their_rule(samples, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Signal(samples, 1.0)
+
+
+def _with_bins(bins):
+    values = np.ones(9)
+    for i, v in bins.items():
+        values[i] = v
+    return values
+
+
+@pytest.mark.parametrize("values, message", [
+    (_with_bins({3: np.nan}), "PSD values must be finite"),
+    (_with_bins({0: np.inf}), "PSD values must be finite"),
+    (_with_bins({8: -np.inf}), "PSD values must be finite"),
+    # finiteness is tested before sign
+    (_with_bins({1: -1.0, 5: np.nan}), "PSD values must be finite"),
+    (_with_bins({1: -1.0, 5: np.inf}), "PSD values must be finite"),
+    (_with_bins({4: -1.0}), "PSD values must be nonnegative"),
+    (_with_bins({4: -5e-324}), "PSD values must be nonnegative"),
+    (np.ones(8), "values and freq_grid must be 1-D arrays of equal length"),
+    (np.ones((1, 9)), "values and freq_grid must be 1-D arrays of equal length"),
+])
+def test_psd_estimate_checks_name_their_rule(values, message):
+    cfg = WelchConfig(8, 0.5, 16)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PsdEstimate(values=values, freq_grid=cfg.freq_grid(100.0), config=cfg, k_windows=3)
+
+
+def test_psd_estimate_length_and_window_count_checks():
+    cfg = WelchConfig(8, 0.5, 16)
+    short_grid = np.arange(5.0)
+    with pytest.raises(ValueError, match=re.escape("values length must be nfft//2 + 1")):
+        PsdEstimate(values=np.ones(5), freq_grid=short_grid, config=cfg, k_windows=3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k_windows must be >= 1"):
+            PsdEstimate(values=np.ones(9), freq_grid=cfg.freq_grid(100.0), config=cfg,
+                        k_windows=k)
+    # zeros, negative zeros and the largest float are all valid PSD values
+    edge = _with_bins({0: 0.0, 1: -0.0, 2: np.finfo(float).max})
+    psd = PsdEstimate(values=edge, freq_grid=cfg.freq_grid(100.0), config=cfg, k_windows=1)
+    assert psd.values.tobytes() == edge.tobytes()
+
+
+def test_welch_psd_output_can_fail_the_finite_check():
+    # the squared DFT of a finite record can overflow, so the estimate that
+    # welch_psd builds is checked like any other
+    x = np.random.default_rng(9).normal(size=144)
+    cfg = WelchConfig(16, 0.0, 16, "rectangular", detrend_mean=False)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="PSD values must be finite"):
+        welch_psd(Signal(1e200 * x, 1.0), cfg)
+    assert np.isfinite(welch_psd(Signal(1e100 * x, 1.0), cfg).values).all()
 
 
 @st.composite
@@ -204,8 +269,10 @@ def test_cached_setup_is_read_only_and_make_window_stays_fresh():
     cfg = WelchConfig(32, 0.5, 64, "hamming")
     x = np.random.default_rng(3).normal(size=400)
     first = welch_psd(Signal(x, 1e3), cfg)
-    taper, _ = spectral._taper("hamming", 32)
-    index = spectral._frame_index(cfg.window_count(x.size), 32, cfg.step)
+    plan = spectral._plan(cfg, x.size)
+    taper, index = plan.taper, plan.index
+    assert plan.k == cfg.window_count(x.size) == first.k_windows
+    assert spectral._plan(WelchConfig(32, 0.5, 64, "hamming"), x.size) is plan
     for cached in (taper, index, first.freq_grid, cfg.freq_grid(1e3)):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
