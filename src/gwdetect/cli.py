@@ -31,6 +31,12 @@ names the flag, or the config file and ``[section] key``, it came from; every
 option is checked before any record is read.  Scores, decisions and ``stat_*``
 curves come from ``pipeline``; ``_write_curve`` writes every curve file.
 
+A curve file is one row per frequency of the Welch grid.  Its fixed text (the
+header, the formatted frequencies and any constant threshold columns) is built
+once per set, or per set, metric and alpha for ``stat_*`` files, as a template
+with a ``%.12g`` slot for each value; ``_write_curve`` fills a file's values
+in with one ``%``.
+
 ``simulate`` and the curve files of ``detect`` and ``psd`` are written on every
 CPU the process may run on (``dataio.fan_out``); ``taskset -c 0`` runs them on
 one, and the outputs are the same bytes either way.  Reports, verdicts and
@@ -294,33 +300,41 @@ def _psd_curves(rc: RunConfig):
     man = rc.manifest
     alpha = rc.alphas[0]
     for path in rc.paths:
-        set_ids = [rc.set_id] if rc.set_id else man.sets_for(path)
+        set_ids = [rc.set_id] if rc.set_id is not None else man.sets_for(path)
         for s in set_ids:
             loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
-            freq_col = _freq_column(loaded.ensemble.freq_grid)
+            freqs = loaded.ensemble.freq_grid
+            psd_rows = _curve_template("freq,psd", freqs, None)
+            band_rows = _curve_template("freq,lower,upper", freqs, None, None)
             # file index: the record's position among all entries of the path
             index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
             for i, entry, psd in zip(index, loaded.entries, loaded.psds):
                 stem = _slug(Path(entry.file).stem)
                 yield (rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                       "freq,psd", freq_col, psd.values)
+                       psd_rows, psd.values)
             for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
                           experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
                 yield (rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
-                       "freq,lower,upper", freq_col, bandc.lower, bandc.upper)
+                       band_rows, bandc.lower, bandc.upper)
 
 
-def _freq_column(freqs) -> list:
-    """The formatted frequency column shared by every curve on one grid."""
-    return [fmt(f) for f in freqs.tolist()]
+def _curve_template(header: str, freqs, *columns) -> str:
+    """The text of a plot-ready curve CSV with a ``%.12g`` slot for each value
+    still to come: ``header``, then one row per frequency of ``freqs``
+    holding the formatted frequency and each column.  A column is ``None``
+    for an array that ``_write_curve`` fills in, or one value for every row.
+    The fixed text has its ``%`` escaped."""
+    row = "".join(",%.12g" if c is None else f",{c:.12g}".replace("%", "%%")
+                  for c in columns) + "\n"
+    cells = [fmt(f).replace("%", "%%") for f in freqs.tolist()]
+    return header.replace("%", "%%") + "\n" + row.join([*cells, ""])
 
 
-def _write_curve(path: Path, header: str, freq_col: list, *columns) -> None:
-    """One plot-ready curve CSV: ``header``, then a row per frequency of the
-    formatted frequency and each column, an array or one value for every row."""
-    row = "%s" + "".join(",%.12g" if np.ndim(c) else f",{c:.12g}" for c in columns)
-    cells = [c.tolist() for c in columns if np.ndim(c)]
-    _write(path, "\n".join([header, *(row % r for r in zip(freq_col, *cells))]) + "\n")
+def _write_curve(path: Path, template: str, *columns) -> None:
+    """Write a ``_curve_template`` with its array columns filled in, row by
+    row, by one ``%``; a column of another length than the grid raises."""
+    values = columns[0] if len(columns) == 1 else np.column_stack(columns).ravel()
+    _write(path, template % tuple(values.tolist()))
 
 
 def cmd_detect(args) -> int:
@@ -349,12 +363,16 @@ def _detect_outputs(rc: RunConfig, reports: list):
             lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
         for loaded in scores.sets:
-            freq_col = _freq_column(loaded.ensemble.freq_grid)
-            for metric, i, alpha, curve, lo, hi in statistic_curves(loaded, rc.metrics, rc.alphas):
-                stem = _slug(Path(loaded.entries[loaded.inspect[i]].file).stem)
-                yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
-                       f"_{i:03d}_{stem}_a{fmt(alpha)}.csv",
-                       "freq,value,lower,upper", freq_col, curve, lo, hi)
+            freqs = loaded.ensemble.freq_grid
+            stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
+            for metric, bounds, curves in statistic_curves(loaded, rc.metrics, rc.alphas):
+                templates = [(fmt(alpha), _curve_template("freq,value,lower,upper", freqs,
+                                                          None, lo, hi))
+                             for alpha, lo, hi in bounds]
+                for i, (stem, curve) in enumerate(zip(stems, curves)):
+                    for tag, template in templates:
+                        yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
+                               f"_{i:03d}_{stem}_a{tag}.csv", template, curve)
 
 
 def _parse_alpha_grid(text):

@@ -15,7 +15,10 @@ The text file is the reference.  ``write_signal`` also leaves its parsed form
 in ``<dir>/__gwcache__/<file name>.npy``: the SHA-256 of the text bytes, then
 an ``.npy`` payload of the samples.  ``read_signal`` loads that payload only
 while its digest matches the file's current bytes, and parses the text in
-every other case, so deleting a sidecar is always safe.
+every other case, so deleting a sidecar is always safe.  It reads each file
+once: the text's bytes serve the header, the digest and, only when no
+sidecar serves, the parse; the sidecar comes in one read, its header parsed
+by NumPy once per distinct header, and its samples are taken from the bytes.
 
 ``fan_out`` runs a batch of independent file writes in forked worker
 processes, one for each CPU the process may run on.  ``simulate`` and the
@@ -23,6 +26,8 @@ processes, one for each CPU the process may run on.  ``simulate`` and the
 one worker or many, and ``taskset -c 0`` runs them on one.
 """
 
+import functools
+import io
 import math
 import os
 from collections import deque
@@ -36,6 +41,8 @@ from .spectral import Signal, _checked_rate
 __all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
 
 _SIDECAR_DIR = "__gwcache__"
+# Bytes of the header length after the 8-byte magic, by .npy major version.
+_NPY_LENGTH_WIDTH = {b"\x01": 2, b"\x02": 4}
 # Tasks per round trip to a worker.  A trip costs the parent 0.1-0.2 ms, a
 # large share of the ~0.7 ms that writing one 1001-row curve file takes, so
 # single tasks would leave the workers waiting on the parent.
@@ -74,27 +81,32 @@ def write_signal(path, signal: Signal) -> None:
 
 def read_signal(path) -> Signal:
     """Read a signal file; a malformed one raises ValueError naming the file
-    and, where it can be told, the line."""
+    and, where it can be told, the line.
+
+    The file is read once.  Its bytes give the header, the digest a sidecar
+    must match and, only when no sidecar serves, the text that is parsed; the
+    sidecar is read in one call as well."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        second = fh.readline().strip()
-        if not first.startswith("sample_rate,") or not second.startswith("label,"):
-            raise ValueError(f"{path}: expected a two-line sample_rate/label header")
-        rate = first.split(",", 1)[1]
+    data = path.read_bytes()
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # decodes as it is read
+    first = fh.readline().strip()
+    second = fh.readline().strip()
+    if not first.startswith("sample_rate,") or not second.startswith("label,"):
+        raise ValueError(f"{path}: expected a two-line sample_rate/label header")
+    rate = first.split(",", 1)[1]
+    try:
+        sample_rate = _checked_rate(rate)
+    except ValueError:
+        raise ValueError(f"{path}:1: sample_rate {rate!r} is not a finite number > 0") from None
+    label = second.split(",", 1)[1]
+    samples = _stored_samples(path, data)
+    if samples is None:
         try:
-            sample_rate = _checked_rate(rate)
+            samples = np.loadtxt(fh, dtype=float, ndmin=1)
         except ValueError:
-            raise ValueError(f"{path}:1: sample_rate {rate!r} is not a finite number > 0") from None
-        label = second.split(",", 1)[1]
-        samples = _stored_samples(path)
-        if samples is None:
-            try:
-                samples = np.loadtxt(fh, dtype=float, ndmin=1)
-            except ValueError:
-                samples = None
+            samples = None
     if samples is None or not np.isfinite(samples).all():
-        raise ValueError(f"{path}:{_bad_sample(path)} is not a finite number")
+        raise ValueError(f"{path}:{_bad_sample(data)} is not a finite number")
     try:
         return Signal(samples=samples, sample_rate=sample_rate, label=label)
     except ValueError as exc:
@@ -188,31 +200,53 @@ def _sidecar(path: Path) -> Path:
     return path.parent / _SIDECAR_DIR / f"{path.name}.npy"
 
 
-def _stored_samples(path: Path):
+def _stored_samples(path: Path, text: bytes):
     """The samples ``write_signal`` stored beside ``path``, or ``None`` when
-    there is no sidecar, it was written for other bytes than the file holds
-    now, or it is unreadable or not a 1-D float64 array."""
+    there is no sidecar, it was written for other bytes than ``text``, the
+    file's bytes now, or it does not hold a 1-D float64 ``.npy`` payload
+    (version 1.0 or 2.0 header) in full."""
     try:
-        fh = _sidecar(path).open("rb")
+        # read into a buffer of our own: the samples are a writable view of
+        # it, as the text path gives, without a copy
+        with _sidecar(path).open("rb", buffering=0) as fh:
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw):]
     except OSError:
         return None
-    with fh:
-        if fh.read(32) != _sha256(path.read_bytes()):
-            return None
-        try:
-            samples = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError:
-            return None
-    if samples.dtype != np.float64 or samples.ndim != 1:
+    if raw[:32] != _sha256(text):
         return None
-    return samples
+    width = _NPY_LENGTH_WIDTH.get(bytes(raw[38:39]))  # the major version byte
+    if width is None:
+        return None
+    end = 40 + width + int.from_bytes(raw[40:40 + width], "little")
+    try:
+        shape, _, dtype = _npy_header(bytes(raw[32:end]))
+        if dtype != np.float64 or len(shape) != 1 or shape[0] < 0:
+            return None
+        return np.frombuffer(raw, np.float64, shape[0], end)
+    except ValueError:  # a malformed header, or fewer samples than it declares
+        return None
 
 
-def _bad_sample(path: Path) -> str:
-    """Line number and text of the first sample that is not a finite number,
-    with lines read as ``np.loadtxt`` reads them (``#`` comments and blank
-    lines skipped)."""
-    for ln, raw in enumerate(path.read_text(encoding="utf-8").splitlines()[2:], start=3):
+@functools.lru_cache(maxsize=8)
+def _npy_header(header: bytes) -> tuple:
+    """``(shape, fortran_order, dtype)`` of an ``.npy`` header, parsed by
+    NumPy once for each distinct header: the records of a dataset share a
+    few.  The order is moot for the 1-D arrays a sidecar holds."""
+    fh = io.BytesIO(header)
+    version = np.lib.format.read_magic(fh)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(fh)
+    if version == (2, 0):
+        return np.lib.format.read_array_header_2_0(fh)
+    raise ValueError(f"unsupported .npy version {version}")
+
+
+def _bad_sample(data: bytes) -> str:
+    """Line number and text of the first sample of the file bytes ``data``
+    that is not a finite number, with lines read as ``np.loadtxt`` reads them
+    (``#`` comments and blank lines skipped)."""
+    for ln, raw in enumerate(data.decode("utf-8").splitlines()[2:], start=3):
         text = raw.split("#", 1)[0].strip()
         try:
             if not text or math.isfinite(float(text)):

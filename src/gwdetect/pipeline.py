@@ -44,6 +44,7 @@ build on them too; the tests hold both paths equal to call-by-call oracles.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -438,7 +439,8 @@ def _pairs(outer: np.ndarray, inner: np.ndarray):
 
 def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, probe):
     """Min and max over the in-band bins of each (ref, probe) row pair's statistic,
-    ``z`` skipping zero-variance bins; fails as the scalar detectors would."""
+    ``z`` skipping zero-variance bins; ``fmin``/``fmax`` skip NaN bins and it
+    fails, as the scalar detectors do."""
     var = None
     if metric == "z" and probe.size:
         if ens.m < 2:
@@ -454,7 +456,8 @@ def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, 
     step = max(1, _CHUNK // inband.shape[1])
     for k in range(0, probe.size, step):
         values = _statistic(metric, inband[ref[k:k + step]], inband[probe[k:k + step]], var)
-        lo[k:k + step], hi[k:k + step] = values.min(axis=1), values.max(axis=1)
+        lo[k:k + step] = np.fmin.reduce(values, axis=1)
+        hi[k:k + step] = np.fmax.reduce(values, axis=1)
     return lo, hi
 
 
@@ -578,18 +581,20 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
 
 
 def statistic_curves(loaded: LoadedSet, metrics, alphas):
-    """``(metric, i, alpha, curve, lower, upper)`` per PSD metric, record
-    ``loaded.inspect[i]`` and alpha: the full-grid values and thresholds of
-    ``f_statistic`` (on the first training baseline), ``fm_statistic``, ``z_statistic``."""
+    """``(metric, bounds, curves)`` per PSD metric: ``bounds`` holds
+    ``(alpha, lower, upper)`` for each alpha, and ``curves`` yields the
+    full-grid values of ``f_statistic`` (on the first training baseline),
+    ``fm_statistic`` or ``z_statistic`` against each record of
+    ``loaded.inspect`` in turn.  A curve serves every alpha; it is computed
+    as it is drawn, so a set's curves are never all held at once."""
     ens = loaded.ensemble
     alphas = [validate_alpha(a) for a in alphas]
+    probes = [loaded.psds[j].values for j in loaded.inspect]
     for metric in (m for m in metrics if m not in _DI_METRICS):
         ref = ens.psds[0].values if metric == "f" else ens.mean_psd
         dof = _dof(metric, ens.k_windows, ens.m)
-        bounds = [_critical_points(metric, a, **dof) for a in alphas]
-        for i, j in enumerate(loaded.inspect):
-            curve = _statistic(metric, ref, loaded.psds[j].values, ens.var_psd)
-            yield from ((metric, i, a, curve, lo, hi) for a, (lo, hi) in zip(alphas, bounds))
+        bounds = [(a, *_critical_points(metric, a, **dof)) for a in alphas]
+        yield metric, bounds, map(partial(_statistic, metric, ref, var=ens.var_psd), probes)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ periodogram average for the PSD, a per-call strided-view Welch estimate
 (what the cached Welch plan must reproduce byte for byte), Gauss-Legendre
 quadrature of the densities plus bisection for quantiles, a rank-count AUC,
 a per-case decision from critical points where the library compares
-p-values, and the ``f``/``fm``/``z`` detectors and ensemble moments written
+p-values, the ``f``/``fm``/``z`` detectors and ensemble moments written
 out call by call, with every comparison over a boolean mask (what the
-shared statistic and its min/max verdicts must reproduce byte for byte).
+shared statistic and its min/max verdicts must reproduce byte for byte),
+and a curve CSV formatted one row at a time (what the one-``%`` curve
+template must reproduce byte for byte).
 Keep them slow and obvious.
 """
 
@@ -337,3 +339,18 @@ def critical_point_damaged(table, alpha: float) -> list:
         else:
             flags.append(abs(stat_hi - center) > hi * spread)
     return flags
+
+
+# ---------------------------------------------------------------------------
+# curve CSV text, one row at a time
+# ---------------------------------------------------------------------------
+
+def curve_text_by_row(header: str, freqs, *columns) -> str:
+    """``header``, then per frequency its shortest round-trip decimal and
+    each column at ``%.12g``: an array's value for the row, or one value
+    repeated on every row.  Rows are cut to the shortest column, as ``zip``
+    cuts them."""
+    freq_col = [repr(float(f)) for f in np.asarray(freqs).tolist()]
+    row = "%s" + "".join(",%.12g" if np.ndim(c) else f",{c:.12g}" for c in columns)
+    cells = [c.tolist() for c in columns if np.ndim(c)]
+    return "\n".join([header, *(row % r for r in zip(freq_col, *cells))]) + "\n"

@@ -21,6 +21,8 @@ from gwdetect.detectors import (
     z_statistic,
 )
 from gwdetect.pipeline import (
+    DatasetManifest,
+    ManifestEntry,
     compute_path_scores,
     default_alpha_grid,
     roc_sweep,
@@ -226,6 +228,49 @@ def test_criterion_5_null_calibration_of_the_decision_rules():
                     flags += z_statistic(ens, white_psd(), 0.05, band).verdict == DAMAGED
                 trials += 1
         assert flags / trials <= 0.05 + 0.03
+
+
+def test_criterion_5_null_calibration_of_the_production_path():
+    """The p-values ``compute_path_scores`` gives white-noise sets at criterion
+    5's shape (K = 9 rectangular segments of 16 samples, one in-band bin,
+    M = 15 training baselines, holdout 1) reject at rate alpha.
+
+    Each set gives one case per metric: its first ``f`` pair and its ``fm``
+    and ``z`` probe, so each metric's rejections over the independent sets
+    are binomial.  ``f`` and ``fm`` are exact; ``z`` against a resampled
+    ensemble is conservative, so it is bounded above only.  The records are
+    held in memory: the calibration is of the scoring, not of file I/O."""
+    with _Budget(5, "production-path null rejection rates within 1.5pp of alpha", 60.0):
+        alphas = (0.01, 0.05, 0.1)
+        n_sets, sets_per_call = 2500, 50
+        seg_len, k, m = 16, 9, 15
+        cfg = WelchConfig(seg_len, 0.0, seg_len, "rectangular", detrend_mean=False)
+        band_freq = cfg.freq_grid(1.0)[4]
+        rng = np.random.default_rng(56)
+        p = {"f": [], "fm": [], "z": []}
+        for _ in range(n_sets // sets_per_call):
+            noise = rng.normal(0.0, 1.0, (sets_per_call, m + 1, seg_len * k))
+            records, entries = {}, []
+            for s, r in np.ndindex(sets_per_call, m + 1):
+                records[f"{s}_{r}"] = Signal(noise[s, r], 1.0, "healthy")
+                entries.append(ManifestEntry(f"{s}_{r}", "healthy", "p", f"set{s}"))
+            manifest = DatasetManifest(entries=entries, sample_rate=1.0,
+                                       packet_windows={"all": (0, seg_len * k)})
+            manifest.load_entry = lambda entry: records[entry.file]
+            scores = compute_path_scores(manifest, "p", "all", cfg, tuple(p), holdout=1,
+                                         band=(band_freq, band_freq))
+            # m pairs per set share its held-out probe: keep the first
+            p["f"].append(scores.cases["f"].p[::m])
+            p["fm"].append(scores.cases["fm"].p)
+            p["z"].append(scores.cases["z"].p)
+        for metric, chunks in p.items():
+            values = np.concatenate(chunks)
+            assert values.size == n_sets, metric
+            for a in alphas:
+                rate = float(np.mean(values < a))
+                assert rate <= a + 0.015, f"{metric} at alpha={a}: rate {rate:.4f}"
+                if metric != "z":
+                    assert rate >= a - 0.015, f"{metric} at alpha={a}: rate {rate:.4f}"
 
 
 def test_criterion_6_trivial_identities():

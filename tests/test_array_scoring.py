@@ -23,6 +23,7 @@ from gwdetect.dataio import write_signal
 from gwdetect.detectors import (
     DAMAGED,
     HEALTHY,
+    BaselineEnsemble,
     _band_mask,
     f_statistic,
     fm_statistic,
@@ -33,6 +34,7 @@ from gwdetect.detectors import (
 from gwdetect.pipeline import (
     METRICS,
     DatasetManifest,
+    LoadedSet,
     ManifestEntry,
     compute_path_scores,
     default_alpha_grid,
@@ -40,7 +42,7 @@ from gwdetect.pipeline import (
     roc_sweep,
     run_inspection,
 )
-from gwdetect.spectral import Signal, WelchConfig
+from gwdetect.spectral import PsdEstimate, Signal, WelchConfig
 
 FS = 1e4
 WELCH = WelchConfig(segment_length=16, overlap_fraction=0.5, nfft=32)
@@ -251,3 +253,37 @@ def test_qiu_clamp_on_scaled_copies(tmp_path):
     healthy = table.stat_hi[table.is_healthy]
     assert healthy.size == 30 and healthy.min() == 0.0
     assert_columns_match(scores, scalar_cases(manifest, scores.sets, ["qiu"], None))
+
+
+def test_z_skips_a_nan_bin_as_the_scalar_z_does():
+    """Four members near the float64 ceiling in one bin overflow that bin's
+    ensemble mean and variance to inf, so its ``z`` is inf/inf = NaN.  The
+    scalar ``z_statistic`` skips the bin and finds the damage in another one;
+    scoring must too, not carry a NaN score and p-value that read as healthy."""
+    grid = WELCH.freq_grid(FS)
+    rng = np.random.default_rng(4)
+
+    def psd(values):
+        return PsdEstimate(values=values, freq_grid=grid, config=WELCH, k_windows=5)
+
+    members = []
+    for _ in range(4):
+        values = rng.uniform(1.0, 2.0, grid.size)
+        values[3] = 1.7e308
+        members.append(psd(values))
+    values = rng.uniform(1.0, 2.0, grid.size)
+    values[6] = 500.0
+    probe = psd(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ens = BaselineEnsemble.from_psds(members)
+        series = z_statistic(ens, probe, 0.05)
+    assert math.isinf(ens.mean_psd[3]) and math.isinf(ens.var_psd[3])
+    assert series.verdict == DAMAGED
+    entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
+                    for k in range(5))
+    loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, probe),
+                       train=(0, 1, 2, 3), held=(), inspect=(4,), ensemble=ens)
+    cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
+    assert cols["stat_hi"].tolist() == [np.fmax.reduce(series.values)]
+    assert cols["p"][0] < 0.05

@@ -1,11 +1,17 @@
 import hashlib
 import shutil
+import sys
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gwdetect.cli import main
+import oracles as oc
+from gwdetect.cli import _curve_template, _write_curve, main
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import DatasetManifest, ManifestEntry
 from gwdetect.simulate import synth_dataset
@@ -657,3 +663,114 @@ def test_band_full_tests_the_full_grid(tmp_path):
     # the full grid reaches bins outside the manifest's band
     assert (full.cases["f"].stat_hi >= banded.cases["f"].stat_hi).all()
     assert (full.cases["f"].stat_hi > banded.cases["f"].stat_hi).any()
+
+
+# finite doubles over the whole range, with the values the formatter turns at:
+# signed zeros, subnormals, the extremes, and 12-digit round-ups to a power of 10
+DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                     1e300, -1e300, 1.7976931348623157e308]),
+    st.integers(-300, 300).map(lambda e: float(f"9.9999999999995e{e}")),
+    st.integers(-300, 300).map(lambda e: -float(f"9.99999999999951e{e}")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30),
+       kinds=st.sampled_from([("a",), ("a", "a"), ("a", "c", "c"), ("c", "a", "a"),
+                              ("a", "c", "a", "c")]),
+       header=st.sampled_from(["freq,psd", "freq,value,lower,upper", "f,100%,%s,%%d"]))
+def test_curve_template_writes_the_per_row_formatters_bytes(data, n, kinds, header):
+    """One ``%`` over the template gives the bytes of formatting each row
+    alone, for one or two array columns among constant ones, and ``%`` in
+    the fixed text stays literal."""
+    vector = st.lists(DOUBLES, min_size=n, max_size=n).map(np.array)
+    freqs = data.draw(vector)
+    columns = [data.draw(vector) if k == "a" else data.draw(DOUBLES) for k in kinds]
+    template = _curve_template(header, freqs,
+                               *(None if k == "a" else c for k, c in zip(kinds, columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        _write_curve(path, template, *(c for k, c in zip(kinds, columns) if k == "a"))
+        got = path.read_bytes()
+    assert got == oc.curve_text_by_row(header, freqs, *columns).encode()
+
+
+@pytest.mark.parametrize("arrays", [(9,), (11,), (10, 9), (9, 10), (11, 11)])
+def test_curve_writer_raises_when_a_column_does_not_fit_the_grid(tmp_path, arrays):
+    """A column longer or shorter than the grid is an error, not a curve cut
+    to the shorter length."""
+    template = _curve_template("freq,a,b", np.arange(10.0), *(None for _ in arrays))
+    with pytest.raises((TypeError, ValueError)):
+        _write_curve(tmp_path / "c.csv", template, *(np.ones(k) for k in arrays))
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_empty_set_id_is_the_set_named_empty_in_every_command(tmp_path):
+    """``--set-id ''`` and a blank ``[data] set`` name the set called '' for
+    ``psd`` as for ``detect`` and ``roc``; they do not mean every set."""
+    simulate_small(tmp_path / "data")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    man.entries = [ManifestEntry(e.file, e.label, e.path_id, ("", "s1")[k % 2])
+                   for k, e in enumerate(man.entries)]
+    man.save(tmp_path / "data" / "manifest.csv")
+    assert man.sets_for("1-2") == ["", "s1"]
+    config = tmp_path / "blank.ini"
+    config.write_text("[data]\nset =\n")
+    for name, source in (("flag", ["--set-id", ""]), ("config", ["--config", str(config)])):
+        out = tmp_path / name
+        assert main(["psd", *_common(tmp_path / "data", *source), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("band_*")) == [
+            "band_experimental_1-2_.csv", "band_theoretical_1-2_.csv"], name
+        want = {f"psd_1-2_{i:03d}_{Path(e.file).stem}.csv"
+                for i, e in enumerate(man.entries) if e.set_id == ""}
+        assert {p.name for p in out.glob("psd_*")} == want, name
+        assert main(["detect", *_common(tmp_path / "data", *source), "--metrics", "fm",
+                     "--holdout", "1", "--out", str(out)]) == 0
+        verdicts = next(out.glob("verdicts_*.csv")).read_text().splitlines()[1:]
+        assert verdicts and all(v.startswith(":") for v in verdicts), name
+
+
+class _OpenLog:
+    """The paths passed to ``open`` while a test listens.  An audit hook
+    cannot be removed, so one is added per test process and is idle between
+    tests."""
+
+    paths = None
+    hooked = False
+
+    @classmethod
+    def hook(cls, event, args):
+        if event == "open" and cls.paths is not None:
+            cls.paths.append(str(args[0]))
+
+
+def test_each_command_opens_every_signal_file_once(tmp_path):
+    """Every record's text file is opened once per command, with its sidecar
+    or without one, and its sidecar is opened (or looked for) once."""
+    if not _OpenLog.hooked:
+        sys.addaudithook(_OpenLog.hook)
+        _OpenLog.hooked = True
+    simulate_small(tmp_path / "data")
+    shutil.copytree(tmp_path / "data", tmp_path / "plain")
+    shutil.rmtree(tmp_path / "plain" / "signals" / "__gwcache__")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    for data in ("data", "plain"):
+        signals = tmp_path / data / "signals"
+        texts = {str(signals / Path(e.file).name): 1 for e in man.entries}
+        sidecars = {str(signals / "__gwcache__" / f"{Path(e.file).name}.npy"): 1
+                    for e in man.entries}
+        for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu",
+                                       "--alpha", "0.01,0.05", "--holdout", "3"]),
+                           ("roc", ["--metrics", "f,fm,z", "--holdout", "3"]),
+                           ("psd", [])):
+            _OpenLog.paths = []
+            try:
+                assert main([cmd, *_common(tmp_path / data, *extra),
+                             "--out", str(tmp_path / f"res_{data}_{cmd}")]) == 0
+                opened = Counter(p for p in _OpenLog.paths if p.startswith(str(signals)))
+            finally:
+                _OpenLog.paths = None
+            assert {p: k for p, k in opened.items() if p.endswith(".csv")} == texts, (data, cmd)
+            assert {p: k for p, k in opened.items() if p.endswith(".npy")} == sidecars, (data, cmd)

@@ -78,10 +78,21 @@ def test_signal_file_edits_win_over_a_stale_sidecar(tmp_path):
     assert str(stale.value) == str(plain.value) == f"{path}:4: sample 'abc' is not a finite number"
 
 
-def _npy(array) -> bytes:
+def _npy(array, version=None) -> bytes:
     buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
+    np.lib.format.write_array(buf, np.asarray(array), version, allow_pickle=False)
     return buf.getvalue()
+
+
+def _as_version_2(payload: bytes) -> bytes:
+    return _npy(np.load(io.BytesIO(payload)), version=(2, 0))
+
+
+def _as_fortran_order(payload: bytes) -> bytes:
+    """The same 1-D payload with its header saying Fortran order."""
+    flag = b"'fortran_order': False,"
+    assert flag in payload
+    return payload.replace(flag, b"'fortran_order': True, ", 1)
 
 
 @pytest.mark.parametrize("damage", [
@@ -96,8 +107,13 @@ def _npy(array) -> bytes:
     pytest.param(lambda digest, payload: digest + _npy(np.zeros(3, np.float32)), id="float32"),
     pytest.param(lambda digest, payload: digest + _npy(np.zeros((3, 1))), id="2-d"),
     pytest.param(lambda digest, payload: digest + _npy(np.array(["a", "b", "c"])), id="strings"),
+    pytest.param(lambda digest, payload: digest + payload + b"\x00" * 8, id="trailing-bytes"),
+    pytest.param(lambda digest, payload: digest + _as_version_2(payload), id="version-2.0"),
+    pytest.param(lambda digest, payload: digest + _as_fortran_order(payload),
+                 id="fortran-order-1-d"),
 ])
 def test_unusable_sidecar_falls_back_to_the_text(tmp_path, damage):
+    """A sidecar is read or passed over, never trusted into other samples."""
     path = tmp_path / "sig.csv"
     samples = np.array([0.5, -1.25, 3e-300])
     write_signal(path, Signal(samples, 10.0, "x"))
