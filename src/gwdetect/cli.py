@@ -38,9 +38,14 @@ with a ``%.12g`` slot for each value; ``_write_curve`` fills a file's values
 in with one ``%``.
 
 ``simulate`` and the curve files of ``detect`` and ``psd`` are written on every
-CPU the process may run on (``dataio.fan_out``); ``taskset -c 0`` runs them on
-one, and the outputs are the same bytes either way.  Reports, verdicts and
-``summary.txt`` are written by the command's own process.
+CPU the process may run on (``dataio.fan_out``): the command's process writes
+its own share of the files, and one forked child for each other CPU writes the
+rest; ``taskset -c 0`` runs them all in the command's process, and the outputs
+are the same bytes either way.  ``detect`` and ``psd`` fan out one path at a
+time, so they hold one path's records at once.  ``detect`` scores a path and
+writes its reports and verdicts before it fans out that path's ``stat_*``
+curves, each a task that computes its curve where it is written.
+``summary.txt`` is written last, by the command's process.
 """
 
 import argparse
@@ -290,32 +295,33 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
 
 def cmd_psd(args) -> int:
     rc = _build_runconfig(args, scores=False)
-    fan_out(_write_curve, _psd_curves(rc))
+    for path in rc.paths:
+        fan_out(_write_curve, _psd_curves(rc, path))
     print(f"psd curves written to {rc.out_dir}")
     return 0
 
 
-def _psd_curves(rc: RunConfig):
-    """A ``_write_curve`` task for each PSD and healthy band of ``psd``."""
+def _psd_curves(rc: RunConfig, path: str):
+    """A ``_write_curve`` task for each PSD and healthy band of ``psd`` on
+    one path."""
     man = rc.manifest
     alpha = rc.alphas[0]
-    for path in rc.paths:
-        set_ids = [rc.set_id] if rc.set_id is not None else man.sets_for(path)
-        for s in set_ids:
-            loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
-            freqs = loaded.ensemble.freq_grid
-            psd_rows = _curve_template("freq,psd", freqs, None)
-            band_rows = _curve_template("freq,lower,upper", freqs, None, None)
-            # file index: the record's position among all entries of the path
-            index = [i for i, e in enumerate(man.entries_for(path)) if e.set_id == s]
-            for i, entry, psd in zip(index, loaded.entries, loaded.psds):
-                stem = _slug(Path(entry.file).stem)
-                yield (rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                       psd_rows, psd.values)
-            for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
-                          experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
-                yield (rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
-                       band_rows, bandc.lower, bandc.upper)
+    set_ids = [rc.set_id] if rc.set_id is not None else man.sets_for(path)
+    for s in set_ids:
+        loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
+        freqs = loaded.ensemble.freq_grid
+        psd_rows = _curve_template("freq,psd", freqs, None)
+        band_rows = _curve_template("freq,lower,upper", freqs, None, None)
+        # file index: the record's position among all entries of the path
+        index = man.positions_for(path, s)
+        for i, entry, psd in zip(index, loaded.entries, loaded.psds):
+            stem = _slug(Path(entry.file).stem)
+            yield (rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
+                   psd_rows, psd.values)
+        for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
+                      experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
+            yield (rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
+                   band_rows, bandc.lower, bandc.upper)
 
 
 def _curve_template(header: str, freqs, *columns) -> str:
@@ -340,16 +346,6 @@ def _write_curve(path: Path, template: str, *columns) -> None:
 def cmd_detect(args) -> int:
     rc = _build_runconfig(args)
     reports = []
-    fan_out(_write_curve, _detect_outputs(rc, reports))
-    _write(rc.out_dir / "summary.txt", summary_table(reports))
-    print(f"detection report written to {rc.out_dir}")
-    return 0
-
-
-def _detect_outputs(rc: RunConfig, reports: list):
-    """Score each path, write its reports and verdicts here (appending each
-    report to ``reports``), and yield a ``_write_curve`` task for each of its
-    per-signal statistic curves against each set's baseline ensemble."""
     for path in rc.paths:
         scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
                                      holdout=rc.holdout, seed=rc.seed,
@@ -362,17 +358,35 @@ def _detect_outputs(rc: RunConfig, reports: list):
             lines = ["case_id,metric,label,verdict"]
             lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
-        for loaded in scores.sets:
-            freqs = loaded.ensemble.freq_grid
-            stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
-            for metric, bounds, curves in statistic_curves(loaded, rc.metrics, rc.alphas):
-                templates = [(fmt(alpha), _curve_template("freq,value,lower,upper", freqs,
-                                                          None, lo, hi))
-                             for alpha, lo, hi in bounds]
-                for i, (stem, curve) in enumerate(zip(stems, curves)):
-                    for tag, template in templates:
-                        yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}"
-                               f"_{i:03d}_{stem}_a{tag}.csv", template, curve)
+        fan_out(_write_stat_curves, _stat_curves(rc, scores))
+    _write(rc.out_dir / "summary.txt", summary_table(reports))
+    print(f"detection report written to {rc.out_dir}")
+    return 0
+
+
+def _stat_curves(rc: RunConfig, scores):
+    """A ``_write_stat_curves`` task for each per-signal statistic curve of a
+    scored path against each set's baseline ensemble: the curve still to be
+    computed, and its file and template for each alpha."""
+    for loaded in scores.sets:
+        freqs = loaded.ensemble.freq_grid
+        stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
+        for metric, bounds, curves in statistic_curves(loaded, rc.metrics, rc.alphas):
+            templates = [(fmt(alpha), _curve_template("freq,value,lower,upper", freqs,
+                                                      None, lo, hi))
+                         for alpha, lo, hi in bounds]
+            for i, (stem, curve) in enumerate(zip(stems, curves)):
+                yield ([(rc.out_dir / f"stat_{metric}_{_slug(scores.path)}_"
+                         f"{_slug(loaded.set_id)}_{i:03d}_{stem}_a{tag}.csv", template)
+                        for tag, template in templates], curve)
+
+
+def _write_stat_curves(files: list, curve) -> None:
+    """Compute one statistic curve and write it to each ``(path, template)``
+    of ``files``, one per alpha."""
+    values = curve()
+    for path, template in files:
+        _write_curve(path, template, values)
 
 
 def _parse_alpha_grid(text):

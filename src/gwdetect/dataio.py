@@ -20,18 +20,21 @@ once: the text's bytes serve the header, the digest and, only when no
 sidecar serves, the parse; the sidecar comes in one read, its header parsed
 by NumPy once per distinct header, and its samples are taken from the bytes.
 
-``fan_out`` runs a batch of independent file writes in forked worker
-processes, one for each CPU the process may run on.  ``simulate`` and the
-``detect``/``psd`` curve writers use it: their outputs are the same bytes with
-one worker or many, and ``taskset -c 0`` runs them on one.
+``fan_out`` runs a batch of independent file writes as a fork-join over the
+CPUs the process may run on: the process forks one child for each other CPU,
+writes its own share of the files, and then collects the children's results.
+``simulate`` and the ``detect``/``psd`` curve writers use it: their outputs
+are the same bytes with one process or many, and ``taskset -c 0`` runs them
+all in the calling process.
 """
 
 import functools
 import io
 import math
 import os
-from collections import deque
-from itertools import chain, islice, starmap
+import pickle
+import sys
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +46,9 @@ __all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
 _SIDECAR_DIR = "__gwcache__"
 # Bytes of the header length after the 8-byte magic, by .npy major version.
 _NPY_LENGTH_WIDTH = {b"\x01": 2, b"\x02": 4}
-# Tasks per round trip to a worker.  A trip costs the parent 0.1-0.2 ms, a
-# large share of the ~0.7 ms that writing one 1001-row curve file takes, so
-# single tasks would leave the workers waiting on the parent.
-_CHUNK = 8
-# Chunks per worker submitted and not yet collected: enough to keep every
-# worker busy, few enough that memory does not grow with the task list.
-_IN_FLIGHT = 2
+# The smallest batch that forks.  A child costs a few ms to fork, exit and
+# reap, against ~0.7 ms to write one 1001-row curve file.
+_MIN_FORK = 8
 
 
 def fmt(x: float) -> str:
@@ -114,69 +113,134 @@ def read_signal(path) -> Signal:
 
 
 def fan_out(fn, tasks) -> list:
-    """``[fn(*args) for args in tasks]``, computed in forked worker processes.
+    """``[fn(*args) for args in tasks]``, computed in forked worker processes
+    and in this one.
 
-    ``fn`` must be a module-level function (it is pickled by name) and each
-    result picklable.  Tasks go to the workers in chunks of ``_CHUNK``, at
-    most ``_IN_FLIGHT`` chunks per worker ahead of the results collected, so
-    ``tasks`` may be a generator that the parent keeps producing from while
-    the workers run, and the tasks held at once do not grow with its length.
-    Results come back in task order, and a task's exception is raised here
-    with its type and message.
+    ``tasks`` is made a list here, before any fork.  With ``n`` usable CPUs,
+    ``n - 1`` children are forked; child ``k`` runs tasks ``k, k + n, ...``
+    and this process runs tasks ``0, n, ...`` meanwhile.  A child inherits
+    ``fn`` and the tasks as they are, so nothing is pickled on the way in and
+    ``fn`` may be any callable; only each child's results (or its first
+    error) come back, pickled through a pipe of its own.  Results come back in
+    task order.  When tasks fail, the error of the lowest task index is
+    raised here with its type and message; a child that ends without sending
+    its results raises ``RuntimeError`` naming its exit status.
 
-    There is one worker for each CPU this process may run on.  With one such
-    CPU, where the platform cannot fork, or when the tasks fit in one chunk,
-    the calls run here, in order.  Workers are forked, so they see the
-    parent's modules as they are without importing anything; a task should
-    use no native thread pool (BLAS), whose threads a fork does not copy.
+    With one usable CPU, where the platform cannot fork, or when there are
+    fewer than ``_MIN_FORK`` tasks, the calls run here, in order.  Children
+    are forked, not spawned: they see the parent's modules as they are
+    without importing anything (a spawned worker re-imports NumPy).  A task
+    should use no native thread pool (BLAS), whose threads a fork does not
+    copy.
     """
-    workers = _usable_cpus()
-    tasks = iter(tasks)
-    chunk = list(islice(tasks, _CHUNK))
-    if workers < 2 or len(chunk) < _CHUNK or not hasattr(os, "fork"):
-        return list(starmap(fn, chain(chunk, tasks)))
-    # imported on first use: they cost about 25 ms, which a command that
-    # fans nothing out, or runs on one CPU, does not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    results, pending = [], deque()
+    tasks = list(tasks)
+    n = min(_usable_cpus(), len(tasks))
+    if n < 2 or len(tasks) < _MIN_FORK or not hasattr(os, "fork"):
+        return list(starmap(fn, tasks))
+    # a child would print again what this process left in its buffers
+    sys.stdout.flush()
+    sys.stderr.flush()
     alive = os.pipe()  # only this process keeps the write end open
+    children = []      # (pid, read end of the child's result pipe)
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_start_worker, initargs=alive) as pool:
-            while chunk:
-                pending.append(pool.submit(_run_chunk, fn, chunk))
-                if len(pending) == _IN_FLIGHT * workers:
-                    results += pending.popleft().result()
-                chunk = list(islice(tasks, _CHUNK))
-            while pending:
-                results += pending.popleft().result()
+        for k in range(1, n):
+            readable, writable = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(readable)
+                os.close(writable)
+                raise
+            if pid == 0:
+                _serve_share(fn, tasks, k, n, writable, alive,
+                             [readable, *(fd for _, fd in children)])
+            os.close(writable)
+            children.append((pid, readable))
+        shares = [_run_share(fn, tasks, 0, n)]
     finally:
-        for fd in alive:
-            os.close(fd)
+        try:
+            ended = [_join(pid, fd) for pid, fd in children]
+        finally:
+            # held until every child is reaped: a child exits once it closes
+            for fd in alive:
+                os.close(fd)
+    shares += (_received(k, *end) for k, end in enumerate(ended, start=1))
+    failed = [share for share in shares if share[0] is not None]
+    if failed:
+        raise min(failed, key=lambda share: share[0])[1]
+    results = [None] * len(tasks)
+    for k, (_, values) in enumerate(shares):
+        results[k::n] = values
     return results
 
 
-def _run_chunk(fn, chunk: list) -> list:
-    return list(starmap(fn, chunk))
+def _run_share(fn, tasks: list, k: int, n: int) -> tuple:
+    """``(None, results)`` of tasks ``k, k + n, ...``, or ``(index, error)``
+    of the first of them that raises."""
+    results = []
+    for i in range(k, len(tasks), n):
+        try:
+            results.append(fn(*tasks[i]))
+        except Exception as exc:
+            return i, exc
+    return None, results
 
 
-def _start_worker(alive_r: int, alive_w: int) -> None:
-    """Leave interrupts to the parent, which finishes the chunks in flight
-    and then raises, and exit once the parent is gone (killed, say) instead
-    of waiting for a task forever."""
-    import signal
+def _serve_share(fn, tasks: list, k: int, n: int, out_fd: int, alive: tuple,
+                 inherited: list) -> None:
+    """The life of child ``k``: run its share, write it to ``out_fd`` as one
+    pickle, and leave by ``os._exit``, never returning into the parent's
+    code.  Interrupts are left to the parent, which waits for its children and
+    then raises; the child exits once the parent is gone (killed, say)
+    instead of writing on for nobody."""
+    # the C module under ``signal``, loaded at start-up: importing ``signal``
+    # itself would build its enums in every child, about 3 ms each
+    import _signal
     import threading
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    os.close(alive_w)
-    threading.Thread(target=_exit_with_parent, args=(alive_r,), daemon=True).start()
+    status = 1
+    try:
+        _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+        for fd in (alive[1], *inherited):
+            os.close(fd)
+        threading.Thread(target=_exit_with_parent, args=(alive[0],), daemon=True).start()
+        share = _run_share(fn, tasks, k, n)
+        try:
+            data = pickle.dumps(share)
+        except Exception as exc:  # a result or an error that cannot be pickled
+            data = pickle.dumps((share[0] if share[0] is not None else k,
+                                 RuntimeError(f"a task's outcome cannot be sent back: {exc}")))
+        with open(out_fd, "wb") as fh:
+            fh.write(data)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _exit_with_parent(alive_r: int) -> None:
     os.read(alive_r, 1)  # returns at end of file: the parent's write end closed
     os._exit(1)
+
+
+def _join(pid: int, fd: int) -> tuple:
+    """``(pid, exit code, bytes sent)`` of a child: its pipe is read to end
+    of file before the child is reaped, so a child never blocks on a full
+    pipe that nobody reads."""
+    with open(fd, "rb") as fh:
+        data = fh.read()
+    _, status = os.waitpid(pid, 0)
+    return pid, os.waitstatus_to_exitcode(status), data
+
+
+def _received(k: int, pid: int, code: int, data: bytes) -> tuple:
+    """Child ``k``'s share as ``_run_share`` gives it.  Only bytes a child of
+    this process wrote are unpickled."""
+    if code != 0 or not data:
+        return k, RuntimeError(f"worker process {pid} ended with exit status {code} "
+                               "before it sent its results")
+    return pickle.loads(data)
 
 
 def _usable_cpus() -> int:

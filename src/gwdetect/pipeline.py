@@ -103,9 +103,21 @@ class DatasetManifest:
     band: tuple = None
     base_dir: Path = Path(".")
 
+    def __setattr__(self, name, value):
+        """Setting ``entries`` takes each as a ``ManifestEntry`` and groups
+        them by path and set once, for the lookups below."""
+        if name == "entries":
+            value = [e if isinstance(e, ManifestEntry) else ManifestEntry(*e) for e in value]
+            by_path, positions = {}, {}
+            for e in value:
+                in_path = by_path.setdefault(e.path_id, [])
+                positions.setdefault(e.path_id, {}).setdefault(e.set_id, []).append(len(in_path))
+                in_path.append(e)
+            super().__setattr__("_by_path", by_path)
+            super().__setattr__("_positions", positions)
+        super().__setattr__(name, value)
+
     def __post_init__(self):
-        self.entries = [e if isinstance(e, ManifestEntry) else ManifestEntry(*e)
-                        for e in self.entries]
         self.sample_rate = _checked_rate(self.sample_rate)
         self.packet_windows = {
             str(name): (int(start), int(length))
@@ -120,32 +132,25 @@ class DatasetManifest:
 
     def validate(self) -> None:
         """Every path must come with at least one baseline entry."""
-        for path in self.paths():
-            if not any(e.label == self.baseline_label and e.path_id == path
-                       for e in self.entries):
+        for path, entries in self._by_path.items():
+            if not any(e.label == self.baseline_label for e in entries):
                 raise ValueError(f"path {path!r} has no baseline entry")
 
     def paths(self):
-        seen = []
-        for e in self.entries:
-            if e.path_id not in seen:
-                seen.append(e.path_id)
-        return seen
+        return list(self._by_path)
 
     def sets_for(self, path: str):
-        seen = []
-        for e in self.entries:
-            if e.path_id == path and e.set_id not in seen:
-                seen.append(e.set_id)
-        return seen
+        return list(self._positions.get(path, ()))
+
+    def positions_for(self, path: str, set_id: str):
+        """Where each entry of a set stands among all entries of its path."""
+        return list(self._positions.get(path, {}).get(set_id, ()))
 
     def entries_for(self, path: str, set_id: str = None, label: str = None):
-        out = [e for e in self.entries if e.path_id == path]
+        out = self._by_path.get(path, [])
         if set_id is not None:
-            out = [e for e in out if e.set_id == set_id]
-        if label is not None:
-            out = [e for e in out if e.label == label]
-        return out
+            out = [out[i] for i in self.positions_for(path, set_id)]
+        return [e for e in out if label is None or e.label == label]
 
     def resolve(self, entry: ManifestEntry) -> Path:
         return self.base_dir / entry.file
@@ -582,11 +587,12 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
 
 def statistic_curves(loaded: LoadedSet, metrics, alphas):
     """``(metric, bounds, curves)`` per PSD metric: ``bounds`` holds
-    ``(alpha, lower, upper)`` for each alpha, and ``curves`` yields the
-    full-grid values of ``f_statistic`` (on the first training baseline),
-    ``fm_statistic`` or ``z_statistic`` against each record of
-    ``loaded.inspect`` in turn.  A curve serves every alpha; it is computed
-    as it is drawn, so a set's curves are never all held at once."""
+    ``(alpha, lower, upper)`` for each alpha, and ``curves`` holds, for each
+    record of ``loaded.inspect`` in turn, a call without arguments that
+    returns the full-grid values of ``f_statistic`` (on the first training
+    baseline), ``fm_statistic`` or ``z_statistic`` against that record.  A
+    curve serves every alpha; it is computed only when called, so a set's
+    curves need never all be held at once."""
     ens = loaded.ensemble
     alphas = [validate_alpha(a) for a in alphas]
     probes = [loaded.psds[j].values for j in loaded.inspect]
@@ -594,7 +600,8 @@ def statistic_curves(loaded: LoadedSet, metrics, alphas):
         ref = ens.psds[0].values if metric == "f" else ens.mean_psd
         dof = _dof(metric, ens.k_windows, ens.m)
         bounds = [(a, *_critical_points(metric, a, **dof)) for a in alphas]
-        yield metric, bounds, map(partial(_statistic, metric, ref, var=ens.var_psd), probes)
+        yield metric, bounds, [partial(_statistic, metric, ref, probe, var=ens.var_psd)
+                               for probe in probes]
 
 
 # ---------------------------------------------------------------------------

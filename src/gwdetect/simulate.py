@@ -9,8 +9,10 @@ random quantity is driven by an explicit seed, so datasets are reproducible
 sample for sample.
 
 ``synth_dataset`` synthesizes and writes its records on every CPU the process
-may run on (``dataio.fan_out``), and ``taskset -c 0`` runs it on one.  Each
-record has its own seed, so the files are the same bytes either way.
+may run on (``dataio.fan_out``): the calling process writes its share, and
+one forked child for each other CPU writes the rest.  ``taskset -c 0`` runs
+it all in the calling process.  Each record has its own seed, so the files
+are the same bytes either way.
 """
 
 import math

@@ -60,6 +60,42 @@ def test_manifest_requires_baseline_per_path(tmp_path):
         man.validate()
 
 
+def _scanned_sets(man, path):
+    """``sets_for`` as a scan of every entry, the reference for the grouping."""
+    seen = []
+    for e in man.entries:
+        if e.path_id == path and e.set_id not in seen:
+            seen.append(e.set_id)
+    return seen
+
+
+def test_many_set_manifest_lookups_equal_a_scan_of_every_entry():
+    rng = np.random.default_rng(3)
+    rows = [(f"r{k:04d}.csv", ("healthy", "notch")[k % 3 == 0], f"p{rng.integers(3)}",
+             f"s{rng.integers(250)}") for k in range(1500)]
+    man = DatasetManifest(entries=rows, sample_rate=1e6)
+    for entries in (man.entries, man.entries[::-1]):  # setting entries groups them again
+        man.entries = entries
+        assert man.paths() == list(dict.fromkeys(e.path_id for e in entries))
+        for path in man.paths() + ["absent"]:
+            in_path = [e for e in entries if e.path_id == path]
+            assert man.entries_for(path) == in_path
+            assert man.entries_for(path, label="notch") == [e for e in in_path
+                                                             if e.label == "notch"]
+            assert man.sets_for(path) == _scanned_sets(man, path)
+            for s in man.sets_for(path) + ["absent"]:
+                assert man.entries_for(path, set_id=s) == [e for e in in_path if e.set_id == s]
+                assert man.entries_for(path, s, "healthy") == [
+                    e for e in in_path if e.set_id == s and e.label == "healthy"]
+                # the index in each psd_ file name: the place among the path's entries
+                assert man.positions_for(path, s) == [i for i, e in enumerate(in_path)
+                                                      if e.set_id == s]
+    man.validate()
+    man.entries = [e for e in man.entries if e.path_id != "p1" or e.label != "healthy"]
+    with pytest.raises(ValueError, match="'p1' has no baseline entry"):
+        man.validate()
+
+
 @pytest.mark.parametrize("rate", ["inf", "nan", "-inf", "0", "-5"])
 def test_manifest_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, rate):
     with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
