@@ -270,9 +270,8 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
 
     out_dir = _out_dir(args, cfg)
 
-    holdout = _opt(args, cfg, "holdout", "detect.holdout", 0, int, "an integer")
-    if holdout < 0:
-        raise ValueError("holdout must be >= 0")
+    holdout = _opt(args, cfg, "holdout", "detect.holdout", 0, _non_negative_int,
+                   "a non-negative integer")
     return RunConfig(
         manifest=manifest,
         window=window,
@@ -487,8 +486,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--overlap", help="window overlap fraction (default 0.5)")
     p.add_argument("--nfft", help="FFT length (default 2000)")
     p.add_argument("--window-kind", dest="window_kind",
-                   choices=("hamming", "bartlett", "rectangular"),
-                   help="taper kind (default hamming)")
+                   help=f"taper kind, one of {', '.join(WINDOW_KINDS)} (default hamming)")
     p.add_argument("--no-detrend", dest="detrend", action="store_const", const=False,
                    help="skip mean subtraction")
     p.add_argument("--metrics", help=f"comma list from {','.join(METRICS)}")

@@ -15,10 +15,10 @@ A verdict is "damaged" as soon as any frequency inside the verdict band
 violates its bounds, so restrict the band to where the actuation actually put
 energy unless you want the multiple-comparison inflation of a full-grid test.
 
-The per-bin statistic (``_statistic``), its degrees of freedom (``_dof``) and
-its critical points (``_critical_points``) are defined here once: the scalar
-detectors are thin builders over them, and ``pipeline`` scores whole sets of
-cases with the same three definitions.
+Each rule of a metric is defined here once: its per-bin statistic, degrees of
+freedom, critical points, p-value, damage-index formula and input checks.  The
+scalar detectors are thin builders over them (``f``/``fm``/``z`` over one
+``_series``), and ``pipeline`` scores whole sets of cases with the same rules.
 """
 
 import warnings
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PsdEstimate, Signal
-from .statdist import chi2_quantile, f_quantile, normal_quantile, validate_alpha
+from .statdist import (_f_tails, _normal_two_sided, chi2_quantile, f_quantile,
+                       normal_quantile, validate_alpha)
 
 __all__ = [
     "HEALTHY",
@@ -165,24 +166,70 @@ def _critical_points(metric: str, alpha: float, dof1: int = None, dof2: int = No
     return 0.0, normal_quantile(1.0 - alpha / 2.0)
 
 
-# A verdict is one reduction of the in-band values: ``fmin``/``fmax`` skip NaN
-# as the comparisons ``(v < lower).any()``/``(v > upper).any()`` would.  Zeros
-# in the unknown PSD or the baseline variance are looked for bin by bin only
-# when the minimum over the grid is not positive.
+def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,
+             spread=1.0) -> np.ndarray:
+    """Two-sided p-value of each of one set's cases, so that ``p < alpha`` is
+    the metric's critical-point rule at alpha: from the F tails of ``stat_lo``
+    and ``stat_hi`` for ``f``/``fm``, else from the Normal tail of the deviation of
+    ``stat_hi`` from ``center`` in units of ``spread`` (``z``: 0 and 1); a
+    zero spread makes p 0 off center and 1 on it."""
+    if metric in ("f", "fm"):
+        below, above = _f_tails(stat_lo, dof1, dof2)[0], _f_tails(stat_hi, dof1, dof2)[1]
+        return np.minimum(1.0, 2.0 * np.minimum(below, above))
+    dev = np.abs(stat_hi - center)
+    if spread == 0.0:
+        return np.where(dev > 0.0, 0.0, 1.0)
+    return _normal_two_sided(dev / spread)
 
-def _ratio_series(metric: str, ref: np.ndarray, unknown: PsdEstimate, alpha, band,
-                  k_windows: int, m: int) -> StatSeries:
-    alpha = validate_alpha(alpha)
+
+# Zeros in the unknown PSD or the baseline variance are looked for bin by bin
+# only when the grid's minimum is not positive.  A verdict is one reduction of
+# the in-band values: ``fmin``/``fmax`` skip NaN as comparisons would, and ``z``
+# (never negative, lower critical point 0) needs ``fmax`` only.
+
+def _check_probe(freqs: np.ndarray, values: np.ndarray, mask=None, rows=None) -> None:
+    """Refuse an unknown PSD that is zero in the band ``mask`` (all of ``freqs``
+    when ``None``): ``values`` is one PSD, or stacked rows of which ``rows``
+    picks each case's unknown; the first such case names its first zero bin."""
+    if np.minimum.reduce(values, axis=None) > 0.0:
+        return
+    zero = values == 0.0 if mask is None else mask & (values == 0.0)
+    if rows is not None:
+        hit = zero.any(axis=1)[rows]
+        zero = zero[rows[np.argmax(hit)]] if hit.any() else hit
+    if zero.any():
+        raise ValueError(f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz")
+
+
+def _live_bins(freqs: np.ndarray, mask: np.ndarray, var: np.ndarray, warn: bool = False):
+    """The bins of ``mask`` where the baseline variance ``var`` is not zero, which
+    ``z`` decides on; ``warn`` names the others to ``z_statistic``'s caller."""
+    if np.minimum.reduce(var) > 0.0 or not (dead := mask & (var == 0.0)).any():
+        return mask
+    if warn:
+        names = ", ".join(f"{f:g}" for f in freqs[dead][:5])
+        warnings.warn(f"zero baseline variance at {names} Hz; these bins are excluded "
+                      "from the verdict", RuntimeWarning, stacklevel=4)
+    if not (live := mask & ~dead).any():
+        raise ValueError("every in-band bin has zero baseline variance")
+    return live
+
+
+def _series(metric: str, ref: np.ndarray, unknown: PsdEstimate, alpha: float, band,
+            m: int, var=None) -> StatSeries:
+    """``metric`` of ``unknown`` against ``ref`` of an ``m``-member baseline at a
+    validated alpha."""
     freqs, probe = unknown.freq_grid, unknown.values
     mask = _band_mask(freqs, band)
-    if not np.minimum.reduce(probe) > 0.0 and (zero := mask & (probe == 0.0)).any():
-        raise ValueError(
-            f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz"
-        )
-    values = _statistic(metric, ref, probe)
-    lower, upper = _critical_points(metric, alpha, **_dof(metric, k_windows, m))
+    if metric == "z":
+        mask = _live_bins(freqs, mask, var, warn=True)
+        lower, upper = _critical_points("z", alpha)
+    else:
+        _check_probe(freqs, probe, mask)
+        lower, upper = _critical_points(metric, alpha, **_dof(metric, unknown.k_windows, m))
+    values = _statistic(metric, ref, probe, var)
     in_band = values[mask]
-    damaged = np.fmin.reduce(in_band) < lower or np.fmax.reduce(in_band) > upper
+    damaged = (metric != "z" and np.fmin.reduce(in_band) < lower) or np.fmax.reduce(in_band) > upper
     return StatSeries(kind=metric, freqs=freqs, values=values,
                       lower_threshold=lower, upper_threshold=upper,
                       band=band, verdict=DAMAGED if damaged else HEALTHY)
@@ -197,8 +244,7 @@ def f_statistic(baseline_psd: PsdEstimate, unknown_psd: PsdEstimate, alpha,
     is damaged if any in-band frequency falls outside them.
     """
     _check_pair(baseline_psd, unknown_psd)
-    return _ratio_series("f", baseline_psd.values, unknown_psd, alpha, band,
-                         baseline_psd.k_windows, 1)
+    return _series("f", baseline_psd.values, unknown_psd, validate_alpha(alpha), band, 1)
 
 
 def fm_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
@@ -208,8 +254,7 @@ def fm_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
     With M == 1 this reduces exactly to :func:`f_statistic`.
     """
     _check_pair(baseline.psds[0], unknown_psd)
-    return _ratio_series("fm", baseline.mean_psd, unknown_psd, alpha, band,
-                         baseline.k_windows, baseline.m)
+    return _series("fm", baseline.mean_psd, unknown_psd, validate_alpha(alpha), band, baseline.m)
 
 
 def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
@@ -227,26 +272,7 @@ def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
     _check_pair(baseline.psds[0], unknown_psd)
     if baseline.m < 2:
         raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={baseline.m}")
-    freqs = unknown_psd.freq_grid
-    mask = _band_mask(freqs, band)
-    var = baseline.var_psd
-    values = _statistic("z", baseline.mean_psd, unknown_psd.values, var)
-    if not np.minimum.reduce(var) > 0.0 and (dead := mask & (var == 0.0)).any():
-        warnings.warn(
-            "zero baseline variance at "
-            f"{', '.join(f'{f:g}' for f in freqs[dead][:5])} Hz; "
-            "these bins are excluded from the verdict",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        mask = mask & ~dead
-        if not mask.any():
-            raise ValueError("every in-band bin has zero baseline variance")
-    _, upper = _critical_points("z", alpha)
-    damaged = np.fmax.reduce(values[mask]) > upper
-    return StatSeries(kind="z", freqs=freqs, values=values,
-                      lower_threshold=0.0, upper_threshold=upper,
-                      band=band, verdict=DAMAGED if damaged else HEALTHY)
+    return _series("z", baseline.mean_psd, unknown_psd, alpha, band, baseline.m, baseline.var_psd)
 
 
 def _as_samples(signal) -> np.ndarray:
@@ -258,6 +284,21 @@ def _as_samples(signal) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("signal must be finite")
     return x
+
+
+def _damage_index(metric: str, cross, e_ref, e_probe, sum_ref=None, sum_probe=None):
+    """``janapati`` (normalized) or ``qiu`` index from the packets' cross product,
+    energies and sums, floats or arrays of cases; the first case with a zero
+    energy fails, naming its signal (``janapati``) or both (``qiu``)."""
+    zero = (e_ref == 0.0) | (e_probe == 0.0)
+    if np.count_nonzero(zero):
+        if metric == "qiu":
+            raise ValueError("both signals must have nonzero energy")
+        which = "baseline" if np.ravel(e_ref)[np.argmax(zero)] == 0.0 else "unknown"
+        raise ValueError(f"{which} signal has zero energy")
+    if metric == "janapati":
+        return (sum_probe - (cross / e_ref) * sum_ref) / np.sqrt(e_probe)
+    return 1.0 - np.sqrt(np.minimum((cross * cross) / (e_ref * e_probe), 1.0))
 
 
 def janapati_di(baseline_signal, unknown_signal, variant: str = "normalized") -> float:
@@ -279,15 +320,11 @@ def janapati_di(baseline_signal, unknown_signal, variant: str = "normalized") ->
         raise ValueError(f"window lengths differ: {y0.size} vs {yu.size}")
     if y0.size < 2:
         raise ValueError("need at least 2 samples")
-    e0 = float(np.dot(y0, y0))
-    eu = float(np.dot(yu, yu))
-    if e0 == 0.0:
-        raise ValueError("baseline signal has zero energy")
-    if eu == 0.0:
-        raise ValueError("unknown signal has zero energy")
+    e0, eu = float(np.dot(y0, y0)), float(np.dot(yu, yu))
+    normalized = _damage_index("janapati", float(np.dot(y0, yu)), e0, eu,
+                               np.sum(y0), np.sum(yu))
     if variant == "normalized":
-        cross = float(np.dot(y0, yu))
-        return float((np.sum(yu) - (cross / e0) * np.sum(y0)) / np.sqrt(eu))
+        return float(normalized)
     if variant == "as_printed":
         if (y0 == 0.0).any():
             raise ValueError("as_printed variant requires a baseline with no zero sample")
@@ -307,13 +344,8 @@ def qiu_di(baseline_signal, unknown_signal) -> float:
     yu = _as_samples(unknown_signal)
     if y0.size != yu.size:
         raise ValueError(f"window lengths differ: {y0.size} vs {yu.size}")
-    e0 = float(np.dot(y0, y0))
-    eu = float(np.dot(yu, yu))
-    if e0 == 0.0 or eu == 0.0:
-        raise ValueError("both signals must have nonzero energy")
-    cross = float(np.dot(y0, yu))
-    rho2 = (cross * cross) / (e0 * eu)
-    return float(1.0 - np.sqrt(min(rho2, 1.0)))
+    return float(_damage_index("qiu", float(np.dot(y0, yu)), float(np.dot(y0, y0)),
+                               float(np.dot(yu, yu))))
 
 
 def experimental_band(samples, alpha, method: str = "normal") -> ConfidenceBand:

@@ -38,8 +38,9 @@ Gram matrix of the packets, each case with its p-value.
 decide: a case is damaged at alpha when ``p < alpha``, so one scoring pass
 serves every alpha and every metric it scored.  The curves ``detect`` plots
 (``statistic_curves``) use the same per-bin expressions and the critical
-points.  Those definitions live in ``detectors``, where the scalar detectors
-build on them too; the tests hold both paths equal to call-by-call oracles.
+points.  Every rule of a metric, input checks included, lives in ``detectors``,
+where the scalar detectors build on it too; this module builds, stacks and
+chunks the cases.  The tests hold both paths equal to call-by-call oracles.
 """
 
 import math
@@ -51,10 +52,11 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import fmt, read_signal
-from .detectors import (DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _critical_points,
-                        _dof, _statistic)
+from .detectors import (DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _check_probe,
+                        _critical_points, _damage_index, _dof, _live_bins, _p_value,
+                        _statistic)
 from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
-from .statdist import _f_tails, _normal_two_sided, validate_alpha
+from .statdist import validate_alpha
 
 __all__ = [
     "METRICS",
@@ -418,22 +420,6 @@ class PathScores:
         return {s.set_id: s.ensemble.m for s in self.sets}
 
 
-def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,
-             spread=1.0) -> np.ndarray:
-    """Two-sided p-value of each of one set's cases, so that ``p < alpha`` is
-    the metric's critical-point rule at alpha: from the F tails of ``stat_lo``
-    and ``stat_hi`` for ``f``/``fm``, else from the Normal tail of the deviation of
-    ``stat_hi`` from ``center`` in units of ``spread`` (``z``: 0 and 1); a
-    zero spread makes p 0 off center and 1 on it."""
-    if metric in ("f", "fm"):
-        below, above = _f_tails(stat_lo, dof1, dof2)[0], _f_tails(stat_hi, dof1, dof2)[1]
-        return np.minimum(1.0, 2.0 * np.minimum(below, above))
-    dev = np.abs(stat_hi - center)
-    if spread == 0.0:
-        return np.where(dev > 0.0, 0.0, 1.0)
-    return _normal_two_sided(dev / spread)
-
-
 _CHUNK = 1 << 14  # elements per temporary of the pairwise PSD ratio (128 kB)
 
 
@@ -447,16 +433,11 @@ def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, 
     ``z`` skipping zero-variance bins; ``fmin``/``fmax`` skip NaN bins and it
     fails, as the scalar detectors do."""
     var = None
-    if metric == "z" and probe.size:
-        if ens.m < 2:
-            raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={ens.m}")
-        var = ens.var_psd[mask]
-        inband, var = inband[:, var > 0.0], var[var > 0.0]
-        if not var.size:
-            raise ValueError("every in-band bin has zero baseline variance")
-    elif (zero := (inband == 0.0).any(axis=1)[probe]).any():
-        raise ValueError("unknown PSD is zero inside the verdict band at "
-                         f"{ens.freq_grid[mask][inband[probe[np.argmax(zero)]] == 0.0][0]:g} Hz")
+    if metric != "z":
+        _check_probe(ens.freq_grid[mask], inband, rows=probe)
+    elif probe.size:
+        live = _live_bins(ens.freq_grid, mask, ens.var_psd)
+        inband, var = inband[:, live[mask]], ens.var_psd[live]
     lo, hi = np.empty(probe.size), np.empty(probe.size)
     step = max(1, _CHUNK // inband.shape[1])
     for k in range(0, probe.size, step):
@@ -464,22 +445,6 @@ def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, 
         lo[k:k + step] = np.fmin.reduce(values, axis=1)
         hi[k:k + step] = np.fmax.reduce(values, axis=1)
     return lo, hi
-
-
-def _di_values(metric: str, gram: np.ndarray, sums: np.ndarray, ref, probe) -> np.ndarray:
-    """``janapati_di`` or ``qiu_di`` of every (ref, probe) packet pair, from
-    the Gram matrix of the packets and their sample sums."""
-    energy = gram.diagonal()
-    zero = (energy[ref] == 0.0) | (energy[probe] == 0.0)
-    if zero.any():
-        if metric == "qiu":
-            raise ValueError("both signals must have nonzero energy")
-        which = "baseline" if energy[ref[np.argmax(zero)]] == 0.0 else "unknown"
-        raise ValueError(f"{which} signal has zero energy")
-    cross, e_ref, e_probe = gram[ref, probe], energy[ref], energy[probe]
-    if metric == "janapati":
-        return (sums[probe] - (cross / e_ref) * sums[ref]) / np.sqrt(e_probe)
-    return 1.0 - np.sqrt(np.minimum((cross * cross) / (e_ref * e_probe), 1.0))
 
 
 def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
@@ -516,8 +481,12 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     if any(m in _DI_METRICS for m in metrics):
         x = np.stack([p.samples for p in loaded.packets])
         gram, sums = x @ x.T, x.sum(axis=1)
+        energy = gram.diagonal()
+
+        def damage_index(metric, i, j):  # of every (i, j) packet pair
+            return _damage_index(metric, gram[i, j], energy[i], energy[j], sums[i], sums[j])
         for metric in (m for m in metrics if m in _DI_METRICS):
-            scatter = _di_values(metric, gram, sums, *in_train)
+            scatter = damage_index(metric, *in_train)
             moments[metric] = {"center": float(np.mean(scatter)),
                                "spread": float(np.std(scatter, ddof=1))}
     # the in-band bins of each record, then of the ensemble mean
@@ -527,7 +496,7 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     for metric in metrics:
         if metric in _DI_METRICS:
             cols = pair_cols
-            stats = {"stat_hi": _di_values(metric, gram, sums, ref, probe), **moments[metric]}
+            stats = {"stat_hi": damage_index(metric, ref, probe), **moments[metric]}
         else:
             ref_rows, probe_rows, cols = ((ref, probe, pair_cols) if metric == "f" else
                                           (np.full(probes.size, len(entries)), probes, probe_cols))

@@ -5,9 +5,9 @@ and F distributions.  The chi-square and F CDFs go through the regularized
 incomplete gamma/beta functions, evaluated by power series where they converge
 fast and by Lentz-style continued fractions elsewhere.  Quantiles invert the
 CDFs with a bracketed, safeguarded Newton iteration, so they stay inside the
-support and remain monotone in the probability argument.  The pipeline's
-p-values come from two array tails, ``_f_tails`` (even degrees of freedom) and
-``_normal_two_sided``; the scalar functions are their reference.
+support and remain monotone in the probability argument.  Scoring's p-values
+(``detectors._p_value``) come from two array tails, ``_f_tails`` (even degrees
+of freedom) and ``_normal_two_sided``; the scalar functions are their reference.
 
 All functions are pure and deterministic; quantiles are memoised because the
 scalar detectors ask for the same critical points over and over.

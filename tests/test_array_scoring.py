@@ -8,6 +8,7 @@ carry the same message.
 """
 
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -287,3 +288,50 @@ def test_z_skips_a_nan_bin_as_the_scalar_z_does():
     cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
     assert cols["stat_hi"].tolist() == [np.fmax.reduce(series.values)]
     assert cols["p"][0] < 0.05
+
+
+def test_z_partly_dead_bins_through_both_paths():
+    """Every member equal in bins 2 and 7 leaves those bins zero variance.
+    The scalar ``z_statistic`` warns and names them, scoring skips them in
+    silence, and both decide on the same live bins."""
+    grid = WELCH.freq_grid(FS)
+    rng = np.random.default_rng(11)
+
+    def psd(values):
+        return PsdEstimate(values=values, freq_grid=grid, config=WELCH, k_windows=5)
+
+    members = []
+    for _ in range(4):
+        values = rng.uniform(1.0, 2.0, grid.size)
+        values[[2, 7]] = 1.5  # four equal values: the mean is exact, the variance 0
+        members.append(psd(values))
+    ens = BaselineEnsemble.from_psds(members)
+    near_mean = ens.mean_psd + rng.uniform(-0.01, 0.01, grid.size)
+    probes = [near_mean.copy() for _ in range(3)]
+    probes[1][6] = 50.0       # damage in a live bin
+    probes[2][[2, 7]] = 50.0  # damage only in the dead bins
+    probes = [psd(v) for v in probes]
+    live = ens.var_psd != 0.0
+    assert np.flatnonzero(~live).tolist() == [2, 7]
+
+    message = (f"zero baseline variance at {grid[2]:g}, {grid[7]:g} Hz; "
+               "these bins are excluded from the verdict")
+    series = []
+    for probe in probes:
+        with pytest.warns(RuntimeWarning, match=re.escape(message)):
+            series.append(z_statistic(ens, probe, 0.05))
+    entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
+                    for k in range(7))
+    loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, *probes),
+                       train=(0, 1, 2, 3), held=(), inspect=(4, 5, 6), ensemble=ens)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
+    assert caught == []
+    assert cols["stat_hi"].tolist() == [np.fmax.reduce(s.values[live]) for s in series]
+    for alpha in (0.01, 0.05, 0.1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            verdicts = [z_statistic(ens, probe, alpha).verdict for probe in probes]
+        assert (cols["p"] < alpha).tolist() == [v == DAMAGED for v in verdicts], alpha
+    assert [s.verdict for s in series] == [HEALTHY, DAMAGED, HEALTHY]

@@ -328,7 +328,7 @@ def test_negative_holdout_rejected_before_any_write(tmp_path, capsys):
         rc = main([cmd, *_common(tmp_path / "data", *extra), "--holdout", "-3",
                    "--out", str(out)])
         assert rc == 2, cmd
-        assert "holdout must be >= 0" in capsys.readouterr().err
+        assert "--holdout '-3': expected a non-negative integer" in capsys.readouterr().err
         assert not out.exists(), cmd
 
 
@@ -455,6 +455,8 @@ def _set_line(text, number, new):
     pytest.param("option", "--band", "300000:100000", id="option-band-300000:100000"),
     pytest.param("option", "--band", "1e9:2e9", id="option-band-1e9:2e9"),
     pytest.param("option", "--seed", "-1", id="option-seed--1"),
+    pytest.param("option", "--holdout", "-1", id="option-holdout--1"),
+    pytest.param("option", "--window-kind", "triangle", id="option-window-kind-triangle"),
     pytest.param("option", "--nfft", "50", id="option-nfft-50"),
     pytest.param("option", "--overlap", "1.5", id="option-overlap-1.5"),
     pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
@@ -466,6 +468,7 @@ def _set_line(text, number, new):
     pytest.param("config", "welch.window_kind", "triangle", id="config-window_kind-triangle"),
     pytest.param("config", "detect.seed", "x1", id="config-seed-x1"),
     pytest.param("config", "detect.seed", "-1", id="config-seed--1"),
+    pytest.param("config", "detect.holdout", "-2", id="config-holdout--2"),
     pytest.param("config", "detect.alphas", "abc", id="config-alphas-abc"),
     pytest.param("report", "welch", "metric,kind", id="report-metric,kind"),
     pytest.param("report", "m_train", "\n".join([
@@ -501,7 +504,8 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         cfg = tmp_path / "run.cfg"
         section, key = number.split(".")
         cfg.write_text(f"[{section}]\n{key} = {new}\n")
-        argv = ["--config", str(cfg), *_common(data), "--metrics", "z", "--holdout", "3"]
+        argv = ["--config", str(cfg), *_common(data), "--metrics", "z",
+                *([] if key == "holdout" else ["--holdout", "3"])]  # a flag beats the config
         where = [f"{cfg}: [{section}] {key} {new!r}"]
     elif target == "report":
         cmds = ["report"]
@@ -530,6 +534,21 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert not out.exists(), cmd
         if target in ("option", "config") or new.startswith("band"):
             assert reads == [], cmd
+
+
+def test_window_kind_flag_is_read_as_the_config_value_is(tmp_path):
+    """``--window-kind`` is checked by the same parser as ``[welch]
+    window_kind``, which takes any case: ``HAMMING`` writes what ``hamming``
+    writes."""
+    simulate_small(tmp_path / "data")
+    base = ["detect", *_common(tmp_path / "data"), "--metrics", "fm,z", "--holdout", "2"]
+    for kind in ("hamming", "HAMMING"):
+        assert main([*base, "--window-kind", kind, "--out", str(tmp_path / kind)]) == 0
+    assert tree_digest(tmp_path / "HAMMING") == tree_digest(tmp_path / "hamming")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[welch]\nwindow_kind = HAMMING\n")
+    assert main([*base, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "hamming")
 
 
 @pytest.mark.parametrize("band", ["350000.0,150000.0", "2e7,3e7"])

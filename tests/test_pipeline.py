@@ -5,13 +5,13 @@ import pytest
 
 import oracles as oc
 from gwdetect.dataio import write_signal
+from gwdetect.detectors import _p_value
 from gwdetect.pipeline import (
     METRICS,
     CaseTable,
     DatasetManifest,
     ManifestEntry,
     _critical_points,
-    _p_value,
     compute_path_scores,
     default_alpha_grid,
     extract_packet,
