@@ -12,13 +12,16 @@ text is UTF-8.  The label is one line: ``write_signal`` refuses a label that
 holds a line break.
 
 The text file is the reference.  ``write_signal`` also leaves its parsed form
-in ``<dir>/__gwcache__/<file name>.npy``: the SHA-256 of the text bytes, then
-an ``.npy`` payload of the samples.  ``read_signal`` loads that payload only
-while its digest matches the file's current bytes, and parses the text in
-every other case, so deleting a sidecar is always safe.  It reads each file
-once: the text's bytes serve the header, the digest and, only when no
-sidecar serves, the parse; the sidecar comes in one read, its header parsed
-by NumPy once per distinct header, and its samples are taken from the bytes.
+in ``<dir>/__gwcache__/<file name>.f64``: the 32-byte SHA-256 of the text
+bytes, the sample count n as 8 bytes little-endian, then the n samples as
+little-endian float64 (``<f8`` on every host, so a sidecar reads the same
+samples wherever it is moved).  ``read_signal`` takes the samples from a
+sidecar only while its digest matches the file's current bytes and its
+length is exactly 40 + 8n, and parses the text in every other case, so
+deleting a sidecar is always safe.  It reads each file once: the text's
+bytes serve the header, the digest and, only when no sidecar serves, the
+parse; the sidecar comes in one read, and its samples are a view of the
+bytes read.
 
 ``fan_out`` runs a batch of independent file writes as a fork-join over the
 CPUs the process may run on: the process forks one child for each other CPU,
@@ -28,7 +31,6 @@ are the same bytes with one process or many, and ``taskset -c 0`` runs them
 all in the calling process.
 """
 
-import functools
 import io
 import math
 import os
@@ -44,8 +46,6 @@ from .spectral import Signal, _checked_rate
 __all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
 
 _SIDECAR_DIR = "__gwcache__"
-# Bytes of the header length after the 8-byte magic, by .npy major version.
-_NPY_LENGTH_WIDTH = {b"\x01": 2, b"\x02": 4}
 # The smallest batch that forks.  A child costs a few ms to fork, exit and
 # reap, against ~0.7 ms to write one 1001-row curve file.
 _MIN_FORK = 8
@@ -71,7 +71,8 @@ def write_signal(path, signal: Signal) -> None:
     try:
         with tmp.open("wb") as fh:
             fh.write(digest)
-            np.save(fh, signal.samples, allow_pickle=False)
+            fh.write(len(signal).to_bytes(8, "little"))
+            signal.samples.astype("<f8", copy=False).tofile(fh)
         os.replace(tmp, sidecar)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -261,14 +262,13 @@ def _sha256(data: bytes) -> bytes:
 
 
 def _sidecar(path: Path) -> Path:
-    return path.parent / _SIDECAR_DIR / f"{path.name}.npy"
+    return path.parent / _SIDECAR_DIR / f"{path.name}.f64"
 
 
 def _stored_samples(path: Path, text: bytes):
     """The samples ``write_signal`` stored beside ``path``, or ``None`` when
-    there is no sidecar, it was written for other bytes than ``text``, the
-    file's bytes now, or it does not hold a 1-D float64 ``.npy`` payload
-    (version 1.0 or 2.0 header) in full."""
+    there is no sidecar, its length is not that of the samples it counts, or
+    it was written for other bytes than ``text``, the file's bytes now."""
     try:
         # read into a buffer of our own: the samples are a writable view of
         # it, as the text path gives, without a copy
@@ -277,33 +277,10 @@ def _stored_samples(path: Path, text: bytes):
             del raw[fh.readinto(raw):]
     except OSError:
         return None
-    if raw[:32] != _sha256(text):
+    n = int.from_bytes(raw[32:40], "little")
+    if len(raw) != 40 + 8 * n or raw[:32] != _sha256(text):
         return None
-    width = _NPY_LENGTH_WIDTH.get(bytes(raw[38:39]))  # the major version byte
-    if width is None:
-        return None
-    end = 40 + width + int.from_bytes(raw[40:40 + width], "little")
-    try:
-        shape, _, dtype = _npy_header(bytes(raw[32:end]))
-        if dtype != np.float64 or len(shape) != 1 or shape[0] < 0:
-            return None
-        return np.frombuffer(raw, np.float64, shape[0], end)
-    except ValueError:  # a malformed header, or fewer samples than it declares
-        return None
-
-
-@functools.lru_cache(maxsize=8)
-def _npy_header(header: bytes) -> tuple:
-    """``(shape, fortran_order, dtype)`` of an ``.npy`` header, parsed by
-    NumPy once for each distinct header: the records of a dataset share a
-    few.  The order is moot for the 1-D arrays a sidecar holds."""
-    fh = io.BytesIO(header)
-    version = np.lib.format.read_magic(fh)
-    if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(fh)
-    if version == (2, 0):
-        return np.lib.format.read_array_header_2_0(fh)
-    raise ValueError(f"unsupported .npy version {version}")
+    return np.frombuffer(raw, "<f8", offset=40)
 
 
 def _bad_sample(data: bytes) -> str:

@@ -54,7 +54,8 @@ class BaselineEnsemble:
     """M healthy PSD estimates on a shared grid, with per-frequency moments.
 
     ``mean_psd`` is the arithmetic mean and ``var_psd`` the unbiased sample
-    variance across members (``None`` when M == 1, since no scatter exists).
+    variance across members (``None`` when M == 1, since no scatter exists),
+    exactly 0 in every bin where all members are equal.
     """
 
     psds: tuple
@@ -72,7 +73,11 @@ class BaselineEnsemble:
                 raise ValueError("all ensemble members must share grid, config and K")
         stack = np.array([p.values for p in psds])
         mean = stack.mean(axis=0)
-        var = stack.var(axis=0, ddof=1) if len(psds) >= 2 else None
+        var = None
+        if len(psds) >= 2:
+            var = stack.var(axis=0, ddof=1)
+            # equal members have no scatter, however their mean rounds
+            var[stack.min(axis=0) == stack.max(axis=0)] = 0.0
         return cls(psds=psds, mean_psd=mean, var_psd=var)
 
     @property

@@ -682,8 +682,8 @@ class DetectionReport:
         band = None
         if meta.get("band") and meta["band"] != "full":
             band = header("band", band_edges)
-        m_by_set = header("m_train", lambda text: {
-            kv.split(":")[0]: int(kv.split(":")[1]) for kv in text.split(";") if kv})
+        m_by_set = header("m_train", lambda text: {  # a set id may hold ':'
+            s: int(m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
         summaries = tuple(
             MetricSummary(metric=m, false_alarms=rec["fa"][0],
                           healthy_cases=rec["fa"][1], missed=dict(rec["missed"]))
@@ -844,15 +844,15 @@ def summary_table(reports) -> str:
     """Render detection reports as aligned text, one block per alpha.
 
     Rows are metrics; columns are the false-alarm percentage followed by the
-    missed-damage percentage per damage label.  All reports must agree on the
-    damage-label set.
+    missed-damage percentage per damage label, in the first report's label
+    order.  All reports must agree on the damage-label set.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to summarize")
     labels = reports[0].damage_labels
     for r in reports[1:]:
-        if r.damage_labels != labels:
+        if set(r.damage_labels) != set(labels):
             raise ValueError(
                 f"inconsistent damage labels across reports: "
                 f"{labels} vs {r.damage_labels}"

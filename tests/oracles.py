@@ -100,9 +100,13 @@ def welch_reference(signal, config):
 
 def ensemble_moments_reference(psds):
     """``(mean, var)`` of ``BaselineEnsemble.from_psds(psds)``: the stacked
-    members' mean, and their unbiased variance (``None`` for one member)."""
+    members' mean, and their unbiased variance (``None`` for one member, 0
+    where every member holds the same value)."""
     stack = np.stack([p.values for p in psds])
-    return stack.mean(axis=0), (stack.var(axis=0, ddof=1) if len(psds) >= 2 else None)
+    if len(psds) < 2:
+        return stack.mean(axis=0), None
+    equal = (stack == stack[0]).all(axis=0)
+    return stack.mean(axis=0), np.where(equal, 0.0, stack.var(axis=0, ddof=1))
 
 
 def _band_mask_reference(freqs, band):

@@ -43,7 +43,7 @@ from gwdetect.pipeline import (
     roc_sweep,
     run_inspection,
 )
-from gwdetect.spectral import PsdEstimate, Signal, WelchConfig
+from gwdetect.spectral import PsdEstimate, Signal, WelchConfig, welch_psd
 
 FS = 1e4
 WELCH = WelchConfig(segment_length=16, overlap_fraction=0.5, nfft=32)
@@ -258,36 +258,68 @@ def test_qiu_clamp_on_scaled_copies(tmp_path):
 
 def test_z_skips_a_nan_bin_as_the_scalar_z_does():
     """Four members near the float64 ceiling in one bin overflow that bin's
-    ensemble mean and variance to inf, so its ``z`` is inf/inf = NaN.  The
-    scalar ``z_statistic`` skips the bin and finds the damage in another one;
-    scoring must too, not carry a NaN score and p-value that read as healthy."""
+    ensemble mean to inf.  Where the four differ, the variance overflows too
+    and the bin's ``z`` is inf/inf = NaN; where they are equal, the variance
+    is 0 and the bin is dead.  Either way the scalar ``z_statistic`` skips
+    the bin and finds the damage in another one; scoring must too, not carry
+    a NaN or infinite score that decides the case."""
     grid = WELCH.freq_grid(FS)
-    rng = np.random.default_rng(4)
 
     def psd(values):
         return PsdEstimate(values=values, freq_grid=grid, config=WELCH, k_windows=5)
 
-    members = []
-    for _ in range(4):
+    for ceiling, var3 in (([1.7e308] * 4, 0.0), ([1.7e308, 1.6e308, 1.5e308, 1.4e308], math.inf)):
+        rng = np.random.default_rng(4)
+        members = []
+        for top in ceiling:
+            values = rng.uniform(1.0, 2.0, grid.size)
+            values[3] = top
+            members.append(psd(values))
         values = rng.uniform(1.0, 2.0, grid.size)
-        values[3] = 1.7e308
-        members.append(psd(values))
-    values = rng.uniform(1.0, 2.0, grid.size)
-    values[6] = 500.0
-    probe = psd(values)
-    with warnings.catch_warnings():
+        values[6] = 500.0
+        probe = psd(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ens = BaselineEnsemble.from_psds(members)
+            series = z_statistic(ens, probe, 0.05)
+        assert math.isinf(ens.mean_psd[3]) and ens.var_psd[3] == var3
+        assert series.verdict == DAMAGED
+        entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
+                        for k in range(5))
+        loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, probe),
+                           train=(0, 1, 2, 3), held=(), inspect=(4,), ensemble=ens)
+        cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
+        live = ens.var_psd != 0.0
+        assert cols["stat_hi"].tolist() == [np.fmax.reduce(series.values[live])], var3
+        assert cols["p"][0] < 0.05
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_z_identical_members_are_dead_bins_whatever_their_count(m):
+    """M copies of one record give an ensemble without scatter: every bin has
+    exactly zero variance, however the mean of M equal values rounds, so
+    ``z_statistic`` and scoring both refuse it rather than read a rounding
+    residue as an infinite deviation."""
+    config = WelchConfig(segment_length=16, overlap_fraction=0.5, nfft=32,
+                         window_kind="rectangular")
+    rng = np.random.default_rng(2)
+    record = Signal(rng.standard_normal(96), FS)
+    base = welch_psd(record, config)
+    members = [base] * m
+    probe = PsdEstimate(values=base.values * 1.001, freq_grid=base.freq_grid, config=config,
+                        k_windows=base.k_windows)
+    ens = BaselineEnsemble.from_psds(members)
+    assert not ens.var_psd.any()
+    message = "every in-band bin has zero baseline variance"
+    with pytest.raises(ValueError, match=message), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ens = BaselineEnsemble.from_psds(members)
-        series = z_statistic(ens, probe, 0.05)
-    assert math.isinf(ens.mean_psd[3]) and math.isinf(ens.var_psd[3])
-    assert series.verdict == DAMAGED
-    entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
-                    for k in range(5))
+        z_statistic(ens, probe, 0.05)
+    entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < m else "d", "p", "s")
+                    for k in range(m + 1))
     loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, probe),
-                       train=(0, 1, 2, 3), held=(), inspect=(4,), ensemble=ens)
-    cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
-    assert cols["stat_hi"].tolist() == [np.fmax.reduce(series.values)]
-    assert cols["p"][0] < 0.05
+                       train=tuple(range(m)), held=(), inspect=(m,), ensemble=ens)
+    with pytest.raises(ValueError, match=message):
+        pipeline._score_set(loaded, ["z"], None, "healthy")
 
 
 def test_z_partly_dead_bins_through_both_paths():

@@ -751,6 +751,51 @@ def test_empty_set_id_is_the_set_named_empty_in_every_command(tmp_path):
         assert verdicts and all(v.startswith(":") for v in verdicts), name
 
 
+def test_report_reads_back_set_ids_that_hold_a_colon(tmp_path):
+    """Set ids such as timestamps hold ':'; ``report`` over the reports that
+    ``detect`` writes for them renders ``detect``'s own summary."""
+    simulate_small(tmp_path / "data")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    stamps = ("2021-03-01T10:00", "2021-03-02T10:00:30")
+    man.entries = [ManifestEntry(e.file, e.label, e.path_id, stamps[k % 2])
+                   for k, e in enumerate(man.entries)]
+    man.save(tmp_path / "data" / "manifest.csv")
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--metrics", "f,z",
+                                    "--alpha", "0.01,0.05", "--holdout", "1"),
+                 "--out", str(out)]) == 0
+    reports = sorted(out.glob("report_*.csv"))
+    assert len(reports) == 2
+    assert "# m_train = 2021-03-01T10:00:3;2021-03-02T10:00:30:3" in reports[0].read_text()
+    assert main(["report", *map(str, reports), "--out", str(tmp_path / "again.txt")]) == 0
+    assert (tmp_path / "again.txt").read_text() == (out / "summary.txt").read_text()
+
+
+def test_detect_summarizes_paths_that_list_damage_labels_in_another_order(tmp_path):
+    """Two paths with the same damage labels, listed in another order, are one
+    summary whose columns follow the first report's labels."""
+    simulate_small(tmp_path / "data")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    healthy = [e for e in man.entries if e.label == man.baseline_label]
+    damaged = [e for e in man.entries if e.label != man.baseline_label]
+    assert [e.label for e in damaged] == ["att-0.9", "att-0.9", "att-0.5", "att-0.5"]
+    other = [ManifestEntry(e.file, e.label, "1-3", e.set_id)
+             for e in (*healthy, *damaged[2:], *damaged[:2])]
+    man.entries = [*man.entries, *other]
+    man.save(tmp_path / "data" / "manifest.csv")
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--metrics", "fm,qiu",
+                                    "--holdout", "3"), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    blocks = summary.rstrip("\n").split("\n\n")
+    assert len(blocks) == 2 and "path = 1-3" in blocks[1]
+    assert "missed_%[att-0.9]  missed_%[att-0.5]" in blocks[0]
+    assert blocks[1].replace("path = 1-3", "path = 1-2") == blocks[0]
+    reports = sorted(out.glob("report_*.csv"))
+    assert main(["report", *map(str, reports), "--out", str(tmp_path / "again.txt")]) == 0
+    assert (tmp_path / "again.txt").read_text() == summary
+
+
 class _OpenLog:
     """The paths passed to ``open`` while a test listens.  An audit hook
     cannot be removed, so one is added per test process and is idle between
@@ -778,7 +823,7 @@ def test_each_command_opens_every_signal_file_once(tmp_path):
     for data in ("data", "plain"):
         signals = tmp_path / data / "signals"
         texts = {str(signals / Path(e.file).name): 1 for e in man.entries}
-        sidecars = {str(signals / "__gwcache__" / f"{Path(e.file).name}.npy"): 1
+        sidecars = {str(signals / "__gwcache__" / f"{Path(e.file).name}.f64"): 1
                     for e in man.entries}
         for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu",
                                        "--alpha", "0.01,0.05", "--holdout", "3"]),
@@ -792,4 +837,4 @@ def test_each_command_opens_every_signal_file_once(tmp_path):
             finally:
                 _OpenLog.paths = None
             assert {p: k for p, k in opened.items() if p.endswith(".csv")} == texts, (data, cmd)
-            assert {p: k for p, k in opened.items() if p.endswith(".npy")} == sidecars, (data, cmd)
+            assert {p: k for p, k in opened.items() if p.endswith(".f64")} == sidecars, (data, cmd)

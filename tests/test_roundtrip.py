@@ -6,6 +6,7 @@ Ids and labels are drawn from ``[A-Za-z0-9._-]``: both readers strip the
 whitespace around a field, and ``,``/``=``/``#`` are format syntax.
 """
 
+import hashlib
 import io
 import tempfile
 from pathlib import Path
@@ -57,7 +58,7 @@ def test_signal_label_with_a_line_break_is_refused_before_writing(tmp_path, labe
 
 
 def sidecar(path: Path) -> Path:
-    return path.parent / "__gwcache__" / f"{path.name}.npy"
+    return path.parent / "__gwcache__" / f"{path.name}.f64"
 
 
 def test_signal_file_edits_win_over_a_stale_sidecar(tmp_path):
@@ -78,48 +79,52 @@ def test_signal_file_edits_win_over_a_stale_sidecar(tmp_path):
     assert str(stale.value) == str(plain.value) == f"{path}:4: sample 'abc' is not a finite number"
 
 
-def _npy(array, version=None) -> bytes:
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.asarray(array), version, allow_pickle=False)
-    return buf.getvalue()
+def _sidecar_bytes(digest: bytes, samples) -> bytes:
+    samples = np.asarray(samples, "<f8")
+    return digest + samples.size.to_bytes(8, "little") + samples.tobytes()
 
 
-def _as_version_2(payload: bytes) -> bytes:
-    return _npy(np.load(io.BytesIO(payload)), version=(2, 0))
-
-
-def _as_fortran_order(payload: bytes) -> bytes:
-    """The same 1-D payload with its header saying Fortran order."""
-    flag = b"'fortran_order': False,"
-    assert flag in payload
-    return payload.replace(flag, b"'fortran_order': True, ", 1)
+SAMPLES = np.array([0.5, -1.25, 3e-300])
 
 
 @pytest.mark.parametrize("damage", [
-    pytest.param(lambda digest, payload: b"", id="empty"),
-    pytest.param(lambda digest, payload: digest[:20], id="short-digest"),
-    pytest.param(lambda digest, payload: digest, id="digest-only"),
-    pytest.param(lambda digest, payload: digest + payload[:40], id="truncated-header"),
-    pytest.param(lambda digest, payload: digest + payload[:-8], id="truncated-data"),
-    pytest.param(lambda digest, payload: digest + b"garbage" * 30, id="garbage-payload"),
-    pytest.param(lambda digest, payload: b"garbage" * 30, id="garbage"),
-    pytest.param(lambda digest, payload: bytes(32) + _npy(np.zeros(3)), id="wrong-digest"),
-    pytest.param(lambda digest, payload: digest + _npy(np.zeros(3, np.float32)), id="float32"),
-    pytest.param(lambda digest, payload: digest + _npy(np.zeros((3, 1))), id="2-d"),
-    pytest.param(lambda digest, payload: digest + _npy(np.array(["a", "b", "c"])), id="strings"),
-    pytest.param(lambda digest, payload: digest + payload + b"\x00" * 8, id="trailing-bytes"),
-    pytest.param(lambda digest, payload: digest + _as_version_2(payload), id="version-2.0"),
-    pytest.param(lambda digest, payload: digest + _as_fortran_order(payload),
-                 id="fortran-order-1-d"),
+    pytest.param(lambda digest, body: b"", id="empty"),
+    pytest.param(lambda digest, body: digest[:20], id="short-digest"),
+    pytest.param(lambda digest, body: digest, id="digest-only"),
+    pytest.param(lambda digest, body: digest + body[:4], id="truncated-header"),
+    pytest.param(lambda digest, body: digest + body[:8], id="count-only"),
+    pytest.param(lambda digest, body: digest + body[:-8], id="truncated-data"),
+    pytest.param(lambda digest, body: digest + body + b"\x00", id="trailing-byte"),
+    pytest.param(lambda digest, body: digest + body + b"\x00" * 8, id="trailing-bytes"),
+    pytest.param(lambda digest, body: digest + (4).to_bytes(8, "little") + body[8:],
+                 id="count-too-large"),
+    pytest.param(lambda digest, body: digest + b"garbage" * 30, id="garbage-payload"),
+    pytest.param(lambda digest, body: b"garbage" * 30, id="garbage"),
+    pytest.param(lambda digest, body: _sidecar_bytes(bytes(32), np.zeros(3)), id="wrong-digest"),
 ])
 def test_unusable_sidecar_falls_back_to_the_text(tmp_path, damage):
     """A sidecar is read or passed over, never trusted into other samples."""
     path = tmp_path / "sig.csv"
-    samples = np.array([0.5, -1.25, 3e-300])
-    write_signal(path, Signal(samples, 10.0, "x"))
+    write_signal(path, Signal(SAMPLES, 10.0, "x"))
     raw = sidecar(path).read_bytes()
+    assert raw == _sidecar_bytes(hashlib.sha256(path.read_bytes()).digest(), SAMPLES)
     sidecar(path).write_bytes(damage(raw[:32], raw[32:]))
-    assert read_signal(path).samples.tobytes() == samples.tobytes()
+    assert read_signal(path).samples.tobytes() == SAMPLES.tobytes()
+
+
+def test_a_sidecar_under_the_old_npy_name_is_not_read(tmp_path):
+    """An ``.npy`` sidecar that an older version left, even one whose digest
+    matches the text, is never opened: the text is parsed instead."""
+    path = tmp_path / "sig.csv"
+    write_signal(path, Signal(SAMPLES, 10.0, "x"))
+    digest = sidecar(path).read_bytes()[:32]
+    sidecar(path).unlink()
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3), allow_pickle=False)
+    old = path.parent / "__gwcache__" / f"{path.name}.npy"
+    old.write_bytes(digest + buf.getvalue())
+    assert read_signal(path).samples.tobytes() == SAMPLES.tobytes()
+    assert old.read_bytes() == digest + buf.getvalue()
 
 
 @st.composite
