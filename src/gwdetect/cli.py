@@ -32,10 +32,9 @@ option is checked before any record is read.  Scores, decisions and ``stat_*``
 curves come from ``pipeline``; ``_write_curve`` writes every curve file.
 
 A curve file is one row per frequency of the Welch grid.  Its fixed text (the
-header, the formatted frequencies and any constant threshold columns) is built
-once per set, or per set, metric and alpha for ``stat_*`` files, as a template
-with a ``%.12g`` slot for each value; ``_write_curve`` fills a file's values
-in with one ``%``.
+header and the formatted frequencies) is built once per set, or per set and
+metric for ``stat_*`` files, as a template with a ``%.12g`` slot for each
+value; ``_write_curve`` fills a file's values in with one ``%``.
 
 ``simulate`` and the curve files of ``detect`` and ``psd`` are written on every
 CPU the process may run on (``dataio.fan_out``): the command's process writes
@@ -43,8 +42,8 @@ its own share of the files, and one forked child for each other CPU writes the
 rest; ``taskset -c 0`` runs them all in the command's process, and the outputs
 are the same bytes either way.  ``detect`` and ``psd`` fan out one path at a
 time, so they hold one path's records at once.  ``detect`` scores a path and
-writes its reports and verdicts before it fans out that path's ``stat_*``
-curves, each a task that computes its curve where it is written.
+writes its reports, verdicts and thresholds before it fans out that path's
+``stat_*`` curves, each a task that computes its curve where it is written.
 ``summary.txt`` is written last, by the command's process.
 """
 
@@ -309,8 +308,8 @@ def _psd_curves(rc: RunConfig, path: str):
     for s in set_ids:
         loaded = load_set(man, path, s, rc.window, rc.welch, holdout=0)
         freqs = loaded.ensemble.freq_grid
-        psd_rows = _curve_template("freq,psd", freqs, None)
-        band_rows = _curve_template("freq,lower,upper", freqs, None, None)
+        psd_rows = _curve_template("freq,psd", freqs, 1)
+        band_rows = _curve_template("freq,lower,upper", freqs, 2)
         # file index: the record's position among all entries of the path
         index = man.positions_for(path, s)
         for i, entry, psd in zip(index, loaded.entries, loaded.psds):
@@ -323,14 +322,12 @@ def _psd_curves(rc: RunConfig, path: str):
                    band_rows, bandc.lower, bandc.upper)
 
 
-def _curve_template(header: str, freqs, *columns) -> str:
+def _curve_template(header: str, freqs, columns: int) -> str:
     """The text of a plot-ready curve CSV with a ``%.12g`` slot for each value
     still to come: ``header``, then one row per frequency of ``freqs``
-    holding the formatted frequency and each column.  A column is ``None``
-    for an array that ``_write_curve`` fills in, or one value for every row.
-    The fixed text has its ``%`` escaped."""
-    row = "".join(",%.12g" if c is None else f",{c:.12g}".replace("%", "%%")
-                  for c in columns) + "\n"
+    holding the formatted frequency and ``columns`` slots, which
+    ``_write_curve`` fills in.  The fixed text has its ``%`` escaped."""
+    row = ",%.12g" * columns + "\n"
     cells = [fmt(f).replace("%", "%%") for f in freqs.tolist()]
     return header.replace("%", "%%") + "\n" + row.join([*cells, ""])
 
@@ -357,35 +354,33 @@ def cmd_detect(args) -> int:
             lines = ["case_id,metric,label,verdict"]
             lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
             _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
-        fan_out(_write_stat_curves, _stat_curves(rc, scores))
+        curves = [(loaded, *c) for loaded in scores.sets
+                  for c in statistic_curves(loaded, rc.metrics, rc.alphas)]
+        if curves:
+            lines = ["set,metric,alpha,lower,upper"]
+            lines.extend(f"{loaded.set_id},{metric},{fmt(a)},{lo:.12g},{hi:.12g}"
+                         for loaded, metric, bounds, _ in curves for a, lo, hi in bounds)
+            _write(rc.out_dir / f"thresholds_{_slug(path)}.csv", "\n".join(lines) + "\n")
+        fan_out(_write_stat_curve, _stat_curves(rc, path, curves))
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
 
 
-def _stat_curves(rc: RunConfig, scores):
-    """A ``_write_stat_curves`` task for each per-signal statistic curve of a
-    scored path against each set's baseline ensemble: the curve still to be
-    computed, and its file and template for each alpha."""
-    for loaded in scores.sets:
-        freqs = loaded.ensemble.freq_grid
+def _stat_curves(rc: RunConfig, path: str, curves):
+    """A ``_write_stat_curve`` task for each curve of ``statistic_curves`` on
+    a path: its file, its set's template and the curve still to compute."""
+    for loaded, metric, _, lazy_curves in curves:
+        template = _curve_template("freq,value", loaded.ensemble.freq_grid, 1)
         stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
-        for metric, bounds, curves in statistic_curves(loaded, rc.metrics, rc.alphas):
-            templates = [(fmt(alpha), _curve_template("freq,value,lower,upper", freqs,
-                                                      None, lo, hi))
-                         for alpha, lo, hi in bounds]
-            for i, (stem, curve) in enumerate(zip(stems, curves)):
-                yield ([(rc.out_dir / f"stat_{metric}_{_slug(scores.path)}_"
-                         f"{_slug(loaded.set_id)}_{i:03d}_{stem}_a{tag}.csv", template)
-                        for tag, template in templates], curve)
+        for i, (stem, curve) in enumerate(zip(stems, lazy_curves)):
+            yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}_"
+                   f"{i:03d}_{stem}.csv", template, curve)
 
 
-def _write_stat_curves(files: list, curve) -> None:
-    """Compute one statistic curve and write it to each ``(path, template)``
-    of ``files``, one per alpha."""
-    values = curve()
-    for path, template in files:
-        _write_curve(path, template, values)
+def _write_stat_curve(path: Path, template: str, curve) -> None:
+    """Compute one statistic curve and write it through ``template``."""
+    _write_curve(path, template, curve())
 
 
 def _parse_alpha_grid(text):

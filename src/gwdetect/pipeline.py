@@ -844,10 +844,10 @@ def summary_table(reports) -> str:
     """Render detection reports as aligned text, one block per alpha.
 
     Rows are metrics; columns are the false-alarm percentage followed by the
-    missed-damage percentage per damage label, in the first report's label
-    order.  All reports must agree on the damage-label set.
+    missed-damage percentage per damage label, in the label order of the first
+    block by alpha, path and window.  All reports must agree on the label set.
     """
-    reports = list(reports)
+    reports = sorted(reports, key=lambda r: (r.alpha, r.path, r.window))
     if not reports:
         raise ValueError("no reports to summarize")
     labels = reports[0].damage_labels
@@ -858,7 +858,7 @@ def summary_table(reports) -> str:
                 f"{labels} vs {r.damage_labels}"
             )
     blocks = []
-    for rep in sorted(reports, key=lambda r: (r.alpha, r.path, r.window)):
+    for rep in reports:
         head = [f"alpha = {fmt(rep.alpha)}   path = {rep.path}   window = {rep.window}"]
         cols = ["metric", "false_alarm_%"] + [f"missed_%[{label}]" for label in labels]
         body = []

@@ -328,9 +328,10 @@ def mann_whitney_auc(healthy_scores, damage_scores) -> float:
 
 def critical_point_damaged(table, alpha: float) -> list:
     """Each case of a ``CaseTable`` decided at ``alpha`` from its columns and
-    the critical points ``detect`` prints in its ``stat_*`` files: ``f``/``fm``
-    flag ``stat_lo < lo or stat_hi > hi``, ``z`` flags ``stat_hi > hi``, and
-    a damage index flags ``|stat_hi - center| > hi * spread``."""
+    the critical points ``detect`` prints in its ``thresholds_*`` files:
+    ``f``/``fm`` flag ``stat_lo < lo or stat_hi > hi``, ``z`` flags
+    ``stat_hi > hi``, and a damage index flags
+    ``|stat_hi - center| > hi * spread``."""
     columns = (getattr(table, key).tolist()
                for key in ("stat_lo", "stat_hi", "dof1", "dof2", "center", "spread"))
     flags = []
@@ -351,10 +352,9 @@ def critical_point_damaged(table, alpha: float) -> list:
 
 def curve_text_by_row(header: str, freqs, *columns) -> str:
     """``header``, then per frequency its shortest round-trip decimal and
-    each column at ``%.12g``: an array's value for the row, or one value
-    repeated on every row.  Rows are cut to the shortest column, as ``zip``
-    cuts them."""
+    each column's value for the row at ``%.12g``.  Rows are cut to the
+    shortest column, as ``zip`` cuts them."""
     freq_col = [repr(float(f)) for f in np.asarray(freqs).tolist()]
-    row = "%s" + "".join(",%.12g" if np.ndim(c) else f",{c:.12g}" for c in columns)
-    cells = [c.tolist() for c in columns if np.ndim(c)]
+    row = "%s" + ",%.12g" * len(columns)
+    cells = [c.tolist() for c in columns]
     return "\n".join([header, *(row % r for r in zip(freq_col, *cells))]) + "\n"

@@ -373,9 +373,11 @@ def test_psd_set_id_restricts_curves_and_bands(tmp_path):
 
 
 def test_detect_curves_equal_the_scalar_detectors(tmp_path):
-    """Every line of every ``stat_*`` file is the scalar detector's curve and
-    thresholds for its record; ``f`` is taken against the first training
-    baseline, which the seed makes another record than the set's first."""
+    """Every ``stat_*`` file is the scalar detector's curve for its record as
+    ``freq,value``, and every row of ``thresholds_1-2.csv`` holds that
+    detector's thresholds at its alpha; ``f`` is taken against the first
+    training baseline, which the seed makes another record than the set's
+    first."""
     import warnings
 
     from gwdetect.dataio import fmt
@@ -389,31 +391,74 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
     assert main(["detect", *_common(tmp_path / "data"), "--metrics", "f,fm,z",
                  "--alpha", "0.01,0.05", "--holdout", "1", "--seed", "2",
                  "--out", str(out)]) == 0
-    want = {}
+    want, thresholds = {}, ["set,metric,alpha,lower,upper"]
     for set_id in ("set0", "set1"):
         loaded = load_set(man, "1-2", set_id, "first-packet", WelchConfig(100, 0.5, 2000),
                           holdout=1, seed=2)
         ens = loaded.ensemble
         assert loaded.entries[loaded.train[0]] != man.entries_for(
             "1-2", set_id, man.baseline_label)[0]
-        for i, j in enumerate(loaded.inspect):
-            stem = Path(loaded.entries[j].file).stem
-            for alpha in alphas:
+        for metric, detector in (("f", lambda psd, a: f_statistic(ens.psds[0], psd, a)),
+                                 ("fm", lambda psd, a: fm_statistic(ens, psd, a)),
+                                 ("z", lambda psd, a: z_statistic(ens, psd, a))):
+            for i, j in enumerate(loaded.inspect):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    curves = {"f": f_statistic(ens.psds[0], loaded.psds[j], alpha),
-                              "fm": fm_statistic(ens, loaded.psds[j], alpha),
-                              "z": z_statistic(ens, loaded.psds[j], alpha)}
-                for metric, series in curves.items():
-                    bounds = f"{series.lower_threshold:.12g},{series.upper_threshold:.12g}"
-                    lines = ["freq,value,lower,upper"]
-                    lines += [f"{fmt(f)},{v:.12g},{bounds}"
-                              for f, v in zip(series.freqs.tolist(), series.values.tolist())]
-                    name = f"stat_{metric}_1-2_{set_id}_{i:03d}_{stem}_a{fmt(alpha)}.csv"
-                    want[name] = "\n".join(lines) + "\n"
+                    series = [detector(loaded.psds[j], alpha) for alpha in alphas]
+                assert all(np.array_equal(s.values, series[0].values) for s in series)
+                lines = ["freq,value"]
+                lines += [f"{fmt(f)},{v:.12g}" for f, v in
+                          zip(series[0].freqs.tolist(), series[0].values.tolist())]
+                stem = Path(loaded.entries[j].file).stem
+                want[f"stat_{metric}_1-2_{set_id}_{i:03d}_{stem}.csv"] = "\n".join(lines) + "\n"
+            # a metric's critical points are the same for every record of a set
+            thresholds += [f"{set_id},{metric},{fmt(alpha)},"
+                           f"{s.lower_threshold:.12g},{s.upper_threshold:.12g}"
+                           for alpha, s in zip(alphas, series)]
     n_damage = sum(e.label != man.baseline_label for e in man.entries)
-    assert len(want) == 3 * len(alphas) * n_damage
+    assert len(want) == 3 * n_damage
     assert {p.name: p.read_text() for p in out.glob("stat_*.csv")} == want
+    assert (out / "thresholds_1-2.csv").read_text() == "\n".join(thresholds) + "\n"
+
+
+def test_detect_writes_each_statistic_curve_once_whatever_the_alphas(tmp_path):
+    """``--alpha 0.05`` and ``--alpha 0.01,0.05`` write byte-identical
+    ``stat_*`` files; besides the added alpha's report and verdicts, only
+    the thresholds and the summary differ."""
+    simulate_small(tmp_path / "data")
+    trees = {}
+    for alphas in ("0.05", "0.01,0.05"):
+        out = tmp_path / alphas
+        assert main(["detect", *_common(tmp_path / "data", "--metrics", "f,fm,z,qiu",
+                                        "--alpha", alphas, "--holdout", "3"),
+                     "--out", str(out)]) == 0
+        trees[alphas] = tree_digest(out)
+    one, two = trees["0.05"], trees["0.01,0.05"]
+    curves = {name for name in one if name.startswith("stat_")}
+    assert len(curves) == 3 * 4
+    assert {name for name in two if name.startswith("stat_")} == curves
+    assert {name: one[name] for name in curves} == {name: two[name] for name in curves}
+    added = {"report_1-2_first-packet_a0.01.csv", "verdicts_1-2_first-packet_a0.01.csv"}
+    assert set(two) == set(one) | added
+    assert {name for name in one if one[name] != two[name]} == \
+        {"thresholds_1-2.csv", "summary.txt"}
+    rows = [line.split(",") for line in
+            (tmp_path / "0.01,0.05" / "thresholds_1-2.csv").read_text().splitlines()]
+    assert [r[:3] for r in rows] == [["set", "metric", "alpha"]] + [
+        ["set0", m, a] for m in ("f", "fm", "z") for a in ("0.01", "0.05")]
+    assert (tmp_path / "0.05" / "thresholds_1-2.csv").read_text().splitlines() == \
+        [",".join(r) for r in rows if r[2] != "0.01"]
+
+
+def test_detect_with_only_damage_indices_writes_no_curve_or_thresholds(tmp_path):
+    simulate_small(tmp_path / "data")
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--metrics", "janapati,qiu",
+                                    "--alpha", "0.01,0.05", "--holdout", "3"),
+                 "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"summary.txt"} | {
+        f"{kind}_1-2_first-packet_a{a}.csv" for kind in ("report", "verdicts")
+        for a in ("0.01", "0.05")}
 
 
 def test_config_detrend_takes_boolean_words(tmp_path):
@@ -696,22 +741,18 @@ DOUBLES = st.one_of(
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), n=st.integers(1, 30),
-       kinds=st.sampled_from([("a",), ("a", "a"), ("a", "c", "c"), ("c", "a", "a"),
-                              ("a", "c", "a", "c")]),
-       header=st.sampled_from(["freq,psd", "freq,value,lower,upper", "f,100%,%s,%%d"]))
-def test_curve_template_writes_the_per_row_formatters_bytes(data, n, kinds, header):
+@given(data=st.data(), n=st.integers(1, 30), k=st.integers(1, 2),
+       header=st.sampled_from(["freq,psd", "freq,lower,upper", "f,100%,%s,%%d"]))
+def test_curve_template_writes_the_per_row_formatters_bytes(data, n, k, header):
     """One ``%`` over the template gives the bytes of formatting each row
-    alone, for one or two array columns among constant ones, and ``%`` in
-    the fixed text stays literal."""
+    alone, for one or two columns, and ``%`` in the fixed text stays
+    literal."""
     vector = st.lists(DOUBLES, min_size=n, max_size=n).map(np.array)
     freqs = data.draw(vector)
-    columns = [data.draw(vector) if k == "a" else data.draw(DOUBLES) for k in kinds]
-    template = _curve_template(header, freqs,
-                               *(None if k == "a" else c for k, c in zip(kinds, columns)))
+    columns = [data.draw(vector) for _ in range(k)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "curve.csv"
-        _write_curve(path, template, *(c for k, c in zip(kinds, columns) if k == "a"))
+        _write_curve(path, _curve_template(header, freqs, k), *columns)
         got = path.read_bytes()
     assert got == oc.curve_text_by_row(header, freqs, *columns).encode()
 
@@ -720,7 +761,7 @@ def test_curve_template_writes_the_per_row_formatters_bytes(data, n, kinds, head
 def test_curve_writer_raises_when_a_column_does_not_fit_the_grid(tmp_path, arrays):
     """A column longer or shorter than the grid is an error, not a curve cut
     to the shorter length."""
-    template = _curve_template("freq,a,b", np.arange(10.0), *(None for _ in arrays))
+    template = _curve_template("freq,a,b", np.arange(10.0), len(arrays))
     with pytest.raises((TypeError, ValueError)):
         _write_curve(tmp_path / "c.csv", template, *(np.ones(k) for k in arrays))
     assert not (tmp_path / "c.csv").exists()
@@ -794,6 +835,33 @@ def test_detect_summarizes_paths_that_list_damage_labels_in_another_order(tmp_pa
     reports = sorted(out.glob("report_*.csv"))
     assert main(["report", *map(str, reports), "--out", str(tmp_path / "again.txt")]) == 0
     assert (tmp_path / "again.txt").read_text() == summary
+
+
+def test_summary_and_report_order_labels_alike_whatever_the_manifest_order(tmp_path):
+    """A manifest whose first path (``2-3``) is not the first by name and
+    lists the damage labels in another order than ``1-2``: ``summary.txt``
+    and ``report`` over the reports, in either order, are the same table,
+    with the labels in the order of the first block's path."""
+    simulate_small(tmp_path / "data")
+    man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
+    healthy = [e for e in man.entries if e.label == man.baseline_label]
+    damaged = [e for e in man.entries if e.label != man.baseline_label]
+    assert [e.label for e in damaged] == ["att-0.9", "att-0.9", "att-0.5", "att-0.5"]
+    first = [ManifestEntry(e.file, e.label, "2-3", e.set_id)
+             for e in (*healthy, *damaged[2:], *damaged[:2])]
+    man.entries = [*first, *man.entries]
+    man.save(tmp_path / "data" / "manifest.csv")
+    assert DatasetManifest.load(tmp_path / "data" / "manifest.csv").paths() == ["2-3", "1-2"]
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--metrics", "fm",
+                                    "--holdout", "3"), "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert summary.index("path = 1-2") < summary.index("path = 2-3")
+    assert summary.count("missed_%[att-0.9]  missed_%[att-0.5]") == 2
+    reports = sorted(out.glob("report_*.csv"))
+    for order in (reports, reports[::-1]):
+        assert main(["report", *map(str, order), "--out", str(tmp_path / "again.txt")]) == 0
+        assert (tmp_path / "again.txt").read_text() == summary
 
 
 class _OpenLog:
