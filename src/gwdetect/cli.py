@@ -28,8 +28,12 @@ headers, e.g.::
 
 Command-line flags override config values.  A value that cannot be read
 names the flag, or the config file and ``[section] key``, it came from; every
-option is checked before any record is read.  Scores, decisions and ``stat_*``
-curves come from ``pipeline``; ``_write_curve`` writes every curve file.
+option is checked before any record is read.  That includes an alpha of
+2**-53 or less, where ``1 - alpha/2`` rounds to 1 and no critical point
+exists.  A config file that is not UTF-8 names its file and line.  Scores,
+decisions and ``stat_*`` curves come from ``pipeline``; ``detect`` writes each
+verdict row straight from a case table and its ``damaged`` decision, and
+``_write_curve`` writes every curve file.
 
 A curve file is one row per frequency of the Welch grid.  Its fixed text (the
 header and the formatted frequencies) is built once per set, or per set and
@@ -58,8 +62,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import fan_out, fmt
-from .detectors import _band_mask, experimental_band, theoretical_band
+from .dataio import _utf8_text, fan_out, fmt
+from .detectors import DAMAGED, HEALTHY, _band_mask, experimental_band, theoretical_band
 from .pipeline import (
     METRICS,
     DatasetManifest,
@@ -91,10 +95,12 @@ def _load_config(path) -> dict:
     """``section.key`` -> value from a config file; none given reads as empty."""
     if not path:
         return {}
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        raise ValueError(f"config file {path} not found or unreadable") from None
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cp.read(path)
-    if not read:
-        raise ValueError(f"config file {path} not found or unreadable")
+    cp.read_string(_utf8_text(path, data), source=str(path))
     return {f"{sec}.{key}": value
             for sec in cp.sections() for key, value in cp.items(sec)}
 
@@ -172,6 +178,16 @@ def _noise_level(text) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(text)
     return value
+
+
+def _parse_alpha(text) -> float:
+    """A false-alarm probability whose two-sided level ``1 - alpha/2`` is
+    below 1 in double precision, so that its critical points exist: alpha
+    above 2**-53."""
+    alpha = validate_alpha(text)
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(text)
+    return alpha
 
 
 def _parse_list(text, item) -> list:
@@ -253,8 +269,9 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
                    lambda text: _parse_list(text, _member(METRICS)),
                    f"a comma list of distinct metrics from {','.join(METRICS)}")
     alphas = _opt(args, cfg, "alpha", "detect.alphas", [0.05],
-                  lambda text: _parse_list(text, validate_alpha),
-                  "a comma list of distinct false-alarm probabilities in (0, 1]")
+                  lambda text: _parse_list(text, _parse_alpha),
+                  "a comma list of distinct false-alarm probabilities in (2**-53, 1], "
+                  "2**-53 being about 1.1e-16")
     grid = welch.freq_grid(manifest.sample_rate)
     on_grid = (f"in Hz with f_lo <= f_hi and a frequency of the grid "
                f"(0 to {grid[-1]:g} Hz in steps of {grid[1]:g} Hz) between them")
@@ -351,9 +368,7 @@ def cmd_detect(args) -> int:
             reports.append(report)
             tag = f"{_slug(path)}_{_slug(rc.window)}_a{fmt(alpha)}"
             _write(rc.out_dir / f"report_{tag}.csv", report.to_csv())
-            lines = ["case_id,metric,label,verdict"]
-            lines.extend(f"{cid},{m},{lbl},{v}" for cid, m, lbl, v in report.verdicts)
-            _write(rc.out_dir / f"verdicts_{tag}.csv", "\n".join(lines) + "\n")
+            _write_verdicts(rc.out_dir / f"verdicts_{tag}.csv", scores.cases, report.alpha)
         curves = [(loaded, *c) for loaded in scores.sets
                   for c in statistic_curves(loaded, rc.metrics, rc.alphas)]
         if curves:
@@ -365,6 +380,18 @@ def cmd_detect(args) -> int:
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
+
+
+def _write_verdicts(path: Path, cases: dict, alpha: float) -> None:
+    """A verdict file: a row per case of each ``CaseTable`` in ``cases``, in
+    metric and case order, decided by the table's ``damaged`` rule.  It is
+    written a metric at a time, so that the whole text is never held."""
+    with open(path, "w") as fh:
+        fh.write("case_id,metric,label,verdict\n")
+        for metric, table in cases.items():
+            flags = table.damaged(alpha).tolist()
+            fh.write("".join(f"{cid},{metric},{label},{DAMAGED if flag else HEALTHY}\n"
+                             for cid, label, flag in zip(table.case_ids, table.labels, flags)))
 
 
 def _stat_curves(rc: RunConfig, path: str, curves):

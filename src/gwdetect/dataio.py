@@ -8,7 +8,8 @@ A signal file is a one-column CSV of volt samples with a two-line header::
     ...
 
 Decimal point is ``.``, separator is ``,``, line endings are LF, and the
-text is UTF-8.  The label is one line: ``write_signal`` refuses a label that
+text is UTF-8; a byte that does not decode is an error that names the file
+and its line.  The label is one line: ``write_signal`` refuses a label that
 holds a line break.
 
 The text file is the reference.  ``write_signal`` also leaves its parsed form
@@ -56,6 +57,18 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _utf8_text(path, data: bytes) -> str:
+    """``data``, the bytes of the file ``path``, as text; a byte that does not
+    decode as UTF-8 raises ValueError naming the file and the line of the
+    first such byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") \
+            from None
+
+
 def write_signal(path, signal: Signal) -> None:
     path = Path(path)
     if "".join(signal.label.splitlines()) != signal.label:
@@ -89,8 +102,11 @@ def read_signal(path) -> Signal:
     path = Path(path)
     data = path.read_bytes()
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # decodes as it is read
-    first = fh.readline().strip()
-    second = fh.readline().strip()
+    try:
+        first = fh.readline().strip()
+        second = fh.readline().strip()
+    except UnicodeDecodeError:  # in the first block read, which may reach the samples
+        _utf8_text(path, data)  # raises, naming the line
     if not first.startswith("sample_rate,") or not second.startswith("label,"):
         raise ValueError(f"{path}: expected a two-line sample_rate/label header")
     rate = first.split(",", 1)[1]
@@ -103,10 +119,10 @@ def read_signal(path) -> Signal:
     if samples is None:
         try:
             samples = np.loadtxt(fh, dtype=float, ndmin=1)
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError among them
             samples = None
     if samples is None or not np.isfinite(samples).all():
-        raise ValueError(f"{path}:{_bad_sample(data)} is not a finite number")
+        raise ValueError(f"{path}:{_bad_sample(path, data)} is not a finite number")
     try:
         return Signal(samples=samples, sample_rate=sample_rate, label=label)
     except ValueError as exc:
@@ -283,11 +299,12 @@ def _stored_samples(path: Path, text: bytes):
     return np.frombuffer(raw, "<f8", offset=40)
 
 
-def _bad_sample(data: bytes) -> str:
+def _bad_sample(path, data: bytes) -> str:
     """Line number and text of the first sample of the file bytes ``data``
     that is not a finite number, with lines read as ``np.loadtxt`` reads them
-    (``#`` comments and blank lines skipped)."""
-    for ln, raw in enumerate(data.decode("utf-8").splitlines()[2:], start=3):
+    (``#`` comments and blank lines skipped); bytes that are not UTF-8 raise
+    as ``_utf8_text`` raises."""
+    for ln, raw in enumerate(_utf8_text(path, data).splitlines()[2:], start=3):
         text = raw.split("#", 1)[0].strip()
         try:
             if not text or math.isfinite(float(text)):

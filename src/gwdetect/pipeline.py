@@ -35,10 +35,13 @@ every case of a metric at once into a ``CaseTable``: pairwise PSD ratios, the
 ensemble statistics in one expression each, and both damage indices from one
 Gram matrix of the packets, each case with its p-value.
 ``run_inspection(scores, alpha)`` and ``roc_sweep(scores, metric)`` then only
-decide: a case is damaged at alpha when ``p < alpha``, so one scoring pass
-serves every alpha and every metric it scored.  The curves ``detect`` plots
-(``statistic_curves``) use the same per-bin expressions and the critical
-points.  Every rule of a metric, input checks included, lives in ``detectors``,
+decide: a case is damaged at alpha when ``p < alpha``
+(``CaseTable.damaged``), so one scoring pass serves every alpha and every
+metric it scored.  ``run_inspection`` only counts those decisions: its
+``DetectionReport`` holds exactly what its CSV holds, and ``detect`` writes
+the per-case verdict rows straight from the case tables.  The curves
+``detect`` plots (``statistic_curves``) use the same per-bin expressions and
+the critical points.  Every rule of a metric, input checks included, lives in ``detectors``,
 where the scalar detectors build on it too; this module builds, stacks and
 chunks the cases.  The tests hold both paths equal to call-by-call oracles.
 """
@@ -51,10 +54,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import fmt, read_signal
-from .detectors import (DAMAGED, HEALTHY, BaselineEnsemble, _band_mask, _check_probe,
-                        _critical_points, _damage_index, _dof, _live_bins, _p_value,
-                        _statistic)
+from .dataio import _utf8_text, fmt, read_signal
+from .detectors import (BaselineEnsemble, _band_mask, _check_probe, _critical_points,
+                        _damage_index, _dof, _live_bins, _p_value, _statistic)
 from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
 from .statdist import validate_alpha
 
@@ -98,7 +100,7 @@ class ManifestEntry:
 class DatasetManifest:
     """Index of one dataset: signal files, windows and analysis defaults."""
 
-    entries: list
+    entries: tuple
     sample_rate: float
     baseline_label: str = "healthy"
     packet_windows: dict = field(default_factory=dict)
@@ -107,9 +109,11 @@ class DatasetManifest:
 
     def __setattr__(self, name, value):
         """Setting ``entries`` takes each as a ``ManifestEntry`` and groups
-        them by path and set once, for the lookups below."""
+        them by path and set once, for the lookups below; they are kept as a
+        tuple, so that the grouping cannot go stale by an edit in place."""
         if name == "entries":
-            value = [e if isinstance(e, ManifestEntry) else ManifestEntry(*e) for e in value]
+            value = tuple(e if isinstance(e, ManifestEntry) else ManifestEntry(*e)
+                          for e in value)
             by_path, positions = {}, {}
             for e in value:
                 in_path = by_path.setdefault(e.path_id, [])
@@ -190,7 +194,7 @@ class DatasetManifest:
         windows = {}
         entries = []
         in_body = False
-        for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+        for ln, raw in enumerate(_utf8_text(path, path.read_bytes()).splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -403,6 +407,10 @@ class CaseTable:
     def __len__(self) -> int:
         return len(self.case_ids)
 
+    def damaged(self, alpha: float) -> np.ndarray:
+        """Each case's decision at ``alpha``, the one rule of every metric."""
+        return self.p < alpha
+
 
 @dataclass(frozen=True)
 class PathScores:
@@ -601,7 +609,6 @@ class DetectionReport:
     window: str
     alpha: float
     rows: tuple             # MetricSummary per metric
-    verdicts: tuple         # (case_id, metric, label, verdict)
     damage_labels: tuple
     holdout: int
     m_by_set: dict
@@ -690,7 +697,7 @@ class DetectionReport:
             for m, rec in rows.items()
         )
         return cls(path=meta["path"], window=meta["window"],
-                   alpha=header("alpha", float), rows=summaries, verdicts=(),
+                   alpha=header("alpha", float), rows=summaries,
                    damage_labels=tuple(labels), holdout=header("holdout", int),
                    m_by_set=m_by_set, band=band, welch=header("welch", welch_config))
 
@@ -705,20 +712,17 @@ def _m_note(m_by_set: dict) -> str:
 
 
 def run_inspection(scores: PathScores, alpha) -> DetectionReport:
-    """Decide every scored case of a path at ``alpha``, for every metric the
-    scores hold.
+    """Count the decisions at ``alpha`` of every scored case of a path, for
+    every metric the scores hold.
 
     Held-out healthy records feed the false-alarm columns; missed-damage
-    percentages are aggregated per damage label.
+    percentages are aggregated per damage label.  The cases' own decisions
+    stay in the scores (``CaseTable.damaged``).
     """
     alpha = validate_alpha(alpha)
     rows = []
-    verdicts = []
     for metric, table in scores.cases.items():
-        damaged = table.p < alpha
-        verdicts.extend((cid, metric, label, DAMAGED if flag else HEALTHY)
-                        for cid, label, flag in zip(table.case_ids, table.labels,
-                                                    damaged.tolist()))
+        damaged = table.damaged(alpha)
         labels = np.array(table.labels, dtype=str)
         missed = {}
         for label in scores.damage_labels:
@@ -729,8 +733,7 @@ def run_inspection(scores: PathScores, alpha) -> DetectionReport:
             metric=metric, false_alarms=int(np.count_nonzero(damaged & table.is_healthy)),
             healthy_cases=int(np.count_nonzero(table.is_healthy)), missed=missed))
     return DetectionReport(path=scores.path, window=scores.window, alpha=alpha,
-                           rows=tuple(rows), verdicts=tuple(verdicts),
-                           damage_labels=scores.damage_labels,
+                           rows=tuple(rows), damage_labels=scores.damage_labels,
                            holdout=scores.holdout, m_by_set=dict(scores.m_by_set),
                            band=scores.band, welch=scores.welch)
 

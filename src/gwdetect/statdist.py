@@ -107,7 +107,8 @@ def normal_quantile(p: float) -> float:
             lo = y
         else:
             hi = y
-        yn = y + f / normal_pdf(y)
+        den = normal_pdf(y)  # 0 once it underflows, far out in the tail
+        yn = y + f / den if den > 0.0 else 0.5 * (lo + hi)
         if not lo < yn < hi:
             yn = 0.5 * (lo + hi)
         if abs(yn - y) <= 1e-16 * max(1.0, y):

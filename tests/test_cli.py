@@ -1,4 +1,5 @@
 import hashlib
+import math
 import shutil
 import sys
 import tempfile
@@ -507,6 +508,10 @@ def _set_line(text, number, new):
     pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
     pytest.param("option", "--metrics", "z,z", id="option-metrics-z,z"),
     pytest.param("option", "--alpha", "0.05,0.05", id="option-alpha-0.05,0.05"),
+    # 1 - alpha/2 rounds to 1: no critical point exists in double precision
+    pytest.param("option", "--alpha", "1e-20", id="option-alpha-1e-20"),
+    pytest.param("option", "--alpha", "0.05,1.1102230246251565e-16",
+                 id="option-alpha-0.05,2**-53"),
     pytest.param("config", "welch.nfft", "abc", id="config-nfft-abc"),
     pytest.param("config", "welch.overlap", "half", id="config-overlap-half"),
     pytest.param("config", "welch.detrend", "maybe", id="config-detrend-maybe"),
@@ -515,6 +520,7 @@ def _set_line(text, number, new):
     pytest.param("config", "detect.seed", "-1", id="config-seed--1"),
     pytest.param("config", "detect.holdout", "-2", id="config-holdout--2"),
     pytest.param("config", "detect.alphas", "abc", id="config-alphas-abc"),
+    pytest.param("config", "detect.alphas", "1e-150", id="config-alphas-1e-150"),
     pytest.param("report", "welch", "metric,kind", id="report-metric,kind"),
     pytest.param("report", "m_train", "\n".join([
         "# path = 1-2", "# window = first-packet", "# alpha = 0.05",
@@ -579,6 +585,55 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert not out.exists(), cmd
         if target in ("option", "config") or new.startswith("band"):
             assert reads == [], cmd
+
+
+def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
+    """``--alpha`` takes every level whose ``1 - alpha/2`` is below 1 in
+    double precision, and refuses 2**-53, where it rounds to 1."""
+    from gwdetect.cli import _parse_alpha
+
+    above = math.nextafter(2.0 ** -53, 1.0)
+    assert 1.0 - above / 2.0 < 1.0 and _parse_alpha(repr(above)) == above
+    for alpha in (2.0 ** -53, 1e-20, 5e-324):
+        with pytest.raises(ValueError):
+            _parse_alpha(repr(alpha))
+
+
+@pytest.mark.parametrize("target, number, sidecar", [
+    pytest.param("signal", 7, True, id="signal-sample"),
+    # past the first block that decoding the header reads
+    pytest.param("signal", 2900, False, id="signal-late-sample-no-sidecar"),
+    pytest.param("signal", 2, True, id="signal-label"),
+    pytest.param("manifest", 2, True, id="manifest-header"),
+    pytest.param("config", 2, True, id="config-value"),
+])
+def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
+                                                            target, number, sidecar):
+    """A byte that does not decode as UTF-8 exits 2, writes nothing, and
+    names the file and the line of the byte."""
+    data = tmp_path / "data"
+    simulate_small(data)
+    capsys.readouterr()
+    man = DatasetManifest.load(data / "manifest.csv")
+    argv = [*_common(data), "--metrics", "z"]
+    if target == "config":
+        victim = tmp_path / "run.cfg"
+        victim.write_text("[detect]\nholdout = 3\n")
+        argv += ["--config", str(victim)]
+    else:
+        victim = man.resolve(man.entries[1]) if target == "signal" else data / "manifest.csv"
+        argv += ["--holdout", "3"]
+    if not sidecar:
+        shutil.rmtree(victim.parent / "__gwcache__")
+    lines = victim.read_bytes().split(b"\n")
+    lines[number - 1] += b"\xff"
+    victim.write_bytes(b"\n".join(lines))
+    out = tmp_path / "res"
+    assert main(["detect", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{victim}:{number}: byte 0xff is not UTF-8 text" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_window_kind_flag_is_read_as_the_config_value_is(tmp_path):
@@ -718,7 +773,12 @@ def test_band_full_tests_the_full_grid(tmp_path):
     for scores, run in ((full, "flag"), (banded, "default")):
         report = run_inspection(scores, 0.05)
         assert (tmp_path / run / name).read_text() == report.to_csv()
-        lines = ["case_id,metric,label,verdict"] + [",".join(v) for v in report.verdicts]
+        # every verdict row is the critical-point decision of its case
+        lines = ["case_id,metric,label,verdict"] + [
+            f"{cid},{m},{label},{'damaged' if flag else 'healthy'}"
+            for m, table in scores.cases.items()
+            for cid, label, flag in zip(table.case_ids, table.labels,
+                                        oc.critical_point_damaged(table, 0.05))]
         assert (tmp_path / run / "verdicts_1-2_first-packet_a0.05.csv").read_text() == \
             "\n".join(lines) + "\n"
     assert "# band = full\n" in (tmp_path / "flag" / name).read_text()

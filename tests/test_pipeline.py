@@ -96,6 +96,25 @@ def test_many_set_manifest_lookups_equal_a_scan_of_every_entry():
         man.validate()
 
 
+def test_manifest_entries_cannot_go_stale_by_an_edit_in_place():
+    """The lookups are grouped when ``entries`` is set, so an edit in place
+    raises instead of leaving them stale; setting the entries groups them
+    again."""
+    man = DatasetManifest(entries=[ManifestEntry("signals/a.csv", "healthy", "1-2", "set0")],
+                          sample_rate=1e6)
+    moved = ManifestEntry("signals/a.csv", "healthy", "1-2", "set1")
+    extra = ManifestEntry("signals/x.csv", "healthy", "9-9", "set0")
+    with pytest.raises(AttributeError):
+        man.entries.append(extra)
+    with pytest.raises(TypeError):
+        man.entries[0] = moved
+    assert man.paths() == ["1-2"] and man.sets_for("1-2") == ["set0"]
+    man.entries = [moved, extra]
+    assert man.entries == (moved, extra)
+    assert man.paths() == ["1-2", "9-9"] and man.sets_for("1-2") == ["set1"]
+    assert man.entries_for("1-2", "set1") == [moved]
+
+
 @pytest.mark.parametrize("rate", ["inf", "nan", "-inf", "0", "-5"])
 def test_manifest_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, rate):
     with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
@@ -261,7 +280,7 @@ def test_decisions_cover_exactly_the_scored_metrics(ladder_dataset, bench_welch)
                                  ["z", "qiu"], holdout=5)
     rep = run_inspection(scores, 0.05)
     assert [r.metric for r in rep.rows] == ["z", "qiu"]
-    assert {metric for _, metric, _, _ in rep.verdicts} == {"z", "qiu"}
+    assert list(scores.cases) == ["z", "qiu"]  # the metrics of the verdict rows, in order
     with pytest.raises(ValueError,
                        match=r"metric 'f' was not scored; the scores hold \('z', 'qiu'\)"):
         roc_sweep(scores, "f")
@@ -291,12 +310,28 @@ def test_report_csv_roundtrip_and_recount(ladder_dataset, bench_welch):
 
 
 def test_report_reproducibility(ladder_dataset, bench_welch):
-    a, b = (run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
-                                               bench_welch, ["f", "z", "janapati"],
-                                               holdout=5, seed=31), 0.05)
+    a, b = (compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                ["f", "z", "janapati"], holdout=5, seed=31)
             for _ in range(2))
-    assert a.to_csv() == b.to_csv()
-    assert a.verdicts == b.verdicts
+    assert run_inspection(a, 0.05).to_csv() == run_inspection(b, 0.05).to_csv()
+    # what the verdict rows are written from
+    for metric, table in a.cases.items():
+        other = b.cases[metric]
+        assert (table.case_ids, table.labels) == (other.case_ids, other.labels)
+        assert table.damaged(0.05).tolist() == other.damaged(0.05).tolist()
+
+
+@pytest.mark.parametrize("split", [{"holdout": 5}, {"holdout": 0, "seed": 31, "band": None}])
+def test_report_equals_its_csv_read_back(ladder_dataset, bench_welch, split):
+    """A report holds exactly what its file holds: reading back the CSV of a
+    report that ``run_inspection`` returns gives an equal report."""
+    from gwdetect.pipeline import DetectionReport
+
+    scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
+                                 METRICS, **split)
+    for alpha in (0.05, 1e-3):
+        rep = run_inspection(scores, alpha)
+        assert DetectionReport.from_csv(rep.to_csv()) == rep
 
 
 def _noise_only_manifest(tmp_path, n_healthy, n_fake, n_samples=144, fs=1e4,

@@ -186,7 +186,7 @@ def reports(draw):
     return DetectionReport(
         path=draw(NAME), window=draw(NAME),
         alpha=draw(st.floats(min_value=1e-12, max_value=1.0)),
-        rows=tuple(rows), verdicts=(), damage_labels=labels,
+        rows=tuple(rows), damage_labels=labels,
         holdout=draw(st.integers(0, 1000)),
         m_by_set=draw(st.dictionaries(NAME, st.integers(0, 1000), max_size=3)),
         band=draw(st.one_of(st.none(), st.tuples(FINITE, FINITE))),

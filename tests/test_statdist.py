@@ -41,6 +41,16 @@ def test_normal_roundtrip_dense():
         assert normal_quantile(normal_cdf(z)) == pytest.approx(z, abs=limit + 1e-12)
 
 
+def test_quantiles_where_the_normal_density_underflows():
+    # far in the lower tail the Newton step's density underflows to 0 on the
+    # way; the bracket's midpoint takes the step's place there
+    ps = (1e-150, 1e-200, 1e-250, 1e-300, 1e-320, 5e-324)
+    zs = [normal_quantile(p) for p in ps]
+    assert all(math.isfinite(z) for z in zs) and zs == sorted(zs, reverse=True)
+    assert normal_cdf(normal_quantile(1e-300)) == pytest.approx(1e-300, rel=1e-9)
+    assert chi2_cdf(chi2_quantile(1e-300, 18), 18) == pytest.approx(1e-300, rel=1e-9)
+
+
 def test_chi2_trivials():
     for d in (1, 2, 7, 100):
         assert chi2_cdf(0.0, d) == 0.0
