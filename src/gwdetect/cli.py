@@ -30,10 +30,12 @@ Command-line flags override config values.  A value that cannot be read
 names the flag, or the config file and ``[section] key``, it came from; every
 option is checked before any record is read.  That includes an alpha of
 2**-53 or less, where ``1 - alpha/2`` rounds to 1 and no critical point
-exists.  A config file that is not UTF-8 names its file and line.  Scores,
-decisions and ``stat_*`` curves come from ``pipeline``; ``detect`` writes each
-verdict row straight from a case table and its ``damaged`` decision, and
-``_write_curve`` writes every curve file.
+exists.  A config file that is not UTF-8, or that ``configparser`` cannot
+parse, names its file and line.  ``report`` names the file and line of a
+report that is not UTF-8 or holds a row ``DetectionReport.from_csv`` refuses.
+Scores, decisions and ``stat_*`` curves come from ``pipeline``; ``detect``
+writes each verdict row straight from a case table and its ``damaged``
+decision, and ``_write_curve`` writes every curve file.
 
 A curve file is one row per frequency of the Welch grid.  Its fixed text (the
 header and the formatted frequencies) is built once per set, or per set and
@@ -99,10 +101,33 @@ def _load_config(path) -> dict:
         data = Path(path).read_bytes()
     except OSError:
         raise ValueError(f"config file {path} not found or unreadable") from None
+    text = _utf8_text(path, data)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(_utf8_text(path, data), source=str(path))
-    return {f"{sec}.{key}": value
-            for sec in cp.sections() for key, value in cp.items(sec)}
+    try:
+        cp.read_string(text, source=str(path))
+        return {f"{sec}.{key}": value
+                for sec in cp.sections() for key, value in cp.items(sec)}
+    except configparser.Error as exc:
+        raise _config_error(path, text, exc) from None
+
+
+def _config_error(path, text: str, exc: configparser.Error) -> ValueError:
+    """Why ``configparser`` cannot read the config file ``path`` of ``text``,
+    as ``<file>:<line>: <reason>``, or as ``<file>: [section] key: <reason>``
+    for a value it cannot interpolate."""
+    if isinstance(exc, configparser.InterpolationError):
+        return ValueError(f"{path}: [{exc.section}] {exc.option}: {exc.message}")
+    if isinstance(exc, configparser.DuplicateSectionError):
+        line, reason = exc.lineno, f"section [{exc.section}] is given twice"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        line, reason = exc.lineno, f"key {exc.option!r} is given twice in [{exc.section}]"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        line, reason = exc.lineno, f"{exc.line.strip()!r} comes before any [section] header"
+    else:  # ParsingError: its first bad line
+        line = exc.errors[0][0]
+        bad = text.split("\n")[line - 1].strip()
+        reason = f"{bad!r} is neither a [section] header nor a 'key = value' line"
+    return ValueError(f"{path}:{line}: {reason}")
 
 
 def _lookup(args, cfg: dict, dest: str, key: str):
@@ -480,8 +505,9 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     reports = []
     for p in args.reports:
+        text = _utf8_text(p, Path(p).read_bytes())
         try:
-            reports.append(DetectionReport.from_csv(Path(p).read_text()))
+            reports.append(DetectionReport.from_csv(text))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
     text = summary_table(reports)

@@ -38,8 +38,10 @@ Gram matrix of the packets, each case with its p-value.
 decide: a case is damaged at alpha when ``p < alpha``
 (``CaseTable.damaged``), so one scoring pass serves every alpha and every
 metric it scored.  ``run_inspection`` only counts those decisions: its
-``DetectionReport`` holds exactly what its CSV holds, and ``detect`` writes
-the per-case verdict rows straight from the case tables.  The curves
+``DetectionReport`` holds exactly what its CSV holds, one
+``(metric, label) -> (count, cases)`` entry per row in row order, and
+``from_csv`` refuses rows that do not add up.  ``detect`` writes the per-case
+verdict rows straight from the case tables.  The curves
 ``detect`` plots (``statistic_curves``) use the same per-bin expressions and
 the critical points.  Every rule of a metric, input checks included, lives in ``detectors``,
 where the scalar detectors build on it too; this module builds, stacks and
@@ -67,7 +69,6 @@ __all__ = [
     "CaseTable",
     "PathScores",
     "LoadedSet",
-    "MetricSummary",
     "DetectionReport",
     "RocCurve",
     "locate_packet",
@@ -586,34 +587,35 @@ def statistic_curves(loaded: LoadedSet, metrics, alphas):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MetricSummary:
-    metric: str
-    false_alarms: int
-    healthy_cases: int
-    missed: dict  # label -> (missed_count, case_count)
-
-    @property
-    def false_alarm_pct(self):
-        if self.healthy_cases == 0:
-            return None
-        return 100.0 * self.false_alarms / self.healthy_cases
-
-    def missed_pct(self, label):
-        missed, cases = self.missed[label]
-        return None if cases == 0 else 100.0 * missed / cases
-
-
-@dataclass(frozen=True)
 class DetectionReport:
+    """The counts of one path, window and alpha, as ``report_*.csv`` lists
+    them: ``counts`` maps ``(metric, label)`` to ``(count, cases)`` in the
+    file's row order, with label ``None`` for a metric's false-alarm row."""
+
     path: str
     window: str
     alpha: float
-    rows: tuple             # MetricSummary per metric
-    damage_labels: tuple
+    counts: dict
     holdout: int
     m_by_set: dict
     band: tuple
     welch: WelchConfig
+
+    @property
+    def metrics(self) -> tuple:
+        """The metrics of the rows, in first-seen order."""
+        return tuple(dict.fromkeys(metric for metric, _ in self.counts))
+
+    @property
+    def damage_labels(self) -> tuple:
+        """The damage labels of the rows, in first-seen order."""
+        return tuple(dict.fromkeys(label for _, label in self.counts if label is not None))
+
+    def pct(self, metric: str, label=None):
+        """A row's percentage: false alarms of the healthy cases (``label``
+        None), else missed of the damage cases; None with no cases."""
+        count, cases = self.counts[metric, label]
+        return None if cases == 0 else 100.0 * count / cases
 
     def to_csv(self) -> str:
         lines = [
@@ -628,22 +630,20 @@ class DetectionReport:
             f"# m_train = {_m_note(self.m_by_set)}",
             "metric,kind,label,count,cases,pct",
         ]
-        for row in self.rows:
-            pct = row.false_alarm_pct
-            lines.append(f"{row.metric},false_alarm,,{row.false_alarms},"
-                         f"{row.healthy_cases},{'' if pct is None else fmt(pct)}")
-            for label in self.damage_labels:
-                missed, cases = row.missed[label]
-                pct = row.missed_pct(label)
-                lines.append(f"{row.metric},missed,{label},{missed},{cases},"
-                             f"{'' if pct is None else fmt(pct)}")
+        for (metric, label), (count, cases) in self.counts.items():
+            pct = self.pct(metric, label)
+            kind = "false_alarm," if label is None else f"missed,{label}"
+            lines.append(f"{metric},{kind},{count},{cases},{'' if pct is None else fmt(pct)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectionReport":
+        """The report a ``to_csv`` text holds.  A row of an unknown kind, a
+        repeated row, a count outside 0 to its cases, and a metric without
+        its false-alarm row or a missed row for a damage label of the report
+        are refused."""
         meta = {}
-        rows = {}
-        labels = []
+        counts = {}
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("metric,"):
@@ -654,17 +654,21 @@ class DetectionReport:
                     meta[key] = value
                     continue
                 metric, kind, label, count, ncases, pct = line.split(",")
-                counts = (int(count), int(ncases))
+                count, ncases = int(count), int(ncases)
             except ValueError:
                 raise ValueError(f"line {ln}: expected a '# key = value' header or a "
                                  f"metric,kind,label,count,cases,pct row") from None
-            rec = rows.setdefault(metric, {"fa": (0, 0), "missed": {}})
-            if kind == "false_alarm":
-                rec["fa"] = counts
-            else:
-                rec["missed"][label] = counts
-                if label not in labels:
-                    labels.append(label)
+            if kind not in ("false_alarm", "missed") or (kind == "missed") != bool(label):
+                raise ValueError(f"line {ln}: kind {kind!r} with label {label!r}: expected "
+                                 f"false_alarm with no label or missed with a damage label")
+            key = (metric, label or None)
+            if key in counts:
+                raise ValueError(f"line {ln}: a second {kind} row for metric {metric!r}"
+                                 + (f" and label {label!r}" if label else ""))
+            if not 0 <= count <= ncases:
+                raise ValueError(f"line {ln}: count {count} is not between 0 and "
+                                 f"its {ncases} cases")
+            counts[key] = (count, ncases)
         missing = [k for k in _REPORT_KEYS if k not in meta]
         if missing:
             raise ValueError("not a detect report: missing "
@@ -691,15 +695,17 @@ class DetectionReport:
             band = header("band", band_edges)
         m_by_set = header("m_train", lambda text: {  # a set id may hold ':'
             s: int(m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
-        summaries = tuple(
-            MetricSummary(metric=m, false_alarms=rec["fa"][0],
-                          healthy_cases=rec["fa"][1], missed=dict(rec["missed"]))
-            for m, rec in rows.items()
-        )
-        return cls(path=meta["path"], window=meta["window"],
-                   alpha=header("alpha", float), rows=summaries,
-                   damage_labels=tuple(labels), holdout=header("holdout", int),
-                   m_by_set=m_by_set, band=band, welch=header("welch", welch_config))
+        report = cls(path=meta["path"], window=meta["window"],
+                     alpha=header("alpha", float), counts=counts,
+                     holdout=header("holdout", int), m_by_set=m_by_set, band=band,
+                     welch=header("welch", welch_config))
+        for metric in report.metrics:
+            for label in (None, *report.damage_labels):
+                if (metric, label) not in counts:
+                    raise ValueError(f"metric {metric!r} has no " + (
+                        "false_alarm row" if label is None
+                        else f"missed row for label {label!r}"))
+        return report
 
 
 def _band_str(band) -> str:
@@ -720,21 +726,18 @@ def run_inspection(scores: PathScores, alpha) -> DetectionReport:
     stay in the scores (``CaseTable.damaged``).
     """
     alpha = validate_alpha(alpha)
-    rows = []
+    counts = {}
     for metric, table in scores.cases.items():
         damaged = table.damaged(alpha)
         labels = np.array(table.labels, dtype=str)
-        missed = {}
+        counts[metric, None] = (int(np.count_nonzero(damaged & table.is_healthy)),
+                                int(np.count_nonzero(table.is_healthy)))
         for label in scores.damage_labels:
             cases = labels == label
-            missed[label] = (int(np.count_nonzero(cases & ~damaged)),
-                             int(np.count_nonzero(cases)))
-        rows.append(MetricSummary(
-            metric=metric, false_alarms=int(np.count_nonzero(damaged & table.is_healthy)),
-            healthy_cases=int(np.count_nonzero(table.is_healthy)), missed=missed))
+            counts[metric, label] = (int(np.count_nonzero(cases & ~damaged)),
+                                     int(np.count_nonzero(cases)))
     return DetectionReport(path=scores.path, window=scores.window, alpha=alpha,
-                           rows=tuple(rows), damage_labels=scores.damage_labels,
-                           holdout=scores.holdout, m_by_set=dict(scores.m_by_set),
+                           counts=counts, holdout=scores.holdout, m_by_set=dict(scores.m_by_set),
                            band=scores.band, welch=scores.welch)
 
 
@@ -864,10 +867,8 @@ def summary_table(reports) -> str:
     for rep in reports:
         head = [f"alpha = {fmt(rep.alpha)}   path = {rep.path}   window = {rep.window}"]
         cols = ["metric", "false_alarm_%"] + [f"missed_%[{label}]" for label in labels]
-        body = []
-        for row in rep.rows:
-            body.append([row.metric, _pct_str(row.false_alarm_pct)]
-                        + [_pct_str(row.missed_pct(label)) for label in labels])
+        body = [[metric, *(_pct_str(rep.pct(metric, label)) for label in (None, *labels))]
+                for metric in rep.metrics]
         widths = [max(len(col), *(len(r[i]) for r in body)) if body else len(col)
                   for i, col in enumerate(cols)]
         lines = head

@@ -143,14 +143,15 @@ def assert_decisions_match(scores):
         report = run_inspection(scores, alpha)
         # each verdict row and each count comes from the table's decision
         assert all(scores.cases[m].damaged(alpha).tolist() == flags[m][k] for m in METRICS), alpha
-        for row in report.rows:
-            table, flagged = scores.cases[row.metric], flags[row.metric][k]
-            healthy = table.is_healthy.tolist()
-            assert row.false_alarms == sum(f for f, h in zip(flagged, healthy) if h)
-            assert row.healthy_cases == sum(healthy)
-            for label, (missed, n) in row.missed.items():
+        assert report.metrics == tuple(scores.cases)
+        for (metric, label), counted in report.counts.items():
+            table, flagged = scores.cases[metric], flags[metric][k]
+            if label is None:
+                healthy = table.is_healthy.tolist()
+                assert counted == (sum(f for f, h in zip(flagged, healthy) if h), sum(healthy))
+            else:
                 damage = [f for f, lbl in zip(flagged, table.labels) if lbl == label]
-                assert (missed, n) == (len(damage) - sum(damage), len(damage))
+                assert counted == (len(damage) - sum(damage), len(damage))
     for metric in METRICS:
         healthy = scores.cases[metric].is_healthy.tolist()
         n_healthy = sum(healthy)

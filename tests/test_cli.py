@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles as oc
 from gwdetect.cli import _curve_template, _write_curve, main
 from gwdetect.dataio import write_signal
-from gwdetect.pipeline import DatasetManifest, ManifestEntry
+from gwdetect.pipeline import DatasetManifest, DetectionReport, ManifestEntry
 from gwdetect.simulate import synth_dataset
 from gwdetect.spectral import Signal
 
@@ -527,12 +527,36 @@ def _set_line(text, number, new):
         "# welch = L=100,overlap=0.5,nfft=2000,window=hamming,detrend=1",
         "# holdout = 3", "# m_train = set0", "metric,kind,label,count,cases,pct"]),
         id="report-bad-m_train"),
+    # a row of a report that ``detect`` wrote (rows on lines 9-14: z, then qiu,
+    # each a false_alarm row and a missed row for att-0.9 and att-0.5), edited
+    pytest.param("report", "metric 'z' has no missed row for label 'att-0.9'",
+                 ("z,missed,att-0.9,", []), id="report-missing-missed-row"),
+    pytest.param("report", "metric 'qiu' has no false_alarm row",
+                 ("qiu,false_alarm,", []), id="report-missing-false_alarm-row"),
+    pytest.param("report", "line 10: a second false_alarm row for metric 'z'",
+                 ("z,false_alarm,", ["z,false_alarm,,0,3,0", "z,false_alarm,,3,3,100"]),
+                 id="report-repeated-row"),
+    pytest.param("report", "line 10: kind 'mised' with label 'att-0.9'",
+                 ("z,missed,att-0.9,", ["z,mised,att-0.9,0,2,0"]), id="report-unknown-kind"),
+    pytest.param("report", "line 12: kind 'false_alarm' with label 'att-0.9'",
+                 ("qiu,false_alarm,", ["qiu,false_alarm,att-0.9,0,30,0"]),
+                 id="report-false_alarm-row-with-a-label"),
+    pytest.param("report", "line 11: kind 'missed' with label ''",
+                 ("z,missed,att-0.5,", ["z,missed,,0,2,0"]),
+                 id="report-missed-row-without-a-label"),
+    pytest.param("report", "line 9: count -1 is not between 0 and its 3 cases",
+                 ("z,false_alarm,", ["z,false_alarm,,-1,3,-33.3333333333"]),
+                 id="report-negative-count"),
+    pytest.param("report", "line 14: count 99 is not between 0 and its 75 cases",
+                 ("qiu,missed,att-0.5,", ["qiu,missed,att-0.5,99,75,132"]),
+                 id="report-count-above-its-cases"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):
     """Exit 2, no traceback, no output, and a message that says where: the
-    file and line, the report file and the header it lacks or garbles, the
-    option and its value, or the config file, entry and value.  Options and
+    file and line, the report file and the header it lacks or garbles (or
+    the line, or the metric and label, of a row it refuses), the option and
+    its value, or the config file, entry and value.  Options and
     config values are checked before any record is read, by every command
     that takes them (``detect``, ``roc`` and ``psd``; ``--alpha-grid`` is
     ``roc``'s alone), and so is the manifest's band, by the commands that
@@ -561,9 +585,19 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     elif target == "report":
         cmds = ["report"]
         victim = tmp_path / "not_a_report.csv"
-        victim.write_text(new + "\n")
+        if isinstance(new, tuple):  # replace the row that starts with new[0]
+            assert main(["detect", *_common(data), "--metrics", "z,qiu", "--holdout", "3",
+                         "--out", str(tmp_path / "det")]) == 0
+            lines = (tmp_path / "det" / "report_1-2_first-packet_a0.05.csv").read_text() \
+                .splitlines()
+            k = next(k for k, line in enumerate(lines) if line.startswith(new[0]))
+            lines[k:k + 1] = new[1]
+            victim.write_text("\n".join(lines) + "\n")
+            where = [f"{victim}: {number}"]
+        else:
+            victim.write_text(new + "\n")
+            where = [f"{victim}: ", f"'# {number}'"]
         argv = [str(victim)]
-        where = [f"{victim}: ", f"'# {number}'"]
     else:
         man = DatasetManifest.load(data / "manifest.csv")
         victim = (man.resolve(man.entries[1]) if target == "signal"
@@ -583,7 +617,7 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert all(w in err for w in where), (cmd, err)
         assert "Traceback" not in err
         assert not out.exists(), cmd
-        if target in ("option", "config") or new.startswith("band"):
+        if target in ("option", "config") or (target == "manifest" and new.startswith("band")):
             assert reads == [], cmd
 
 
@@ -606,6 +640,7 @@ def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
     pytest.param("signal", 2, True, id="signal-label"),
     pytest.param("manifest", 2, True, id="manifest-header"),
     pytest.param("config", 2, True, id="config-value"),
+    pytest.param("report", 11, True, id="report-last-row"),
 ])
 def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
                                                             target, number, sidecar):
@@ -616,24 +651,85 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
     capsys.readouterr()
     man = DatasetManifest.load(data / "manifest.csv")
     argv = [*_common(data), "--metrics", "z"]
+    cmd = ["detect", *argv]
     if target == "config":
         victim = tmp_path / "run.cfg"
         victim.write_text("[detect]\nholdout = 3\n")
-        argv += ["--config", str(victim)]
+        cmd += ["--config", str(victim)]
+    elif target == "report":  # rows on lines 9-11
+        assert main(["detect", *argv, "--holdout", "3", "--out", str(tmp_path / "det")]) == 0
+        capsys.readouterr()
+        victim = tmp_path / "det" / "report_1-2_first-packet_a0.05.csv"
+        cmd = ["report", str(victim)]
     else:
         victim = man.resolve(man.entries[1]) if target == "signal" else data / "manifest.csv"
-        argv += ["--holdout", "3"]
+        cmd += ["--holdout", "3"]
     if not sidecar:
         shutil.rmtree(victim.parent / "__gwcache__")
     lines = victim.read_bytes().split(b"\n")
     lines[number - 1] += b"\xff"
     victim.write_bytes(b"\n".join(lines))
     out = tmp_path / "res"
-    assert main(["detect", *argv, "--out", str(out)]) == 2
+    assert main([*cmd, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{victim}:{number}: byte 0xff is not UTF-8 text" in err, err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    pytest.param("holdout = 3\n", ":1: 'holdout = 3' comes before any [section] header",
+                 id="no-section-header"),
+    pytest.param("[detect]\nholdout = 3\nholdout = 4\n",
+                 ":3: key 'holdout' is given twice in [detect]", id="key-twice"),
+    pytest.param("[detect]\nholdout = 3\n[detect]\nseed = 1\n",
+                 ":3: section [detect] is given twice", id="section-twice"),
+    pytest.param("[detect]\nholdout = 3\n\n[x\n",
+                 ":4: '[x' is neither a [section] header nor a 'key = value' line",
+                 id="neither-header-nor-key"),
+    pytest.param("[output]\nout_dir = 50%\n", ": [output] out_dir: '%' must be followed by",
+                 id="value-that-cannot-be-interpolated"),
+])
+def test_config_files_that_cannot_be_parsed_are_named_by_file_and_line(
+        tmp_path, capsys, monkeypatch, text, where):
+    """A config file that ``configparser`` cannot read exits 2 with its file
+    and line (or ``[section] key``), before any record is read and before
+    anything is written, for every command that takes ``--config``."""
+    import gwdetect.pipeline as pipeline
+
+    data = tmp_path / "data"
+    simulate_small(data)
+    capsys.readouterr()
+    reads = []
+    monkeypatch.setattr(pipeline, "read_signal", reads.append)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for cmd in ("detect", "roc", "psd", "simulate"):
+        out = tmp_path / f"res_{cmd}"
+        argv = [] if cmd == "simulate" else _common(data)
+        assert main([cmd, "--config", str(cfg), *argv, "--out", str(out)]) == 2, cmd
+        err = capsys.readouterr().err
+        assert f"{cfg}{where}" in err, (cmd, err)
+        assert "Traceback" not in err
+        assert not out.exists(), cmd
+    assert reads == []
+
+
+def test_every_report_detect_writes_reads_back_to_its_own_text(tmp_path):
+    """Each ``report_*.csv`` of ``detect`` at two alphas is the ``to_csv`` of
+    the report read from it, and ``report`` over them renders ``summary.txt``."""
+    simulate_small(tmp_path / "data")
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--alpha", "0.05,0.01",
+                                    "--holdout", "3"), "--out", str(out)]) == 0
+    reports = sorted(out.glob("report_*.csv"))
+    assert [p.name for p in reports] == [f"report_1-2_first-packet_a{a}.csv"
+                                         for a in ("0.01", "0.05")]
+    for path in reports:
+        text = path.read_text()
+        assert DetectionReport.from_csv(text).to_csv() == text, path.name
+    assert main(["report", *map(str, reports), "--out", str(tmp_path / "again.txt")]) == 0
+    assert (tmp_path / "again.txt").read_text() == (out / "summary.txt").read_text()
 
 
 def test_window_kind_flag_is_read_as_the_config_value_is(tmp_path):

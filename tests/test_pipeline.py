@@ -248,18 +248,18 @@ def test_split_hygiene(tmp_path, bench_welch):
 def test_run_inspection_report_structure(ladder_dataset, bench_welch):
     rep = run_inspection(compute_path_scores(ladder_dataset, "1-2", "first-packet",
                                              bench_welch, ["z", "f"], holdout=5), 0.05)
-    assert {r.metric for r in rep.rows} == {"z", "f"}
     assert len(rep.damage_labels) == 6
-    z_row = next(r for r in rep.rows if r.metric == "z")
-    assert z_row.healthy_cases == 5
+    # a false-alarm row, then a missed row per damage label, for each metric
+    assert list(rep.counts) == [(metric, label) for metric in ("z", "f")
+                                for label in (None, *rep.damage_labels)]
+    assert rep.counts["z", None][1] == 5
     for label in rep.damage_labels:
-        assert z_row.missed[label][1] == 5
-    f_row = next(r for r in rep.rows if r.metric == "f")
-    assert f_row.healthy_cases == 15 * 5
+        assert rep.counts["z", label][1] == 5
+    assert rep.counts["f", None][1] == 15 * 5
     for label in rep.damage_labels:
-        assert f_row.missed[label][1] == 15 * 5
+        assert rep.counts["f", label][1] == 15 * 5
     # strong synthetic damage at 40 dB SNR: the deviation statistic misses nothing
-    assert all(z_row.missed_pct(label) == 0.0 for label in rep.damage_labels)
+    assert all(rep.pct("z", label) == 0.0 for label in rep.damage_labels)
 
 
 def test_run_inspection_healthy_only(tmp_path, bench_welch):
@@ -270,16 +270,15 @@ def test_run_inspection_healthy_only(tmp_path, bench_welch):
     rep = run_inspection(compute_path_scores(man, "1-2", "first-packet", bench_welch,
                                              ["z"], holdout=3), 0.05)
     assert rep.damage_labels == ()
-    row = rep.rows[0]
-    assert row.healthy_cases == 3
-    assert row.missed == {}
+    assert list(rep.counts) == [("z", None)]  # no missed row
+    assert rep.counts["z", None][1] == 3
 
 
 def test_decisions_cover_exactly_the_scored_metrics(ladder_dataset, bench_welch):
     scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
                                  ["z", "qiu"], holdout=5)
     rep = run_inspection(scores, 0.05)
-    assert [r.metric for r in rep.rows] == ["z", "qiu"]
+    assert rep.metrics == ("z", "qiu")
     assert list(scores.cases) == ["z", "qiu"]  # the metrics of the verdict rows, in order
     with pytest.raises(ValueError,
                        match=r"metric 'f' was not scored; the scores hold \('z', 'qiu'\)"):
@@ -295,15 +294,13 @@ def test_report_csv_roundtrip_and_recount(ladder_dataset, bench_welch):
     back = DetectionReport.from_csv(text)
     assert back.alpha == rep.alpha
     assert back.damage_labels == rep.damage_labels
-    for row, orig in zip(back.rows, rep.rows):
-        assert row.false_alarms == orig.false_alarms
-        assert row.healthy_cases == orig.healthy_cases
-        assert row.missed == orig.missed
-    # printed percentages are exactly count ratios
+    assert list(back.counts.items()) == list(rep.counts.items())  # in row order too
+    # printed percentages are exactly count ratios, and what ``pct`` gives
     for line in text.splitlines():
         if line.startswith("#") or line.startswith("metric,"):
             continue
         metric, kind, label, count, cases, pct = line.split(",")
+        assert back.pct(metric, label or None) == (float(pct) if pct else None)
         if pct:
             assert float(pct) == pytest.approx(100.0 * int(count) / int(cases),
                                                rel=1e-12)
@@ -363,11 +360,10 @@ def test_null_calibration_through_run_inspection(tmp_path):
     alpha = 0.1
     rep = run_inspection(compute_path_scores(man, "p", "w", cfg, ["f"], holdout=10,
                                              band=(f4, f4)), alpha)
-    row = rep.rows[0]
-    assert row.healthy_cases == 10 * 10
-    assert row.missed["fake"][1] == 10 * 150
-    assert row.missed_pct("fake") == pytest.approx(100.0 * (1 - alpha), abs=5.0)
-    assert row.false_alarm_pct == pytest.approx(100.0 * alpha, abs=8.0)
+    assert rep.counts["f", None][1] == 10 * 10
+    assert rep.counts["f", "fake"][1] == 10 * 150
+    assert rep.pct("f", "fake") == pytest.approx(100.0 * (1 - alpha), abs=5.0)
+    assert rep.pct("f") == pytest.approx(100.0 * alpha, abs=8.0)
 
 
 # ---------------------------------------------------------------------------

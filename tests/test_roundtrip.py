@@ -22,7 +22,6 @@ from gwdetect.pipeline import (
     DatasetManifest,
     DetectionReport,
     ManifestEntry,
-    MetricSummary,
 )
 from gwdetect.spectral import Signal, WelchConfig
 
@@ -177,16 +176,11 @@ def counts(draw):
 def reports(draw):
     labels = tuple(draw(st.lists(NAME, unique=True, max_size=4)))
     metrics = draw(st.lists(st.sampled_from(METRICS), unique=True, min_size=1))
-    rows = []
-    for metric in metrics:
-        false_alarms, healthy = draw(counts())
-        rows.append(MetricSummary(metric=metric, false_alarms=false_alarms,
-                                  healthy_cases=healthy,
-                                  missed={label: draw(counts()) for label in labels}))
+    rows = {(metric, label): draw(counts())
+            for metric in metrics for label in (None, *labels)}
     return DetectionReport(
         path=draw(NAME), window=draw(NAME),
-        alpha=draw(st.floats(min_value=1e-12, max_value=1.0)),
-        rows=tuple(rows), damage_labels=labels,
+        alpha=draw(st.floats(min_value=1e-12, max_value=1.0)), counts=rows,
         holdout=draw(st.integers(0, 1000)),
         m_by_set=draw(st.dictionaries(NAME, st.integers(0, 1000), max_size=3)),
         band=draw(st.one_of(st.none(), st.tuples(FINITE, FINITE))),
@@ -202,4 +196,5 @@ def test_report_csv_roundtrip_reproduces_text(report):
     assert (back.path, back.window, back.alpha, back.holdout, back.m_by_set, back.band,
             back.welch) == (report.path, report.window, report.alpha, report.holdout,
                             report.m_by_set, report.band, report.welch)
-    assert back.rows == report.rows
+    assert list(back.counts.items()) == list(report.counts.items())
+    assert back == report
