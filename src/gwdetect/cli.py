@@ -32,7 +32,7 @@ option is checked before any record is read.  That includes an alpha of
 2**-53 or less, where ``1 - alpha/2`` rounds to 1 and no critical point
 exists.  A config file that is not UTF-8, or that ``configparser`` cannot
 parse, names its file and line.  ``report`` names the file and line of a
-report that is not UTF-8 or holds a row ``DetectionReport.from_csv`` refuses.
+report that is not UTF-8 or holds a line ``DetectionReport.from_csv`` refuses.
 Scores, decisions and ``stat_*`` curves come from ``pipeline``; ``detect``
 writes each verdict row straight from a case table and its ``damaged``
 decision, and ``_write_curve`` writes every curve file.
@@ -357,9 +357,9 @@ def _psd_curves(rc: RunConfig, path: str):
         for i, entry, psd in zip(index, loaded.entries, loaded.psds):
             stem = _slug(Path(entry.file).stem)
             yield (rc.out_dir / f"psd_{_slug(path)}_{i:03d}_{stem}.csv",
-                   psd_rows, psd.values)
+                   psd_rows, psd)
         for bandc in (theoretical_band(loaded.ensemble.mean_estimate(), alpha),
-                      experimental_band([p.values for p in loaded.ensemble.psds], alpha)):
+                      experimental_band(loaded.ensemble.members, alpha)):
             yield (rc.out_dir / f"band_{bandc.kind}_{_slug(path)}_{_slug(s)}.csv",
                    band_rows, bandc.lower, bandc.upper)
 

@@ -22,11 +22,11 @@ scalar detectors are thin builders over them (``f``/``fm``/``z`` over one
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import PsdEstimate, Signal
+from .spectral import PsdEstimate, Signal, WelchConfig
 from .statdist import (_f_tails, _normal_two_sided, chi2_quantile, f_quantile,
                        normal_quantile, validate_alpha)
 
@@ -58,9 +58,26 @@ class BaselineEnsemble:
     exactly 0 in every bin where all members are equal.
     """
 
-    psds: tuple
-    mean_psd: np.ndarray
-    var_psd: np.ndarray
+    members: np.ndarray     # (M, bins): one PSD per row
+    freq_grid: np.ndarray
+    config: WelchConfig
+    k_windows: int
+    mean_psd: np.ndarray = field(init=False)
+    var_psd: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        stack, bins = np.asarray(self.members, dtype=float), np.size(self.freq_grid)
+        if stack.ndim != 2 or not len(stack) or stack.shape[1] != bins:
+            raise ValueError(f"ensemble members must be one or more rows of the grid's "
+                             f"{bins} bins, got shape {stack.shape}")
+        var = None
+        if len(stack) >= 2:
+            var = stack.var(axis=0, ddof=1)
+            # equal members have no scatter, however their mean rounds
+            var[stack.min(axis=0) == stack.max(axis=0)] = 0.0
+        object.__setattr__(self, "members", stack)
+        object.__setattr__(self, "mean_psd", stack.mean(axis=0))
+        object.__setattr__(self, "var_psd", var)
 
     @classmethod
     def from_psds(cls, psds) -> "BaselineEnsemble":
@@ -71,30 +88,12 @@ class BaselineEnsemble:
         for p in psds[1:]:
             if not first.same_grid(p) or p.k_windows != first.k_windows:
                 raise ValueError("all ensemble members must share grid, config and K")
-        stack = np.array([p.values for p in psds])
-        mean = stack.mean(axis=0)
-        var = None
-        if len(psds) >= 2:
-            var = stack.var(axis=0, ddof=1)
-            # equal members have no scatter, however their mean rounds
-            var[stack.min(axis=0) == stack.max(axis=0)] = 0.0
-        return cls(psds=psds, mean_psd=mean, var_psd=var)
+        return cls(members=np.array([p.values for p in psds]), freq_grid=first.freq_grid,
+                   config=first.config, k_windows=first.k_windows)
 
     @property
     def m(self) -> int:
-        return len(self.psds)
-
-    @property
-    def config(self):
-        return self.psds[0].config
-
-    @property
-    def freq_grid(self) -> np.ndarray:
-        return self.psds[0].freq_grid
-
-    @property
-    def k_windows(self) -> int:
-        return self.psds[0].k_windows
+        return len(self.members)
 
     def mean_estimate(self) -> PsdEstimate:
         """The ensemble mean wrapped as a PSD estimate (same grid and K)."""
@@ -137,8 +136,8 @@ def _band_mask(freqs: np.ndarray, band) -> np.ndarray:
     return mask
 
 
-def _check_pair(baseline: PsdEstimate, unknown: PsdEstimate):
-    if not baseline.same_grid(unknown):
+def _check_pair(baseline, unknown: PsdEstimate):  # baseline: an estimate or an ensemble
+    if not unknown.same_grid(baseline):
         raise ValueError("baseline and unknown PSDs must share frequency grid and config")
     if baseline.k_windows != unknown.k_windows:
         raise ValueError(
@@ -258,7 +257,7 @@ def fm_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
 
     With M == 1 this reduces exactly to :func:`f_statistic`.
     """
-    _check_pair(baseline.psds[0], unknown_psd)
+    _check_pair(baseline, unknown_psd)
     return _series("fm", baseline.mean_psd, unknown_psd, validate_alpha(alpha), band, baseline.m)
 
 
@@ -274,7 +273,7 @@ def z_statistic(baseline: BaselineEnsemble, unknown_psd: PsdEstimate, alpha,
     deviations.
     """
     alpha = validate_alpha(alpha)
-    _check_pair(baseline.psds[0], unknown_psd)
+    _check_pair(baseline, unknown_psd)
     if baseline.m < 2:
         raise ValueError(f"z_statistic needs at least 2 baseline PSDs, got M={baseline.m}")
     return _series("z", baseline.mean_psd, unknown_psd, alpha, band, baseline.m, baseline.var_psd)
@@ -362,7 +361,7 @@ def experimental_band(samples, alpha, method: str = "normal") -> ConfidenceBand:
     (at least ceil(2/alpha) samples are recommended for stable edges).
     """
     alpha = validate_alpha(alpha)
-    arr = np.asarray(list(samples), dtype=float)
+    arr = np.asarray(samples, dtype=float)
     if arr.ndim not in (1, 2) or arr.shape[0] < 1:
         raise ValueError("samples must be a nonempty sequence of scalars or 1-D curves")
     if method == "normal":

@@ -15,8 +15,8 @@ CSV body with one row per signal file::
 
 Baselines are scoped by ``set_id``: every inspection signal is judged against
 the ensemble built from its own set's healthy records.  ``load_set`` reads
-each record of a (path, set) once, keeps its packet window and Welch
-estimate, and splits the baselines; every command and every metric then works
+each record of a (path, set) once, writes its packet window and Welch
+estimate into a row, and splits the baselines; every command and metric works
 from that one load, so each record is read and Welch-estimated once per
 command.
 
@@ -29,11 +29,11 @@ pair is a test case; held-out healthy signals provide the false-alarm pairs
 
 Scoring and decisions are array operations per set.  ``compute_path_scores``
 is the one function that takes the dataset arguments (manifest, path, window,
-Welch config, metrics, holdout, seed, band, set id).  It stacks a set's
-in-band PSD bins (records x bins) and packets (records x samples) and scores
-every case of a metric at once into a ``CaseTable``: pairwise PSD ratios, the
-ensemble statistics in one expression each, and both damage indices from one
-Gram matrix of the packets, each case with its p-value.
+Welch config, metrics, holdout, seed, band, set id).  It scores every case of
+a metric at once from ``load_set``'s rows, one per record, of PSDs (records x
+bins) and packets (records x samples) into a ``CaseTable``: pairwise PSD
+ratios, the ensemble statistics in one expression each, and both damage
+indices from one Gram matrix of the packets, each case with its p-value.
 ``run_inspection(scores, alpha)`` and ``roc_sweep(scores, metric)`` then only
 decide: a case is damaged at alpha when ``p < alpha``
 (``CaseTable.damaged``), so one scoring pass serves every alpha and every
@@ -316,13 +316,13 @@ class LoadedSet:
     """Every record of one (path, set), read and Welch-estimated once.
 
     ``train``, ``held`` and ``inspect`` index into ``entries`` (and into the
-    parallel ``packets`` and ``psds``); ``ensemble`` is built from ``train``.
+    rows of ``packets`` and ``psds``); ``ensemble`` holds the ``train`` rows.
     """
 
     set_id: str
     entries: tuple      # ManifestEntry per record, manifest order
-    packets: tuple      # Signal per record: its packet window
-    psds: tuple         # PsdEstimate per record
+    packets: np.ndarray  # (records, window): each record's packet window
+    psds: np.ndarray    # (records, bins): each record's Welch PSD
     train: tuple        # training baselines, in split order
     held: tuple         # held-out baselines, in split order
     inspect: tuple      # non-baseline records, manifest order
@@ -350,16 +350,20 @@ def load_set(manifest: DatasetManifest, path: str, set_id: str, window: str,
             f"need at least holdout+2 = {holdout + 2}"
         )
     train_idx, held_idx = _split_order(len(base), holdout, seed)
-    packets = tuple(extract_packet(manifest.load_entry(e), window, manifest)
-                    for e in entries)
-    psds = tuple(welch_psd(p, welch_config) for p in packets)
+    for row, entry in enumerate(entries):
+        packet = extract_packet(manifest.load_entry(entry), window, manifest)
+        psd = welch_psd(packet, welch_config)
+        if not row:  # the first record fixes the window length and the grid
+            packets, psds = (np.empty((len(entries), a.size)) for a in (packet.samples, psd.values))
+        packets[row], psds[row] = packet.samples, psd.values
     train = tuple(base[k] for k in train_idx)
     return LoadedSet(
         set_id=set_id, entries=entries, packets=packets, psds=psds,
         train=train, held=tuple(base[k] for k in held_idx),
         inspect=tuple(i for i, e in enumerate(entries)
                       if e.label != manifest.baseline_label),
-        ensemble=BaselineEnsemble.from_psds(psds[i] for i in train),
+        ensemble=BaselineEnsemble(members=psds[list(train)], freq_grid=psd.freq_grid,
+                                  config=welch_config, k_windows=psd.k_windows),
     )
 
 
@@ -437,20 +441,23 @@ def _pairs(outer: np.ndarray, inner: np.ndarray):
     return np.repeat(outer, inner.size), np.tile(inner, outer.size)
 
 
-def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, probe):
-    """Min and max over the in-band bins of each (ref, probe) row pair's statistic,
-    ``z`` skipping zero-variance bins; ``fmin``/``fmax`` skip NaN bins and it
-    fails, as the scalar detectors do."""
+def _extrema(metric: str, ens: BaselineEnsemble, psds: np.ndarray, mask, probe, ref=None):
+    """Min and max over the in-band bins of the statistic of each ``probe`` row
+    against its ``ref`` row (the ensemble mean when ``ref`` is None), ``z``
+    skipping zero-variance bins; ``fmin``/``fmax`` skip NaN bins and it fails,
+    as the scalar detectors do."""
     var = None
+    if metric == "z" and probe.size:
+        mask = _live_bins(ens.freq_grid, mask, ens.var_psd)
+        var = ens.var_psd[mask]
+    inband, mean = psds[:, mask], ens.mean_psd[mask]
     if metric != "z":
         _check_probe(ens.freq_grid[mask], inband, rows=probe)
-    elif probe.size:
-        live = _live_bins(ens.freq_grid, mask, ens.var_psd)
-        inband, var = inband[:, live[mask]], ens.var_psd[live]
     lo, hi = np.empty(probe.size), np.empty(probe.size)
     step = max(1, _CHUNK // inband.shape[1])
     for k in range(0, probe.size, step):
-        values = _statistic(metric, inband[ref[k:k + step]], inband[probe[k:k + step]], var)
+        refs = mean if ref is None else inband[ref[k:k + step]]
+        values = _statistic(metric, refs, inband[probe[k:k + step]], var)
         lo[k:k + step] = np.fmin.reduce(values, axis=1)
         hi[k:k + step] = np.fmax.reduce(values, axis=1)
     return lo, hi
@@ -458,7 +465,7 @@ def _extrema(metric: str, ens: BaselineEnsemble, inband: np.ndarray, mask, ref, 
 
 def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     """Columns of every case of one set, per metric, by array operations on
-    the set's stacked in-band PSD bins and packets, with each case's p-value.
+    the set's PSD and packet rows, with each case's p-value.
 
     Cases come in the order, and failures with the messages, of scoring each
     case with the scalar detectors.
@@ -488,7 +495,7 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
 
     moments = {}
     if any(m in _DI_METRICS for m in metrics):
-        x = np.stack([p.samples for p in loaded.packets])
+        x = loaded.packets
         gram, sums = x @ x.T, x.sum(axis=1)
         energy = gram.diagonal()
 
@@ -498,8 +505,6 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
             scatter = damage_index(metric, *in_train)
             moments[metric] = {"center": float(np.mean(scatter)),
                                "spread": float(np.std(scatter, ddof=1))}
-    # the in-band bins of each record, then of the ensemble mean
-    inband = np.stack([p.values[mask] for p in loaded.psds] + [ens.mean_psd[mask]])
 
     out = {}
     for metric in metrics:
@@ -507,9 +512,9 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
             cols = pair_cols
             stats = {"stat_hi": damage_index(metric, ref, probe), **moments[metric]}
         else:
-            ref_rows, probe_rows, cols = ((ref, probe, pair_cols) if metric == "f" else
-                                          (np.full(probes.size, len(entries)), probes, probe_cols))
-            lo, hi = _extrema(metric, ens, inband, mask, ref_rows, probe_rows)
+            probe_rows, ref_rows, cols = ((probe, ref, pair_cols) if metric == "f" else
+                                          (probes, None, probe_cols))
+            lo, hi = _extrema(metric, ens, loaded.psds, mask, probe_rows, ref_rows)
             stats = ({"stat_hi": hi} if metric == "z" else
                      {"stat_lo": lo, "stat_hi": hi, **_dof(metric, ens.k_windows, ens.m)})
         out[metric] = {**cols, **stats, "p": _p_value(metric, **stats)}
@@ -548,14 +553,10 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
     sets = tuple(load_set(manifest, path, s, window, welch_config, holdout, seed)
                  for s in set_ids)
     parts = {m: [] for m in metrics}
-    damage_labels = []
     for loaded in sets:
-        for j in loaded.inspect:
-            if loaded.entries[j].label not in damage_labels:
-                damage_labels.append(loaded.entries[j].label)
-        for metric, cols in _score_set(loaded, metrics, band,
-                                       manifest.baseline_label).items():
+        for metric, cols in _score_set(loaded, metrics, band, manifest.baseline_label).items():
             parts[metric].append(cols)
+    damage_labels = dict.fromkeys(s.entries[j].label for s in sets for j in s.inspect)
 
     return PathScores(path=path, window=window, band=band, welch=welch_config,
                       holdout=int(holdout),
@@ -573,13 +574,12 @@ def statistic_curves(loaded: LoadedSet, metrics, alphas):
     curves need never all be held at once."""
     ens = loaded.ensemble
     alphas = [validate_alpha(a) for a in alphas]
-    probes = [loaded.psds[j].values for j in loaded.inspect]
     for metric in (m for m in metrics if m not in _DI_METRICS):
-        ref = ens.psds[0].values if metric == "f" else ens.mean_psd
+        ref = ens.members[0] if metric == "f" else ens.mean_psd
         dof = _dof(metric, ens.k_windows, ens.m)
         bounds = [(a, *_critical_points(metric, a, **dof)) for a in alphas]
-        yield metric, bounds, [partial(_statistic, metric, ref, probe, var=ens.var_psd)
-                               for probe in probes]
+        yield metric, bounds, [partial(_statistic, metric, ref, loaded.psds[j], var=ens.var_psd)
+                               for j in loaded.inspect]
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +631,18 @@ class DetectionReport:
             "metric,kind,label,count,cases,pct",
         ]
         for (metric, label), (count, cases) in self.counts.items():
-            pct = self.pct(metric, label)
             kind = "false_alarm," if label is None else f"missed,{label}"
-            lines.append(f"{metric},{kind},{count},{cases},{'' if pct is None else fmt(pct)}")
+            lines.append(f"{metric},{kind},{count},{cases},{_pct_cell(count, cases)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectionReport":
-        """The report a ``to_csv`` text holds.  A row of an unknown kind, a
-        repeated row, a count outside 0 to its cases, and a metric without
-        its false-alarm row or a missed row for a damage label of the report
-        are refused."""
-        meta = {}
+        """The report a ``to_csv`` text holds.  A repeated header, an alpha
+        outside (0, 1], a row of an unknown kind, a repeated row, a count
+        outside 0 to its cases, a pct other than ``to_csv`` writes for the
+        row, and a metric without its false-alarm row or a missed row for a
+        damage label of the report are refused."""
+        meta, header_line = {}, {}
         counts = {}
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -651,13 +651,17 @@ class DetectionReport:
             try:
                 if line.startswith("#"):
                     key, value = (s.strip() for s in line[1:].split("=", 1))
-                    meta[key] = value
-                    continue
-                metric, kind, label, count, ncases, pct = line.split(",")
-                count, ncases = int(count), int(ncases)
+                else:
+                    metric, kind, label, count, ncases, pct = line.split(",")
+                    count, ncases = int(count), int(ncases)
             except ValueError:
                 raise ValueError(f"line {ln}: expected a '# key = value' header or a "
                                  f"metric,kind,label,count,cases,pct row") from None
+            if line.startswith("#"):
+                if key in meta:
+                    raise ValueError(f"line {ln}: a second '# {key}' header")
+                meta[key], header_line[key] = value, ln
+                continue
             if kind not in ("false_alarm", "missed") or (kind == "missed") != bool(label):
                 raise ValueError(f"line {ln}: kind {kind!r} with label {label!r}: expected "
                                  f"false_alarm with no label or missed with a damage label")
@@ -668,6 +672,9 @@ class DetectionReport:
             if not 0 <= count <= ncases:
                 raise ValueError(f"line {ln}: count {count} is not between 0 and "
                                  f"its {ncases} cases")
+            if pct != _pct_cell(count, ncases):
+                raise ValueError(f"line {ln}: pct {pct!r} is not {_pct_cell(count, ncases)!r}, "
+                                 f"the share of count {count} in its {ncases} cases")
             counts[key] = (count, ncases)
         missing = [k for k in _REPORT_KEYS if k not in meta]
         if missing:
@@ -678,7 +685,8 @@ class DetectionReport:
             try:
                 return parse(meta[key])
             except (IndexError, KeyError, ValueError):
-                raise ValueError(f"bad '# {key}' header {meta[key]!r}") from None
+                raise ValueError(f"line {header_line[key]}: bad '# {key}' header "
+                                 f"{meta[key]!r}") from None
 
         def welch_config(text):
             kv = dict(item.split("=") for item in text.split(","))
@@ -696,7 +704,7 @@ class DetectionReport:
         m_by_set = header("m_train", lambda text: {  # a set id may hold ':'
             s: int(m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
         report = cls(path=meta["path"], window=meta["window"],
-                     alpha=header("alpha", float), counts=counts,
+                     alpha=header("alpha", validate_alpha), counts=counts,
                      holdout=header("holdout", int), m_by_set=m_by_set, band=band,
                      welch=header("welch", welch_config))
         for metric in report.metrics:
@@ -706,6 +714,11 @@ class DetectionReport:
                         "false_alarm row" if label is None
                         else f"missed row for label {label!r}"))
         return report
+
+
+def _pct_cell(count: int, cases: int) -> str:
+    """A report row's pct as ``to_csv`` writes it: empty with no cases."""
+    return "" if cases == 0 else fmt(100.0 * count / cases)
 
 
 def _band_str(band) -> str:

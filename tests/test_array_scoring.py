@@ -39,6 +39,7 @@ from gwdetect.pipeline import (
     ManifestEntry,
     compute_path_scores,
     default_alpha_grid,
+    extract_packet,
     load_set,
     roc_sweep,
     run_inspection,
@@ -58,13 +59,15 @@ COLUMNS = ("case_ids", "labels", "is_healthy", *UNSCORED)
 
 def scalar_cases(manifest, sets, metrics, band):
     """Score every case of loaded sets one call at a time with the scalar
-    detectors: the reference columns for ``compute_path_scores``."""
+    detectors, on each record's packet and PSD made again one at a time: the
+    reference columns for ``compute_path_scores``."""
     cases = {m: {key: [] for key in COLUMNS} for m in metrics}
     for loaded in sets:
-        ens, psds, entries = loaded.ensemble, loaded.psds, loaded.entries
+        ens, entries = loaded.ensemble, loaded.entries
         mask = _band_mask(ens.freq_grid, band)
         names = [f"{loaded.set_id}:{Path(e.file).stem}" for e in entries]
-        x = [p.samples for p in loaded.packets]
+        x = [extract_packet(manifest.load_entry(e), "w", manifest).samples for e in entries]
+        psds = [welch_psd(Signal(samples, FS), WELCH) for samples in x]
         d = 2 * ens.k_windows
         in_train = [(i, j) for i in loaded.train for j in loaded.train if i != j]
         healthy = ([(i, j) for i in loaded.train for j in loaded.held]
@@ -284,7 +287,8 @@ def test_z_skips_a_nan_bin_as_the_scalar_z_does():
         assert series.verdict == DAMAGED
         entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
                         for k in range(5))
-        loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, probe),
+        loaded = LoadedSet(set_id="s", entries=entries, packets=None,
+                           psds=np.array([p.values for p in (*members, probe)]),
                            train=(0, 1, 2, 3), held=(), inspect=(4,), ensemble=ens)
         cols = pipeline._score_set(loaded, ["z"], None, "healthy")["z"]
         live = ens.var_psd != 0.0
@@ -314,7 +318,8 @@ def test_z_identical_members_are_dead_bins_whatever_their_count(m):
         z_statistic(ens, probe, 0.05)
     entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < m else "d", "p", "s")
                     for k in range(m + 1))
-    loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, probe),
+    loaded = LoadedSet(set_id="s", entries=entries, packets=None,
+                       psds=np.array([p.values for p in (*members, probe)]),
                        train=tuple(range(m)), held=(), inspect=(m,), ensemble=ens)
     with pytest.raises(ValueError, match=message):
         pipeline._score_set(loaded, ["z"], None, "healthy")
@@ -352,7 +357,8 @@ def test_z_partly_dead_bins_through_both_paths():
             series.append(z_statistic(ens, probe, 0.05))
     entries = tuple(ManifestEntry(f"r{k}.csv", "healthy" if k < 4 else "d", "p", "s")
                     for k in range(7))
-    loaded = LoadedSet(set_id="s", entries=entries, packets=(), psds=(*members, *probes),
+    loaded = LoadedSet(set_id="s", entries=entries, packets=None,
+                       psds=np.array([p.values for p in (*members, *probes)]),
                        train=(0, 1, 2, 3), held=(), inspect=(4, 5, 6), ensemble=ens)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

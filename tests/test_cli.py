@@ -383,8 +383,8 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
 
     from gwdetect.dataio import fmt
     from gwdetect.detectors import f_statistic, fm_statistic, z_statistic
-    from gwdetect.pipeline import load_set
-    from gwdetect.spectral import WelchConfig
+    from gwdetect.pipeline import extract_packet, load_set
+    from gwdetect.spectral import WelchConfig, welch_psd
 
     man = _two_set_dataset(tmp_path / "data")
     out = tmp_path / "res"
@@ -393,19 +393,22 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
                  "--alpha", "0.01,0.05", "--holdout", "1", "--seed", "2",
                  "--out", str(out)]) == 0
     want, thresholds = {}, ["set,metric,alpha,lower,upper"]
+    welch = WelchConfig(100, 0.5, 2000)
     for set_id in ("set0", "set1"):
-        loaded = load_set(man, "1-2", set_id, "first-packet", WelchConfig(100, 0.5, 2000),
-                          holdout=1, seed=2)
+        loaded = load_set(man, "1-2", set_id, "first-packet", welch, holdout=1, seed=2)
         ens = loaded.ensemble
+        psds = [welch_psd(extract_packet(man.load_entry(e), "first-packet", man), welch)
+                for e in loaded.entries]
         assert loaded.entries[loaded.train[0]] != man.entries_for(
             "1-2", set_id, man.baseline_label)[0]
-        for metric, detector in (("f", lambda psd, a: f_statistic(ens.psds[0], psd, a)),
+        first = psds[loaded.train[0]]  # the first training baseline
+        for metric, detector in (("f", lambda psd, a: f_statistic(first, psd, a)),
                                  ("fm", lambda psd, a: fm_statistic(ens, psd, a)),
                                  ("z", lambda psd, a: z_statistic(ens, psd, a))):
             for i, j in enumerate(loaded.inspect):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    series = [detector(loaded.psds[j], alpha) for alpha in alphas]
+                    series = [detector(psds[j], alpha) for alpha in alphas]
                 assert all(np.array_equal(s.values, series[0].values) for s in series)
                 lines = ["freq,value"]
                 lines += [f"{fmt(f)},{v:.12g}" for f, v in
@@ -534,7 +537,7 @@ def _set_line(text, number, new):
     pytest.param("report", "metric 'qiu' has no false_alarm row",
                  ("qiu,false_alarm,", []), id="report-missing-false_alarm-row"),
     pytest.param("report", "line 10: a second false_alarm row for metric 'z'",
-                 ("z,false_alarm,", ["z,false_alarm,,0,3,0", "z,false_alarm,,3,3,100"]),
+                 ("z,false_alarm,", ["z,false_alarm,,0,3,0.0", "z,false_alarm,,3,3,100.0"]),
                  id="report-repeated-row"),
     pytest.param("report", "line 10: kind 'mised' with label 'att-0.9'",
                  ("z,missed,att-0.9,", ["z,mised,att-0.9,0,2,0"]), id="report-unknown-kind"),
@@ -550,6 +553,12 @@ def _set_line(text, number, new):
     pytest.param("report", "line 14: count 99 is not between 0 and its 75 cases",
                  ("qiu,missed,att-0.5,", ["qiu,missed,att-0.5,99,75,132"]),
                  id="report-count-above-its-cases"),
+    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
+                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"]), id="report-pct-off-its-count"),
+    pytest.param("report", "line 4: a second '# alpha' header",
+                 ("# alpha = ", ["# alpha = 0.05", "# alpha = 0.5"]), id="report-second-header"),
+    pytest.param("report", "line 3: bad '# alpha' header '7'",
+                 ("# alpha = ", ["# alpha = 7"]), id="report-alpha-above-1"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):

@@ -140,9 +140,10 @@ def test_z_zero_at_ensemble_mean():
 
 def test_z_constant_offset_algebra():
     rng = np.random.default_rng(6)
-    ens = BaselineEnsemble.from_psds([white_psd(rng) for _ in range(8)])
+    members = [white_psd(rng) for _ in range(8)]
+    ens = BaselineEnsemble.from_psds(members)
     z = 1.7
-    shifted = psd_like(ens.psds[0], ens.mean_psd + z * np.sqrt(2.0 * ens.var_psd))
+    shifted = psd_like(members[0], ens.mean_psd + z * np.sqrt(2.0 * ens.var_psd))
     series = z_statistic(ens, shifted, 0.05)
     assert np.allclose(series.values, z, rtol=1e-12)
 
@@ -196,15 +197,16 @@ def test_verdict_scale_invariance():
     xs = [rng.normal(0.0, 1.0, 32 * 9) for _ in range(6)]
     xu = rng.normal(0.0, 1.1, 32 * 9)
     c = 8.0
-    ens = BaselineEnsemble.from_psds([welch_psd(Signal(x, FS), CFG) for x in xs])
-    ens_c = BaselineEnsemble.from_psds([welch_psd(Signal(c * x, FS), CFG) for x in xs])
+    members = [welch_psd(Signal(x, FS), CFG) for x in xs]
+    members_c = [welch_psd(Signal(c * x, FS), CFG) for x in xs]
+    ens, ens_c = BaselineEnsemble.from_psds(members), BaselineEnsemble.from_psds(members_c)
     u = welch_psd(Signal(xu, FS), CFG)
     u_c = welch_psd(Signal(c * xu, FS), CFG)
-    for stat, args in ((f_statistic, (ens.psds[0], u)), (fm_statistic, (ens, u)),
+    for stat, args in ((f_statistic, (members[0], u)), (fm_statistic, (ens, u)),
                        (z_statistic, (ens, u))):
         plain = stat(*args, 0.05)
         scaled_args = {
-            f_statistic: (ens_c.psds[0], u_c),
+            f_statistic: (members_c[0], u_c),
             fm_statistic: (ens_c, u_c),
             z_statistic: (ens_c, u_c),
         }[stat]
@@ -215,10 +217,11 @@ def test_verdict_scale_invariance():
 
 def test_monotone_alpha_never_flips_healthy_to_damaged():
     rng = np.random.default_rng(10)
-    ens = BaselineEnsemble.from_psds([white_psd(rng) for _ in range(10)])
+    members = [white_psd(rng) for _ in range(10)]
+    ens = BaselineEnsemble.from_psds(members)
     unknown = white_psd(rng)
     alphas = [0.5, 0.2, 0.1, 0.05, 0.01, 1e-3, 1e-5]
-    for stat, args in ((f_statistic, (ens.psds[0], unknown)),
+    for stat, args in ((f_statistic, (members[0], unknown)),
                        (fm_statistic, (ens, unknown)),
                        (z_statistic, (ens, unknown))):
         verdicts = [stat(*args, a).verdict for a in alphas]
@@ -382,42 +385,66 @@ def test_from_psds_checks_name_their_rule():
             BaselineEnsemble.from_psds([a, white_psd(rng), other])
 
 
+def test_ensemble_constructor_refuses_members_off_the_grid():
+    grid = CFG.freq_grid(FS)
+    for members in (np.ones(grid.size), np.ones((0, grid.size)),
+                    np.ones((3, grid.size - 1)), np.ones((3, grid.size + 1))):
+        with pytest.raises(ValueError, match="ensemble members must be one or more rows of "
+                                             f"the grid's {grid.size} bins, got shape"):
+            BaselineEnsemble(members=members, freq_grid=grid, config=CFG, k_windows=9)
+    ens = BaselineEnsemble(members=np.ones((3, grid.size)), freq_grid=grid, config=CFG,
+                           k_windows=9)
+    assert ens.m == 3 and not ens.var_psd.any()
+    # fm and z check an unknown PSD against the ensemble's own grid, config and K
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=288)
+    for other, message in (
+            (welch_psd(Signal(x, 2.0 * FS), CFG), "must share frequency grid and config"),
+            (welch_psd(Signal(x, FS), WelchConfig(32, 0.0, 32, "rectangular")),
+             "must share frequency grid and config"),
+            (white_psd(rng, k=5), "window counts differ: baseline K=9, unknown K=5")):
+        for stat in (fm_statistic, z_statistic):
+            with pytest.raises(ValueError, match=message):
+                stat(ens, other, 0.05)
+
+
 def test_scalar_detector_checks_name_their_rule():
     rng = np.random.default_rng(18)
-    ens = BaselineEnsemble.from_psds([white_psd(rng) for _ in range(4)])
-    dead = ens.psds[1].values.copy()
+    members = [white_psd(rng) for _ in range(4)]
+    ens = BaselineEnsemble.from_psds(members)
+    dead = members[1].values.copy()
     dead[[4, 6]] = 0.0
-    unknown = psd_like(ens.psds[1], dead)
+    unknown = psd_like(members[1], dead)
     f4 = ens.freq_grid[4]
     message = f"unknown PSD is zero inside the verdict band at {f4:g} Hz"
-    for series in (lambda: f_statistic(ens.psds[0], unknown, 0.05),
+    for series in (lambda: f_statistic(members[0], unknown, 0.05),
                    lambda: fm_statistic(ens, unknown, 0.05, (f4, ens.freq_grid[9]))):
         with pytest.raises(ValueError, match=re.escape(message)):
             series()
     with pytest.raises(ValueError, match="z_statistic needs at least 2 baseline PSDs, got M=1"):
-        z_statistic(BaselineEnsemble.from_psds(ens.psds[:1]), ens.psds[1], 0.05)
+        z_statistic(BaselineEnsemble.from_psds(members[:1]), members[1], 0.05)
 
     # identical members; with M a power of 2 their mean is exact, so the variance is 0
-    flat = BaselineEnsemble.from_psds([psd_like(ens.psds[0], ens.psds[0].values.copy())
+    flat = BaselineEnsemble.from_psds([psd_like(members[0], members[0].values.copy())
                                        for _ in range(4)])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="every in-band bin has zero baseline variance"):
-            z_statistic(flat, ens.psds[1], 0.05)
+            z_statistic(flat, members[1], 0.05)
     grid = ens.freq_grid
     expected = (f"zero baseline variance at {', '.join(f'{f:g}' for f in grid[:5])} Hz; "
                 "these bins are excluded from the verdict")
     assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, expected)]
     assert caught[0].filename == __file__  # the warning names the caller
 
-    values = [p.values.copy() for p in ens.psds]
+    values = [p.values.copy() for p in members]
     for v in values:
         v[[2, 7]] = 1.0
-    partial = BaselineEnsemble.from_psds([psd_like(ens.psds[0], v) for v in values])
+    partial = BaselineEnsemble.from_psds([psd_like(members[0], v) for v in values])
     message = (f"zero baseline variance at {grid[2]:g}, {grid[7]:g} Hz; "
                "these bins are excluded from the verdict")
     with pytest.warns(RuntimeWarning, match=re.escape(message)):
-        series = z_statistic(partial, ens.psds[1], 0.05)
+        series = z_statistic(partial, members[1], 0.05)
     assert series.verdict in (HEALTHY, DAMAGED)
 
 

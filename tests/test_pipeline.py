@@ -5,7 +5,7 @@ import pytest
 
 import oracles as oc
 from gwdetect.dataio import write_signal
-from gwdetect.detectors import _p_value
+from gwdetect.detectors import BaselineEnsemble, _p_value
 from gwdetect.pipeline import (
     METRICS,
     CaseTable,
@@ -22,8 +22,9 @@ from gwdetect.pipeline import (
     score_roc,
     summary_table,
 )
-from gwdetect.simulate import IDENTITY_DAMAGE, ToneBurstSpec, propagate, tone_burst
-from gwdetect.spectral import Signal, WelchConfig
+from gwdetect.simulate import (IDENTITY_DAMAGE, ToneBurstSpec, attenuation_ladder, propagate,
+                               synth_dataset, tone_burst)
+from gwdetect.spectral import Signal, WelchConfig, welch_psd
 
 
 # ---------------------------------------------------------------------------
@@ -205,22 +206,68 @@ def test_load_set_reads_once_and_splits_by_index(ladder_dataset, bench_welch):
     loaded = load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
                       holdout=5, seed=11)
     n = len(ladder_dataset.entries_for("1-2", set_id="set0"))
-    assert len(loaded.entries) == len(loaded.packets) == len(loaded.psds) == n
+    assert loaded.packets.shape == (n, 500) and loaded.psds.shape == (n, 1001)
     assert sorted(loaded.train + loaded.held + loaded.inspect) == list(range(n))
     assert len(loaded.held) == 5 and len(loaded.inspect) == 30
     assert all(loaded.entries[i].label != "healthy" for i in loaded.inspect)
-    # packets own their samples: the full-length records are not kept alive
-    assert all(p.samples.base is None and p.samples.size == 500
-               for p in loaded.packets)
+    # the packet rows own their samples: the full-length records are not kept alive
+    assert loaded.packets.base is None
     # one set, so pooling every set of the path (set_id=None) gives the same split
     pooled = load_set(ladder_dataset, "1-2", None, "first-packet", bench_welch,
                       holdout=5, seed=11)
     assert np.array_equal(loaded.ensemble.mean_psd, pooled.ensemble.mean_psd)
-    assert all(np.array_equal(loaded.psds[i].values, pooled.psds[k].values)
+    assert all(np.array_equal(loaded.psds[i], pooled.psds[k])
                for i, k in zip(loaded.held, pooled.held))
     with pytest.raises(ValueError, match="holdout must be >= 0"):
         load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
                  holdout=-1)
+
+
+@pytest.fixture(scope="module")
+def readme_datasets(tmp_path_factory):
+    """The README dataset (``gwdetect simulate --seed 7``), and the same records
+    dealt alternately into two sets."""
+    readme = synth_dataset(tmp_path_factory.mktemp("readme"), n_baseline=20,
+                           damage_specs=attenuation_ladder(6), n_per_damage=5, seed=7)
+    two_sets = DatasetManifest(
+        entries=[ManifestEntry(e.file, e.label, e.path_id, f"set{k % 2}")
+                 for k, e in enumerate(readme.entries)],
+        sample_rate=readme.sample_rate, baseline_label=readme.baseline_label,
+        packet_windows=readme.packet_windows, band=readme.band, base_dir=readme.base_dir)
+    return {"readme": readme, "two-sets": two_sets}
+
+
+@pytest.mark.parametrize("dataset, set_id, holdout, seed, window", [
+    ("readme", "set0", 0, None, "first-packet"),
+    ("readme", "set0", 5, 7, "first-packet"),
+    ("readme", None, 5, None, "full"),
+    ("two-sets", "set1", 0, 3, "full"),
+    ("two-sets", "set0", 2, 9, "first-packet"),
+    ("two-sets", None, 2, None, "first-packet"),
+    ("two-sets", None, 0, 11, "full"),
+])
+def test_load_set_rows_equal_the_per_record_path(readme_datasets, bench_welch,
+                                                 dataset, set_id, holdout, seed, window):
+    """Each packet and PSD row of ``load_set`` is, bit for bit, what one
+    ``extract_packet`` and one ``welch_psd`` call give for its record, and its
+    ensemble is ``BaselineEnsemble.from_psds`` over the training PSDs."""
+    man = readme_datasets[dataset]
+    loaded = load_set(man, "1-2", set_id, window, bench_welch, holdout, seed)
+    entries = man.entries_for("1-2", set_id=set_id)
+    packets = [extract_packet(man.load_entry(e), window, man) for e in entries]
+    psds = [welch_psd(p, bench_welch) for p in packets]
+    assert loaded.entries == tuple(entries)
+    assert loaded.packets.shape == (len(entries), man.packet_windows[window][1])
+    assert loaded.psds.shape == (len(entries), bench_welch.nfft // 2 + 1)
+    for row, (packet, psd) in enumerate(zip(packets, psds)):
+        assert loaded.packets[row].tobytes() == packet.samples.tobytes(), row
+        assert loaded.psds[row].tobytes() == psd.values.tobytes(), row
+    ens, want = loaded.ensemble, BaselineEnsemble.from_psds(psds[i] for i in loaded.train)
+    assert ens.members.tobytes() == want.members.tobytes()
+    assert ens.mean_psd.tobytes() == want.mean_psd.tobytes()
+    assert ens.var_psd.tobytes() == want.var_psd.tobytes()
+    assert (ens.freq_grid is want.freq_grid and ens.config == want.config
+            and ens.k_windows == want.k_windows)
 
 
 def test_split_hygiene(tmp_path, bench_welch):

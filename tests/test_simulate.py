@@ -212,9 +212,10 @@ def test_noiseless_identity_signal_is_healthy_everywhere():
     def packet_psd(sig):
         return welch_psd(Signal(sig.samples[1200:1700], sig.sample_rate), cfg)
 
-    ens = BaselineEnsemble.from_psds([packet_psd(s) for s in base])
+    members = [packet_psd(s) for s in base]
+    ens = BaselineEnsemble.from_psds(members)
     unknown = packet_psd(clean)
-    assert f_statistic(ens.psds[0], unknown, 0.05, band).verdict == "healthy"
+    assert f_statistic(members[0], unknown, 0.05, band).verdict == "healthy"
     assert fm_statistic(ens, unknown, 0.05, band).verdict == "healthy"
     assert z_statistic(ens, unknown, 0.05, band).verdict == "healthy"
     for di in (janapati_di, qiu_di):
