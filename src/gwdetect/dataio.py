@@ -10,7 +10,14 @@ A signal file is a one-column CSV of volt samples with a two-line header::
 Decimal point is ``.``, separator is ``,``, line endings are LF, and the
 text is UTF-8; a byte that does not decode is an error that names the file
 and its line.  The label is one line: ``write_signal`` refuses a label that
-holds a line break.
+holds a line break.  Each sample is written as CPython's ``repr`` writes it,
+the shortest decimal that reads back as the same double.  ``write_signal``
+makes that text with an array kernel (``_shortrepr``), a block of samples at
+a time; the kernel covers every finite double, subnormals and zeros of
+either sign among them, so no sample falls back to ``repr`` itself.  A
+reader takes one number per line: a line of two numbers, or one that only
+Python's ``float`` reads ("1_000", digits other than ASCII ones), is an error
+naming that line.
 
 The text file is the reference.  ``write_signal`` also leaves its parsed form
 in ``<dir>/__gwcache__/<file name>.f64``: the 32-byte SHA-256 of the text
@@ -37,6 +44,7 @@ import math
 import os
 import pickle
 import sys
+import warnings
 from itertools import starmap
 from pathlib import Path
 
@@ -73,9 +81,12 @@ def write_signal(path, signal: Signal) -> None:
     path = Path(path)
     if "".join(signal.label.splitlines()) != signal.label:
         raise ValueError(f"{path}: label {signal.label!r} holds a line break")
-    lines = [f"sample_rate,{fmt(signal.sample_rate)}", f"label,{signal.label}"]
-    lines.extend(map(repr, signal.samples.tolist()))
-    text = ("\n".join(lines) + "\n").encode("utf-8")
+    # imported on first use: only ``simulate`` writes signals, and every
+    # other command would pay its compile at start-up
+    from ._shortrepr import repr_lines
+
+    header = f"sample_rate,{fmt(signal.sample_rate)}\nlabel,{signal.label}\n"
+    text = header.encode("utf-8") + repr_lines(signal.samples)
     path.write_bytes(text)
     digest = _sha256(text)
     sidecar = _sidecar(path)
@@ -117,12 +128,7 @@ def read_signal(path) -> Signal:
     label = second.split(",", 1)[1]
     samples = _stored_samples(path, data)
     if samples is None:
-        try:
-            samples = np.loadtxt(fh, dtype=float, ndmin=1)
-        except ValueError:  # UnicodeDecodeError among them
-            samples = None
-    if samples is None or not np.isfinite(samples).all():
-        raise ValueError(f"{path}:{_bad_sample(path, data)} is not a finite number")
+        samples = _parsed_samples(path, fh, data)
     try:
         return Signal(samples=samples, sample_rate=sample_rate, label=label)
     except ValueError as exc:
@@ -299,15 +305,38 @@ def _stored_samples(path: Path, text: bytes):
     return np.frombuffer(raw, "<f8", offset=40)
 
 
+def _parsed_samples(path, fh, data: bytes):
+    """The samples of the text of ``path``, read from ``fh`` past the header;
+    ``data`` is the file's bytes, for naming the line of a bad sample."""
+    with warnings.catch_warnings():
+        # a file with no samples is refused below, by name
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(fh, dtype=float, ndmin=2)
+        except ValueError:  # UnicodeDecodeError among them
+            table = None
+    if table is not None and table.size == 0:
+        raise ValueError(f"{path}: no samples after the two-line header")
+    # a line of two numbers makes a second column
+    if table is None or table.shape[1] != 1 or not np.isfinite(table).all():
+        raise ValueError(f"{path}:{_bad_sample(path, data)} is not a finite number")
+    return table[:, 0]
+
+
 def _bad_sample(path, data: bytes) -> str:
     """Line number and text of the first sample of the file bytes ``data``
-    that is not a finite number, with lines read as ``np.loadtxt`` reads them
-    (``#`` comments and blank lines skipped); bytes that are not UTF-8 raise
-    as ``_utf8_text`` raises."""
-    for ln, raw in enumerate(_utf8_text(path, data).splitlines()[2:], start=3):
+    that is not one finite number as ``np.loadtxt`` reads it, with lines read
+    as it reads them (``#`` comments and blank lines skipped); bytes that are
+    not UTF-8 raise as ``_utf8_text`` raises."""
+    # a line ends only at \n, \r\n or \r, as the reader's text stream splits
+    # lines; ``str.splitlines`` would also split at a form feed or U+2028
+    lines = _utf8_text(path, data).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for ln, raw in enumerate(lines[2:], start=3):
         text = raw.split("#", 1)[0].strip()
         try:
-            if not text or math.isfinite(float(text)):
+            # ``float`` also takes "1_000" and digits other than ASCII ones
+            if not text or (text.isascii() and "_" not in text
+                            and math.isfinite(float(text))):
                 continue
         except ValueError:
             pass

@@ -9,6 +9,7 @@ whitespace around a field, and ``,``/``=``/``#`` are format syntax.
 import hashlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,19 +64,64 @@ def sidecar(path: Path) -> Path:
 def test_signal_file_edits_win_over_a_stale_sidecar(tmp_path):
     """The text is the reference: an edited sample reads as its new value, and
     a sample that is not a number gives the same error with a stale sidecar
-    as without one."""
+    as without one.  That includes text that Python's ``float`` takes but
+    ``np.loadtxt`` refuses (an underscore, digits other than ASCII ones), and
+    a line of two numbers."""
     path = tmp_path / "sig.csv"
     write_signal(path, Signal([1.0, 2.0, 3.0], 10.0, "x"))
     text = path.read_text()
     path.write_text(text.replace("\n2.0\n", "\n2.5\n"))
     assert read_signal(path).samples.tolist() == [1.0, 2.5, 3.0]
-    path.write_text(text.replace("\n2.0\n", "\nabc\n"))
-    with pytest.raises(ValueError) as stale:
+    stored = sidecar(path).read_bytes()
+    for bad in ["abc", "1_000", "\uff11.\uff15", "\u0661\u0662", "1.0 2.0", "1.0,2.0"]:
+        sidecar(path).write_bytes(stored)
+        path.write_text(text.replace("\n2.0\n", f"\n{bad}\n"))
+        with pytest.raises(ValueError) as stale:
+            read_signal(path)
+        sidecar(path).unlink()
+        with pytest.raises(ValueError) as plain:
+            read_signal(path)
+        assert str(stale.value) == str(plain.value) == \
+            f"{path}:4: sample {bad!r} is not a finite number"
+
+
+@pytest.mark.parametrize("body, line, text", [
+    ("1.0 2.0\n", 3, "1.0 2.0"),
+    ("1.0 2.0\n3.0 4.0\n", 3, "1.0 2.0"),
+    ("# c\n1.0\t2.0\n3.0 4.0\n", 4, "1.0\t2.0"),
+])
+def test_a_sample_line_of_two_numbers_is_refused(tmp_path, body, line, text):
+    """Whitespace splits a line into columns: a line of two numbers is
+    refused, naming the first such line, whether it is the only sample line,
+    or every sample line holds two numbers."""
+    path = tmp_path / "sig.csv"
+    path.write_text("sample_rate,10.0\nlabel,x\n" + body)
+    with pytest.raises(ValueError) as err:
         read_signal(path)
-    sidecar(path).unlink()
-    with pytest.raises(ValueError) as plain:
+    assert str(err.value) == f"{path}:{line}: sample {text!r} is not a finite number"
+
+
+@pytest.mark.parametrize("body", ["1.0\x0c\nabc\n", "1.0\u2028\nabc\n", "1.0\r\nabc\r\n",
+                                  "1.0\rabc\r"])
+def test_a_bad_sample_is_named_by_its_line_end_count(tmp_path, body):
+    """Lines end at LF, CRLF or CR, as the text is read; a form feed or
+    U+2028 inside a line is whitespace, not a line end."""
+    path = tmp_path / "sig.csv"
+    path.write_bytes(b"sample_rate,10.0\nlabel,x\n" + body.encode())
+    with pytest.raises(ValueError) as err:
         read_signal(path)
-    assert str(stale.value) == str(plain.value) == f"{path}:4: sample 'abc' is not a finite number"
+    assert str(err.value) == f"{path}:4: sample 'abc' is not a finite number"
+
+
+@pytest.mark.parametrize("body", ["", "\n", "# no samples\n\n"])
+def test_a_header_without_samples_is_refused_without_a_warning(tmp_path, body):
+    path = tmp_path / "sig.csv"
+    path.write_text("sample_rate,10.0\nlabel,x\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            read_signal(path)
+    assert str(err.value) == f"{path}: no samples after the two-line header"
 
 
 def _sidecar_bytes(digest: bytes, samples) -> bytes:
