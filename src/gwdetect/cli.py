@@ -37,20 +37,24 @@ Scores, decisions and ``stat_*`` curves come from ``pipeline``; ``detect``
 writes each verdict row straight from a case table and its ``damaged``
 decision, and ``_write_curve`` writes every curve file.
 
-A curve file is one row per frequency of the Welch grid.  Its fixed text (the
-header and the formatted frequencies) is built once per set, or per set and
-metric for ``stat_*`` files, as a template with a ``%.12g`` slot for each
-value; ``_write_curve`` fills a file's values in with one ``%``.
+A ``psd_*`` or ``band_*`` curve file is one row per frequency of the Welch
+grid; a ``stat_*`` file is one row per frequency of the verdict band
+(``--band``, else ``[detect] band``, else the manifest's band), the bins a
+verdict reads, and ``--band full`` gives it the whole grid.  A file's fixed
+text (the header and the formatted frequencies) is built once per set as a
+template with a ``%.12g`` slot for each value; ``_write_curve`` fills a
+file's values in with one ``%``.
 
-``simulate`` and the curve files of ``detect`` and ``psd`` are written on every
-CPU the process may run on (``dataio.fan_out``): the command's process writes
-its own share of the files, and one forked child for each other CPU writes the
-rest; ``taskset -c 0`` runs them all in the command's process, and the outputs
-are the same bytes either way.  ``detect`` and ``psd`` fan out one path at a
-time, so they hold one path's records at once.  ``detect`` scores a path and
-writes its reports, verdicts and thresholds before it fans out that path's
-``stat_*`` curves, each a task that computes its curve where it is written.
-``summary.txt`` is written last, by the command's process.
+``simulate`` and the curve files of ``psd`` are written on every CPU the
+process may run on (``dataio.fan_out``): the command's process writes its own
+share of the files, and one forked child for each other CPU writes the rest;
+``taskset -c 0`` runs them all in the command's process, and the outputs are
+the same bytes either way.  ``detect`` and ``psd`` work one path at a time, so
+they hold one path's records at once.  ``detect`` scores a path, writes its
+reports and verdicts, and then writes its thresholds and its ``stat_*``
+curves in its own process: a set's curves of a metric are one array of
+in-band rows, a few rows per file, too little to pay for a fork.
+``summary.txt`` is written last.
 """
 
 import argparse
@@ -394,14 +398,20 @@ def cmd_detect(args) -> int:
             tag = f"{_slug(path)}_{_slug(rc.window)}_a{fmt(alpha)}"
             _write(rc.out_dir / f"report_{tag}.csv", report.to_csv())
             _write_verdicts(rc.out_dir / f"verdicts_{tag}.csv", scores.cases, report.alpha)
-        curves = [(loaded, *c) for loaded in scores.sets
-                  for c in statistic_curves(loaded, rc.metrics, rc.alphas)]
-        if curves:
-            lines = ["set,metric,alpha,lower,upper"]
-            lines.extend(f"{loaded.set_id},{metric},{fmt(a)},{lo:.12g},{hi:.12g}"
-                         for loaded, metric, bounds, _ in curves for a, lo, hi in bounds)
+        lines = ["set,metric,alpha,lower,upper"]
+        for loaded in scores.sets:
+            freqs = loaded.ensemble.freq_grid
+            template = _curve_template("freq,value", freqs[_band_mask(freqs, scores.band)], 1)
+            stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
+            for metric, bounds, values in statistic_curves(loaded, rc.metrics, rc.alphas,
+                                                           scores.band):
+                lines.extend(f"{loaded.set_id},{metric},{fmt(a)},{lo:.12g},{hi:.12g}"
+                             for a, lo, hi in bounds)
+                for i, (stem, curve) in enumerate(zip(stems, values)):
+                    _write_curve(rc.out_dir / f"stat_{metric}_{_slug(path)}_"
+                                 f"{_slug(loaded.set_id)}_{i:03d}_{stem}.csv", template, curve)
+        if len(lines) > 1:
             _write(rc.out_dir / f"thresholds_{_slug(path)}.csv", "\n".join(lines) + "\n")
-        fan_out(_write_stat_curve, _stat_curves(rc, path, curves))
     _write(rc.out_dir / "summary.txt", summary_table(reports))
     print(f"detection report written to {rc.out_dir}")
     return 0
@@ -417,22 +427,6 @@ def _write_verdicts(path: Path, cases: dict, alpha: float) -> None:
             flags = table.damaged(alpha).tolist()
             fh.write("".join(f"{cid},{metric},{label},{DAMAGED if flag else HEALTHY}\n"
                              for cid, label, flag in zip(table.case_ids, table.labels, flags)))
-
-
-def _stat_curves(rc: RunConfig, path: str, curves):
-    """A ``_write_stat_curve`` task for each curve of ``statistic_curves`` on
-    a path: its file, its set's template and the curve still to compute."""
-    for loaded, metric, _, lazy_curves in curves:
-        template = _curve_template("freq,value", loaded.ensemble.freq_grid, 1)
-        stems = [_slug(Path(loaded.entries[j].file).stem) for j in loaded.inspect]
-        for i, (stem, curve) in enumerate(zip(stems, lazy_curves)):
-            yield (rc.out_dir / f"stat_{metric}_{_slug(path)}_{_slug(loaded.set_id)}_"
-                   f"{i:03d}_{stem}.csv", template, curve)
-
-
-def _write_stat_curve(path: Path, template: str, curve) -> None:
-    """Compute one statistic curve and write it through ``template``."""
-    _write_curve(path, template, curve())
 
 
 def _parse_alpha_grid(text):

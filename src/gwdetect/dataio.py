@@ -9,15 +9,16 @@ A signal file is a one-column CSV of volt samples with a two-line header::
 
 Decimal point is ``.``, separator is ``,``, line endings are LF, and the
 text is UTF-8; a byte that does not decode is an error that names the file
-and its line.  The label is one line: ``write_signal`` refuses a label that
-holds a line break.  Each sample is written as CPython's ``repr`` writes it,
-the shortest decimal that reads back as the same double.  ``write_signal``
-makes that text with an array kernel (``_shortrepr``), a block of samples at
-a time; the kernel covers every finite double, subnormals and zeros of
-either sign among them, so no sample falls back to ``repr`` itself.  A
-reader takes one number per line: a line of two numbers, or one that only
-Python's ``float`` reads ("1_000", digits other than ASCII ones), is an error
-naming that line.
+and its line.  ``read_signal`` takes LF, CRLF and CR as line ends, in any
+mix, and counts lines the same way when it names one.  The label is one
+line: ``write_signal`` refuses a label that holds a line break.  Each sample
+is written as CPython's ``repr`` writes it, the shortest decimal that reads
+back as the same double.  ``write_signal`` makes that text with an array
+kernel (``_shortrepr``), a block of samples at a time; the kernel covers
+every finite double, subnormals and zeros of either sign among them, so no
+sample falls back to ``repr`` itself.  A reader takes one number per line:
+a line of two numbers, or one that only Python's ``float`` reads ("1_000",
+digits other than ASCII ones), is an error naming that line.
 
 The text file is the reference.  ``write_signal`` also leaves its parsed form
 in ``<dir>/__gwcache__/<file name>.f64``: the 32-byte SHA-256 of the text
@@ -34,9 +35,9 @@ bytes read.
 ``fan_out`` runs a batch of independent file writes as a fork-join over the
 CPUs the process may run on: the process forks one child for each other CPU,
 writes its own share of the files, and then collects the children's results.
-``simulate`` and the ``detect``/``psd`` curve writers use it: their outputs
-are the same bytes with one process or many, and ``taskset -c 0`` runs them
-all in the calling process.
+``simulate`` and the ``psd`` curve writer use it: their outputs are the
+same bytes with one process or many, and ``taskset -c 0`` runs them all in
+the calling process.
 """
 
 import io
@@ -56,7 +57,7 @@ __all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
 
 _SIDECAR_DIR = "__gwcache__"
 # The smallest batch that forks.  A child costs a few ms to fork, exit and
-# reap, against ~0.7 ms to write one 1001-row curve file.
+# reap, against ~0.7 ms to write one whole-grid (1001-row) ``psd`` curve file.
 _MIN_FORK = 8
 
 
@@ -68,11 +69,13 @@ def fmt(x: float) -> str:
 def _utf8_text(path, data: bytes) -> str:
     """``data``, the bytes of the file ``path``, as text; a byte that does not
     decode as UTF-8 raises ValueError naming the file and the line of the
-    first such byte."""
+    first such byte.  A line ends at LF, CRLF or CR, as ``read_signal``'s
+    text stream reads lines."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 text") \
             from None
 

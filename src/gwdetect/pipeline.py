@@ -41,16 +41,17 @@ metric it scored.  ``run_inspection`` only counts those decisions: its
 ``DetectionReport`` holds exactly what its CSV holds, one
 ``(metric, label) -> (count, cases)`` entry per row in row order, and
 ``from_csv`` refuses rows that do not add up.  ``detect`` writes the per-case
-verdict rows straight from the case tables.  The curves
-``detect`` plots (``statistic_curves``) use the same per-bin expressions and
-the critical points.  Every rule of a metric, input checks included, lives in ``detectors``,
-where the scalar detectors build on it too; this module builds, stacks and
-chunks the cases.  The tests hold both paths equal to call-by-call oracles.
+verdict rows straight from the case tables.  The curves ``detect`` plots
+(``statistic_curves``) use the same per-bin expressions and the critical
+points, over the same band: one array per set and metric, a row per
+inspected record and a column per in-band bin.  Every rule of a metric,
+input checks included, lives in ``detectors``, where the scalar detectors
+build on it too; this module builds, stacks and chunks the cases.  The tests
+hold both paths equal to call-by-call oracles.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -564,22 +565,23 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
                       damage_labels=tuple(damage_labels), sets=sets)
 
 
-def statistic_curves(loaded: LoadedSet, metrics, alphas):
-    """``(metric, bounds, curves)`` per PSD metric: ``bounds`` holds
-    ``(alpha, lower, upper)`` for each alpha, and ``curves`` holds, for each
-    record of ``loaded.inspect`` in turn, a call without arguments that
-    returns the full-grid values of ``f_statistic`` (on the first training
-    baseline), ``fm_statistic`` or ``z_statistic`` against that record.  A
-    curve serves every alpha; it is computed only when called, so a set's
-    curves need never all be held at once."""
+def statistic_curves(loaded: LoadedSet, metrics, alphas, band=None):
+    """``(metric, bounds, values)`` per PSD metric: ``bounds`` holds
+    ``(alpha, lower, upper)`` for each alpha, and ``values`` is an array of
+    one row per record of ``loaded.inspect`` and one column per bin of
+    ``band`` (``None``: the whole grid).  Row ``i`` holds the in-band values
+    of ``f_statistic`` (on the first training baseline), ``fm_statistic`` or
+    ``z_statistic`` against record ``loaded.inspect[i]``, the same values as
+    those bins of the scalar detector's curve.  A curve serves every alpha."""
     ens = loaded.ensemble
     alphas = [validate_alpha(a) for a in alphas]
+    mask = _band_mask(ens.freq_grid, band)
+    probes = loaded.psds[np.asarray(loaded.inspect, dtype=np.intp)][:, mask]
     for metric in (m for m in metrics if m not in _DI_METRICS):
         ref = ens.members[0] if metric == "f" else ens.mean_psd
         dof = _dof(metric, ens.k_windows, ens.m)
         bounds = [(a, *_critical_points(metric, a, **dof)) for a in alphas]
-        yield metric, bounds, [partial(_statistic, metric, ref, loaded.psds[j], var=ens.var_psd)
-                               for j in loaded.inspect]
+        yield metric, bounds, _statistic(metric, ref[mask], probes, var=ens.var_psd[mask])
 
 
 # ---------------------------------------------------------------------------

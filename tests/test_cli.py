@@ -373,12 +373,14 @@ def test_psd_set_id_restricts_curves_and_bands(tmp_path):
     assert len(tree_digest(full)) == len(man.entries) + 4
 
 
-def test_detect_curves_equal_the_scalar_detectors(tmp_path):
-    """Every ``stat_*`` file is the scalar detector's curve for its record as
-    ``freq,value``, and every row of ``thresholds_1-2.csv`` holds that
-    detector's thresholds at its alpha; ``f`` is taken against the first
-    training baseline, which the seed makes another record than the set's
-    first."""
+def _scalar_curves_and_thresholds(tmp_path, *band_flag):
+    """``detect``'s ``stat_*`` files and ``thresholds_1-2.csv`` on the two-set
+    dataset (``--band`` as ``band_flag`` gives it), with the files the scalar
+    detectors give for the same records: each file holds the detector's curve
+    for its record as ``freq,value``, in the bins of the verdict band, and
+    each thresholds row that detector's thresholds at its alpha.  ``f`` is
+    taken against the first training baseline, which the seed makes another
+    record than the set's first."""
     import warnings
 
     from gwdetect.dataio import fmt
@@ -390,8 +392,9 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
     out = tmp_path / "res"
     alphas = (0.01, 0.05)
     assert main(["detect", *_common(tmp_path / "data"), "--metrics", "f,fm,z",
-                 "--alpha", "0.01,0.05", "--holdout", "1", "--seed", "2",
+                 "--alpha", "0.01,0.05", "--holdout", "1", "--seed", "2", *band_flag,
                  "--out", str(out)]) == 0
+    band = None if band_flag else man.band
     want, thresholds = {}, ["set,metric,alpha,lower,upper"]
     welch = WelchConfig(100, 0.5, 2000)
     for set_id in ("set0", "set1"):
@@ -402,17 +405,20 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
         assert loaded.entries[loaded.train[0]] != man.entries_for(
             "1-2", set_id, man.baseline_label)[0]
         first = psds[loaded.train[0]]  # the first training baseline
-        for metric, detector in (("f", lambda psd, a: f_statistic(first, psd, a)),
-                                 ("fm", lambda psd, a: fm_statistic(ens, psd, a)),
-                                 ("z", lambda psd, a: z_statistic(ens, psd, a))):
+        for metric, detector in (("f", lambda psd, a: f_statistic(first, psd, a, band)),
+                                 ("fm", lambda psd, a: fm_statistic(ens, psd, a, band)),
+                                 ("z", lambda psd, a: z_statistic(ens, psd, a, band))):
             for i, j in enumerate(loaded.inspect):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     series = [detector(psds[j], alpha) for alpha in alphas]
                 assert all(np.array_equal(s.values, series[0].values) for s in series)
+                freqs = series[0].freqs
+                rows = (np.ones(freqs.size, dtype=bool) if band is None
+                        else (freqs >= band[0]) & (freqs <= band[1]))
                 lines = ["freq,value"]
                 lines += [f"{fmt(f)},{v:.12g}" for f, v in
-                          zip(series[0].freqs.tolist(), series[0].values.tolist())]
+                          zip(freqs[rows].tolist(), series[0].values[rows].tolist())]
                 stem = Path(loaded.entries[j].file).stem
                 want[f"stat_{metric}_1-2_{set_id}_{i:03d}_{stem}.csv"] = "\n".join(lines) + "\n"
             # a metric's critical points are the same for every record of a set
@@ -421,8 +427,53 @@ def test_detect_curves_equal_the_scalar_detectors(tmp_path):
                            for alpha, s in zip(alphas, series)]
     n_damage = sum(e.label != man.baseline_label for e in man.entries)
     assert len(want) == 3 * n_damage
-    assert {p.name: p.read_text() for p in out.glob("stat_*.csv")} == want
-    assert (out / "thresholds_1-2.csv").read_text() == "\n".join(thresholds) + "\n"
+    got = {p.name: p.read_text() for p in out.glob("stat_*.csv")}
+    return got, want, (out / "thresholds_1-2.csv").read_text(), "\n".join(thresholds) + "\n"
+
+
+def test_detect_curves_equal_the_scalar_detectors(tmp_path):
+    """By default the curves hold the manifest band's bins: 17 of the grid's
+    1001 here."""
+    got, want, thresholds, want_thresholds = _scalar_curves_and_thresholds(tmp_path)
+    assert got == want
+    assert thresholds == want_thresholds
+    assert {text.count("\n") for text in got.values()} == {1 + 17}
+
+
+def test_detect_curves_over_the_full_band_equal_the_scalar_detectors(tmp_path):
+    """``--band full`` writes the scalar detectors' curves over the whole grid."""
+    got, want, thresholds, want_thresholds = _scalar_curves_and_thresholds(
+        tmp_path, "--band", "full")
+    assert got == want
+    assert thresholds == want_thresholds
+    assert {text.count("\n") for text in got.values()} == {1 + 1001}
+
+
+@pytest.mark.parametrize("band", [None, "200000:300000"], ids=["manifest-band", "given-band"])
+def test_detect_curves_are_the_in_band_rows_of_the_full_grid_curves(tmp_path, band):
+    """Each ``stat_*`` file of a run over a band is the header and the rows of
+    that band of the same file from a ``--band full`` run.  The thresholds
+    are the same bytes; only the decisions (reports, verdicts, summary) may
+    differ otherwise."""
+    data = tmp_path / "data"
+    simulate_small(data)
+    lo, hi = (150e3, 350e3) if band is None else (200e3, 300e3)
+    args = [*_common(data), "--metrics", "f,fm,z,qiu", "--holdout", "3"]
+    assert main(["detect", *args, *(["--band", band] if band else []),
+                 "--out", str(tmp_path / "band")]) == 0
+    assert main(["detect", *args, "--band", "full", "--out", str(tmp_path / "full")]) == 0
+    in_band = {p.name: p.read_text() for p in (tmp_path / "band").iterdir()}
+    full = {p.name: p.read_text() for p in (tmp_path / "full").iterdir()}
+    assert set(in_band) == set(full)
+    curves = [name for name in full if name.startswith("stat_")]
+    assert len(curves) == 3 * 4
+    for name in curves:
+        header, *rows = full[name].splitlines(keepends=True)
+        assert in_band[name] == header + "".join(
+            row for row in rows if lo <= float(row.split(",")[0]) <= hi)
+    assert {name for name in full if full[name] != in_band[name]} - set(curves) <= \
+        {name for name in full if name.startswith(("report_", "verdicts_", "summary"))}
+    assert in_band["thresholds_1-2.csv"] == full["thresholds_1-2.csv"]
 
 
 def test_detect_writes_each_statistic_curve_once_whatever_the_alphas(tmp_path):
@@ -642,19 +693,26 @@ def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
             _parse_alpha(repr(alpha))
 
 
-@pytest.mark.parametrize("target, number, sidecar", [
-    pytest.param("signal", 7, True, id="signal-sample"),
+@pytest.mark.parametrize("target, number, sidecar, ending", [
+    pytest.param("signal", 7, True, b"\n", id="signal-sample"),
+    pytest.param("signal", 7, True, b"\r", id="signal-sample-cr"),
+    pytest.param("signal", 7, True, b"\r\n", id="signal-sample-crlf"),
     # past the first block that decoding the header reads
-    pytest.param("signal", 2900, False, id="signal-late-sample-no-sidecar"),
-    pytest.param("signal", 2, True, id="signal-label"),
-    pytest.param("manifest", 2, True, id="manifest-header"),
-    pytest.param("config", 2, True, id="config-value"),
-    pytest.param("report", 11, True, id="report-last-row"),
+    pytest.param("signal", 2900, False, b"\n", id="signal-late-sample-no-sidecar"),
+    pytest.param("signal", 2900, False, b"\r", id="signal-late-sample-no-sidecar-cr"),
+    pytest.param("signal", 2900, False, b"\r\n", id="signal-late-sample-no-sidecar-crlf"),
+    pytest.param("signal", 2, True, b"\n", id="signal-label"),
+    pytest.param("manifest", 2, True, b"\n", id="manifest-header"),
+    pytest.param("manifest", 2, True, b"\r", id="manifest-header-cr"),
+    pytest.param("manifest", 9, True, b"\r", id="manifest-entry-cr"),
+    pytest.param("config", 2, True, b"\n", id="config-value"),
+    pytest.param("report", 11, True, b"\n", id="report-last-row"),
 ])
 def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
-                                                            target, number, sidecar):
+                                                            target, number, sidecar, ending):
     """A byte that does not decode as UTF-8 exits 2, writes nothing, and
-    names the file and the line of the byte."""
+    names the file and the line of the byte, lines ending at LF, CR or CRLF
+    (``ending``)."""
     data = tmp_path / "data"
     simulate_small(data)
     capsys.readouterr()
@@ -677,7 +735,7 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
         shutil.rmtree(victim.parent / "__gwcache__")
     lines = victim.read_bytes().split(b"\n")
     lines[number - 1] += b"\xff"
-    victim.write_bytes(b"\n".join(lines))
+    victim.write_bytes(ending.join(lines))
     out = tmp_path / "res"
     assert main([*cmd, "--out", str(out)]) == 2
     err = capsys.readouterr().err

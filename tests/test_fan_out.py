@@ -160,7 +160,7 @@ def test_commands_write_the_same_bytes_with_one_worker_or_several(tmp_path, monk
     assert trees[1] == trees[3]
     data, res = trees[1]
     assert len(data) == 1 + 2 * 12  # manifest, then each record and its sidecar
-    assert sum(name.startswith("stat_") for name in res) > dataio._MIN_FORK
+    assert sum(name.startswith("psd_") for name in res) > dataio._MIN_FORK
 
 
 def test_two_paths_fan_out_one_path_at_a_time_with_the_same_bytes(tmp_path, monkeypatch):
@@ -180,7 +180,10 @@ def test_two_paths_fan_out_one_path_at_a_time_with_the_same_bytes(tmp_path, monk
     assert trees[1] == trees[3]
     for path in ("1-2", "3-4"):
         assert sum(name.startswith(f"psd_{path}_") for name in trees[1]) == 6
-        assert sum(name.startswith(f"stat_z_{path}_") for name in trees[1]) == 2
+        # a path's six PSDs and two bands are a batch large enough to fork
+        batch = [name for name in trees[1]
+                 if name.startswith(("psd_", "band_")) and f"_{path}_" in name]
+        assert len(batch) == 8 >= dataio._MIN_FORK
 
 
 def test_simulate_worker_error_exits_as_the_serial_one(tmp_path, capsys, cpus):

@@ -20,6 +20,7 @@ from gwdetect.pipeline import (
     roc_sweep,
     run_inspection,
     score_roc,
+    statistic_curves,
     summary_table,
 )
 from gwdetect.simulate import (IDENTITY_DAMAGE, ToneBurstSpec, attenuation_ladder, propagate,
@@ -221,6 +222,40 @@ def test_load_set_reads_once_and_splits_by_index(ladder_dataset, bench_welch):
     with pytest.raises(ValueError, match="holdout must be >= 0"):
         load_set(ladder_dataset, "1-2", "set0", "first-packet", bench_welch,
                  holdout=-1)
+
+
+@pytest.mark.parametrize("band", [None, (150e3, 350e3), (252e3, 252e3)],
+                         ids=["full", "manifest-band", "one-bin"])
+def test_statistic_curves_hold_the_scalar_detectors_bits_in_band(ladder_dataset, bench_welch,
+                                                                band):
+    """Row ``i`` of a metric's ``statistic_curves`` array holds, bit for bit,
+    the scalar detector's curve for inspected record ``i`` in the bins of
+    ``band``, and its bounds are that detector's thresholds."""
+    import warnings
+
+    from gwdetect.detectors import f_statistic, fm_statistic, z_statistic
+
+    man = ladder_dataset
+    loaded = load_set(man, "1-2", "set0", "first-packet", bench_welch, holdout=5, seed=11)
+    ens = loaded.ensemble
+    psds = [welch_psd(extract_packet(man.load_entry(e), "first-packet", man), bench_welch)
+            for e in loaded.entries]
+    detectors = {"f": lambda psd: f_statistic(psds[loaded.train[0]], psd, 0.05, band),
+                 "fm": lambda psd: fm_statistic(ens, psd, 0.05, band),
+                 "z": lambda psd: z_statistic(ens, psd, 0.05, band)}
+    freqs = ens.freq_grid
+    rows = (np.ones(freqs.size, dtype=bool) if band is None
+            else (freqs >= band[0]) & (freqs <= band[1]))
+    curves = list(statistic_curves(loaded, ("janapati", "z", "f", "fm"), [0.05], band))
+    assert [metric for metric, _, _ in curves] == ["z", "f", "fm"]
+    for metric, bounds, values in curves:
+        assert values.shape == (len(loaded.inspect), np.count_nonzero(rows))
+        for row, j in zip(values, loaded.inspect):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                series = detectors[metric](psds[j])
+            assert row.tobytes() == series.values[rows].tobytes()
+        assert bounds == [(0.05, series.lower_threshold, series.upper_threshold)]
 
 
 @pytest.fixture(scope="module")

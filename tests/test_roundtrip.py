@@ -113,6 +113,21 @@ def test_a_bad_sample_is_named_by_its_line_end_count(tmp_path, body):
     assert str(err.value) == f"{path}:4: sample 'abc' is not a finite number"
 
 
+@pytest.mark.parametrize("head", [b"sample_rate,10.0\rlabel,x\r1.0\r2.0\r",
+                                  b"sample_rate,10.0\r\nlabel,x\r\n1.0\r\n2.0\r\n",
+                                  b"sample_rate,10.0\nlabel,x\r1.0\r\n2.0\n",
+                                  "sample_rate,10.0\nlabel,x\n1.0\f\n2.0\u2028\n".encode()])
+def test_a_byte_that_is_not_utf8_is_named_by_its_line_end_count(tmp_path, head):
+    """A bad byte is named by the line it is on, lines ending at LF, CRLF or
+    CR in any mix, as the samples are read; a form feed or U+2028 is not a
+    line end."""
+    path = tmp_path / "sig.csv"
+    path.write_bytes(head + b"\xff\r")
+    with pytest.raises(ValueError) as err:
+        read_signal(path)
+    assert str(err.value) == f"{path}:5: byte 0xff is not UTF-8 text"
+
+
 @pytest.mark.parametrize("body", ["", "\n", "# no samples\n\n"])
 def test_a_header_without_samples_is_refused_without_a_warning(tmp_path, body):
     path = tmp_path / "sig.csv"
