@@ -26,11 +26,22 @@ headers, e.g.::
     [output]
     out_dir = results
 
-Command-line flags override config values.  A value that cannot be read
-names the flag, or the config file and ``[section] key``, it came from; every
-option is checked before any record is read.  That includes an alpha of
-2**-53 or less, where ``1 - alpha/2`` rounds to 1 and no critical point
-exists.  A config file that is not UTF-8, or that ``configparser`` cannot
+Command-line flags override config values.  Each option of ``detect``,
+``roc`` and ``psd`` is written once, as a row of ``OPTIONS``: its flag,
+config key, default, parser, expected text and help.  The rows build the
+argparse options, the flag > config > default lookup (``_options``) and the
+defaults the help states, and a test holds the README's config table to
+them.  The checks across options (the Welch combination, the window against
+``segment_length``, the band against the Welch grid, the path and set ids)
+are code in ``_build_runconfig``, after the lookup.  ``simulate``'s options
+are argparse-typed and not in the table; of a config file it reads only
+``[output] out_dir``.
+
+A value that cannot be read names the flag, or the config file and
+``[section] key``, it came from; every option is checked before any record
+is read.  That includes an alpha of 2**-53 or less, where ``1 - alpha/2``
+rounds to 1 and no critical point exists.  A config file may end its lines
+with LF, CRLF or CR; one that is not UTF-8, or that ``configparser`` cannot
 parse, names its file and line.  ``report`` names the file and line of a
 report that is not UTF-8 or holds a line ``DetectionReport.from_csv`` refuses.
 Scores, decisions and ``stat_*`` curves come from ``pipeline``; ``detect``
@@ -134,28 +145,30 @@ def _config_error(path, text: str, exc: configparser.Error) -> ValueError:
     return ValueError(f"{path}:{line}: {reason}")
 
 
-def _lookup(args, cfg: dict, dest: str, key: str):
-    """An option's raw value and where it came from: its flag, else the config
-    file and ``[section] key``; ``(None, None)`` when neither sets it."""
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value, "--" + dest.replace("_", "-")
-    if key not in cfg:
-        return None, None
-    section, name = key.split(".", 1)
-    return cfg[key], f"{args.config}: [{section}] {name}"
+def _options(args, cfg: dict):
+    """The options given, by the rows of ``OPTIONS``: config key -> ``(text,
+    where)``, ``where`` being its flag or the config file and ``[section]
+    key``; and a reader of a key's value: the flag's text, else the config
+    value, else the default, read by the row's parser.  A text the parser
+    rejects names where it came from.  A value is read when it is asked for,
+    so the checks of a run keep their order."""
+    given = {}
+    for key, (flag, *_) in OPTIONS.items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is not None:
+            given[key] = text, flag
+        elif key in cfg:
+            section, name = key.split(".")
+            given[key] = cfg[key], f"{args.config}: [{section}] {name}"
 
-
-def _opt(args, cfg: dict, dest: str, key: str, default=None, parse=str, expected=""):
-    """flag > config > default, converted by ``parse``; a value it rejects
-    names its flag, or the config file and ``[section] key`` it came from."""
-    value, where = _lookup(args, cfg, dest, key)
-    if where is None:
-        return default
-    try:
-        return parse(value)
-    except ValueError:
-        raise _bad_option(where, value, expected) from None
+    def value(key: str):
+        _, default, parse, expected, _ = OPTIONS[key]
+        text, where = given.get(key, (default, None))
+        try:
+            return text if parse is None or text is None else parse(text)
+        except ValueError:
+            raise _bad_option(where, text, expected) from None
+    return given, value
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -227,13 +240,11 @@ def _parse_list(text, item) -> list:
     return values
 
 
-def _member(choices):
-    """A parser that accepts one of ``choices`` and nothing else."""
-    def parse(text: str) -> str:
-        if text not in choices:
-            raise ValueError(text)
-        return text
-    return parse
+def _member(choices, text: str) -> str:
+    """``text`` if it is one of ``choices``."""
+    if text not in choices:
+        raise ValueError(text)
+    return text
 
 
 def _parse_bool(text) -> bool:
@@ -243,35 +254,69 @@ def _parse_bool(text) -> bool:
         raise ValueError(text) from None
 
 
+# Every option of ``detect``, ``roc`` and ``psd``, one row each; a test holds
+# the README's config table to these rows.  config key: (flag, default,
+# parser, expected, help).  A default is the text a config file would hold,
+# read by the parser as any value is, and the help states it; ``None`` leaves
+# the option unset, and the help says what that means.  A row without a
+# parser keeps the text.  A ``--no-`` flag is a switch that gives its key the
+# text "false".
+_KINDS = ", ".join(WINDOW_KINDS)
+OPTIONS = {
+    "data.manifest": ("--manifest", None, None, None, "dataset manifest file"),
+    "data.path": ("--path", None, None, None, "actuator-sensor path id (default: all paths)"),
+    "data.set": ("--set-id", None, None, None, "restrict to one set id"),
+    "data.window": ("--window", None, None, None, "named packet window from the manifest"),
+    "welch.segment_length": ("--segment-length", "100", int, "an integer",
+                             "estimation window length L"),
+    "welch.overlap": ("--overlap", "0.5", float, "a number", "window overlap fraction"),
+    "welch.nfft": ("--nfft", "2000", int, "an integer", "FFT length"),
+    "welch.window_kind": ("--window-kind", "hamming",
+                          lambda text: _member(WINDOW_KINDS, text.lower()),
+                          f"one of {_KINDS}", f"taper kind, one of {_KINDS}"),
+    "welch.detrend": ("--no-detrend", "true", _parse_bool,
+                      "a boolean: 1, yes, true, on or 0, no, false, off",
+                      "skip mean subtraction"),
+    "detect.metrics": ("--metrics", ",".join(METRICS),
+                       lambda text: _parse_list(text, lambda m: _member(METRICS, m)),
+                       f"a comma list of distinct metrics from {','.join(METRICS)}",
+                       "comma list of metrics"),
+    "detect.alphas": ("--alpha", "0.05", lambda text: _parse_list(text, _parse_alpha),
+                      "a comma list of distinct false-alarm probabilities in (2**-53, 1], "
+                      "2**-53 being about 1.1e-16",
+                      "comma list of false-alarm probabilities"),
+    # read against the Welch grid by ``_build_runconfig``
+    "detect.band": ("--band", None, None, None,
+                    "verdict band f_lo:f_hi in Hz (default: manifest band)"),
+    "detect.holdout": ("--holdout", "0", _non_negative_int, "a non-negative integer",
+                       "held-out healthy records per set"),
+    "detect.seed": ("--seed", None, _non_negative_int, "a non-negative integer",
+                    "shuffle seed for the baseline split (>= 0)"),
+    # $GWDETECT_OUTDIR comes between the flag and the config value: ``_out_dir``
+    "output.out_dir": ("--out", None, None, None, "output directory"),
+}
+
+
 def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
     """The run's settings, every one checked before any record is read;
     ``scores`` says whether the command scores in the band, and with it
     whether the manifest's own band must lie on the Welch grid."""
     cfg = _load_config(args.config)
-    manifest_path = _opt(args, cfg, "manifest", "data.manifest")
+    given, opt = _options(args, cfg)
+    manifest_path = opt("data.manifest")
     if not manifest_path:
         raise ValueError("a manifest is required (--manifest or [data] manifest)")
     manifest = DatasetManifest.load(manifest_path)
 
-    fields = dict(
-        segment_length=_opt(args, cfg, "segment_length", "welch.segment_length", 100,
-                            int, "an integer"),
-        overlap_fraction=_opt(args, cfg, "overlap", "welch.overlap", 0.5, float, "a number"),
-        nfft=_opt(args, cfg, "nfft", "welch.nfft", 2000, int, "an integer"),
-        window_kind=_opt(args, cfg, "window_kind", "welch.window_kind", "hamming",
-                         lambda text: _member(WINDOW_KINDS)(text.lower()),
-                         f"one of {', '.join(WINDOW_KINDS)}"),
-        detrend_mean=_opt(args, cfg, "detrend", "welch.detrend", True, _parse_bool,
-                          "a boolean: 1, yes, true, on or 0, no, false, off"),
-    )
+    fields = (opt("welch.segment_length"), opt("welch.overlap"), opt("welch.nfft"),
+              opt("welch.window_kind"), opt("welch.detrend"))
     try:
-        welch = WelchConfig(**fields)
+        welch = WelchConfig(*fields)
     except ValueError as exc:  # a combination: name every Welch option that was set
-        given = (_lookup(args, cfg, dest, f"welch.{dest}")
-                 for dest in ("segment_length", "overlap", "nfft", "window_kind"))
-        raise ValueError(", ".join(f"{where} {value!r}" for value, where in given if where)
+        raise ValueError(", ".join(f"{where} {text!r}" for key, (text, where) in given.items()
+                                   if key.startswith("welch.") and key != "welch.detrend")
                          + f": {exc}") from None
-    window = _opt(args, cfg, "window", "data.window")
+    window = opt("data.window")
     if window is None:
         raise ValueError("an analysis window is required (--window or [data] window)")
     if window not in manifest.packet_windows:
@@ -283,40 +328,36 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
     if length < welch.segment_length:
         raise ValueError(f"window {window!r} is {length} samples, shorter than "
                          f"segment_length {welch.segment_length}")
-    path_flag = _opt(args, cfg, "path", "data.path")
+    path_flag = opt("data.path")
     if path_flag and path_flag not in manifest.paths():
         raise ValueError(f"path {path_flag!r} is not in the manifest "
                          f"(available: {manifest.paths()})")
     paths = [path_flag] if path_flag else manifest.paths()
-    set_id = _opt(args, cfg, "set_id", "data.set")
+    set_id = opt("data.set")
     for path in paths:
         if set_id is not None and set_id not in manifest.sets_for(path):
             raise ValueError(f"set {set_id!r} is not in path {path!r} "
                              f"(available: {manifest.sets_for(path)})")
 
-    metrics = _opt(args, cfg, "metrics", "detect.metrics", list(METRICS),
-                   lambda text: _parse_list(text, _member(METRICS)),
-                   f"a comma list of distinct metrics from {','.join(METRICS)}")
-    alphas = _opt(args, cfg, "alpha", "detect.alphas", [0.05],
-                  lambda text: _parse_list(text, _parse_alpha),
-                  "a comma list of distinct false-alarm probabilities in (2**-53, 1], "
-                  "2**-53 being about 1.1e-16")
+    metrics, alphas = opt("detect.metrics"), opt("detect.alphas")
     grid = welch.freq_grid(manifest.sample_rate)
     on_grid = (f"in Hz with f_lo <= f_hi and a frequency of the grid "
                f"(0 to {grid[-1]:g} Hz in steps of {grid[1]:g} Hz) between them")
-    band = _opt(args, cfg, "band", "detect.band", manifest.band,
-                lambda text: _parse_band(text, grid), f"f_lo:f_hi {on_grid}, or 'full'")
-    if scores and manifest.band is not None and band is manifest.band:
+    band = manifest.band
+    if "detect.band" in given:
+        text, where = given["detect.band"]
+        try:
+            band = _parse_band(text, grid)
+        except ValueError:
+            raise _bad_option(where, text, f"f_lo:f_hi {on_grid}, or 'full'") from None
+    elif scores and band is not None:
         try:
             _band_mask(grid, band)
         except ValueError:
             raise _bad_option(f"{manifest_path}: band", ",".join(map(fmt, band)),
                               f"f_lo,f_hi {on_grid}") from None
-
     out_dir = _out_dir(args, cfg)
 
-    holdout = _opt(args, cfg, "holdout", "detect.holdout", 0, _non_negative_int,
-                   "a non-negative integer")
     return RunConfig(
         manifest=manifest,
         window=window,
@@ -326,9 +367,8 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
         metrics=metrics,
         alphas=alphas,
         band=band,
-        holdout=holdout,
-        seed=_opt(args, cfg, "seed", "detect.seed", None, _non_negative_int,
-                  "a non-negative integer"),
+        holdout=opt("detect.holdout"),
+        seed=opt("detect.seed"),
         out_dir=out_dir,
     )
 
@@ -518,25 +558,13 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The ``--config`` flag and a flag for each row of ``OPTIONS``."""
     p.add_argument("--config", help="key = value config file with section headers")
-    p.add_argument("--manifest", help="dataset manifest file")
-    p.add_argument("--path", help="actuator-sensor path id (default: all paths)")
-    p.add_argument("--set-id", dest="set_id", help="restrict to one set id")
-    p.add_argument("--window", help="named packet window from the manifest")
-    p.add_argument("--segment-length", dest="segment_length",
-                   help="estimation window length L (default 100)")
-    p.add_argument("--overlap", help="window overlap fraction (default 0.5)")
-    p.add_argument("--nfft", help="FFT length (default 2000)")
-    p.add_argument("--window-kind", dest="window_kind",
-                   help=f"taper kind, one of {', '.join(WINDOW_KINDS)} (default hamming)")
-    p.add_argument("--no-detrend", dest="detrend", action="store_const", const=False,
-                   help="skip mean subtraction")
-    p.add_argument("--metrics", help=f"comma list from {','.join(METRICS)}")
-    p.add_argument("--alpha", help="comma list of false-alarm probabilities (default 0.05)")
-    p.add_argument("--band", help="verdict band f_lo:f_hi in Hz (default: manifest band)")
-    p.add_argument("--holdout", help="held-out healthy records per set (default 0)")
-    p.add_argument("--seed", help="shuffle seed for the baseline split (>= 0)")
-    p.add_argument("--out", help="output directory")
+    for flag, default, _, _, text in OPTIONS.values():
+        if flag.startswith("--no-"):  # a switch: it gives its key the text "false"
+            p.add_argument(flag, action="store_const", const="false", help=text)
+        else:
+            p.add_argument(flag, help=f"{text} (default {default})" if default else text)
 
 
 def build_parser() -> argparse.ArgumentParser:

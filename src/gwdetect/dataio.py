@@ -67,12 +67,14 @@ def fmt(x: float) -> str:
 
 
 def _utf8_text(path, data: bytes) -> str:
-    """``data``, the bytes of the file ``path``, as text; a byte that does not
-    decode as UTF-8 raises ValueError naming the file and the line of the
-    first such byte.  A line ends at LF, CRLF or CR, as ``read_signal``'s
-    text stream reads lines."""
+    """``data``, the bytes of the file ``path``, as text with LF line ends; a
+    byte that does not decode as UTF-8 raises ValueError naming the file and
+    the line of the first such byte.  A line ends at LF, CRLF or CR, as
+    ``read_signal``'s text stream reads lines, and nowhere else: split the
+    text at LF, not with ``str.splitlines``, which also splits at a form feed
+    or U+2028."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -331,9 +333,7 @@ def _bad_sample(path, data: bytes) -> str:
     that is not one finite number as ``np.loadtxt`` reads it, with lines read
     as it reads them (``#`` comments and blank lines skipped); bytes that are
     not UTF-8 raise as ``_utf8_text`` raises."""
-    # a line ends only at \n, \r\n or \r, as the reader's text stream splits
-    # lines; ``str.splitlines`` would also split at a form feed or U+2028
-    lines = _utf8_text(path, data).replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _utf8_text(path, data).split("\n")
     for ln, raw in enumerate(lines[2:], start=3):
         text = raw.split("#", 1)[0].strip()
         try:

@@ -196,7 +196,7 @@ class DatasetManifest:
         windows = {}
         entries = []
         in_body = False
-        for ln, raw in enumerate(_utf8_text(path, path.read_bytes()).splitlines(), start=1):
+        for ln, raw in enumerate(_utf8_text(path, path.read_bytes()).split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from gwdetect.cli import _curve_template, _write_curve, main
+from gwdetect.cli import (OPTIONS, _curve_template, _load_config, _options, _write_curve,
+                          build_parser, main)
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import DatasetManifest, DetectionReport, ManifestEntry
 from gwdetect.simulate import synth_dataset
@@ -190,6 +191,11 @@ def test_config_file_with_flag_override(tmp_path):
     report = next((tmp_path / "flagout").glob("report_*.csv")).read_text()
     assert "nfft=2000" in report
     assert main(["detect", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # the same file with CR line ends keeps every key
+    cr = tmp_path / "run_cr.cfg"
+    cr.write_bytes(cfg.read_bytes().replace(b"\n", b"\r"))
+    assert main(["detect", "--config", str(cr), "--out", str(tmp_path / "crout")]) == 0
+    assert tree_digest(tmp_path / "crout") == tree_digest(tmp_path / "cfgout")
 
 
 def test_detect_does_not_mutate_inputs(tmp_path):
@@ -681,6 +687,79 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
             assert reads == [], cmd
 
 
+# A text each row's own check refuses and one it takes.  The other rows' texts
+# are checked against the manifest (ids, by messages that name the id and
+# not the flag) or not at all (the output directory).
+_OPTION_TEXTS = {
+    "welch.segment_length": ("abc", "100"),
+    "welch.overlap": ("half", "0.5"),
+    "welch.nfft": ("x", "2000"),
+    "welch.window_kind": ("triangle", "Bartlett"),
+    "welch.detrend": ("maybe", "off"),
+    "detect.metrics": ("z,q", "z"),
+    "detect.alphas": ("abc", "0.01,0.05"),
+    "detect.band": ("a:b", "full"),  # read against the Welch grid
+    "detect.holdout": ("-1", "3"),
+    "detect.seed": ("x1", "1"),
+}
+
+
+class _RecordRead(Exception):
+    pass
+
+
+def _read_nothing(path):
+    raise _RecordRead(path)
+
+
+@pytest.mark.parametrize("key", list(OPTIONS))
+def test_each_option_row_names_where_its_text_came_from_and_its_flag_wins(
+        tmp_path, capsys, monkeypatch, key):
+    """For each row of ``cli.OPTIONS``: its flag beats its config value, and
+    a text its check refuses exits 2 before any record is read, naming the
+    flag it was given by, or the config file and ``[section] key``, with the
+    row's expected text; given a text it takes by flag, a refused config
+    value is never read."""
+    import gwdetect.pipeline as pipeline
+
+    flag, _, parse, expected, _ = OPTIONS[key]
+    section, name = key.split(".")
+    switch = flag.startswith("--no-")  # it carries no text: it gives its key "false"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{name} = from-config\n")
+    for argv, source in (([], ("from-config", f"{cfg}: [{section}] {name}")),
+                         ([flag] if switch else [flag, "from-flag"],
+                          ("false" if switch else "from-flag", flag))):
+        args = build_parser().parse_args(["detect", "--config", str(cfg), *argv])
+        assert _options(args, _load_config(cfg))[0][key] == source
+    assert (key in _OPTION_TEXTS) == (parse is not None or key == "detect.band")
+    if key not in _OPTION_TEXTS:
+        return
+
+    data = tmp_path / "data"
+    simulate_small(data)
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "read_signal", _read_nothing)
+    refused, taken = _OPTION_TEXTS[key]
+    cfg.write_text(f"[{section}]\n{name} = {refused}\n")
+    out = tmp_path / "out"
+    sources = [(["--config", str(cfg)], f"{cfg}: [{section}] {name}")]
+    if not switch:
+        sources.append(([flag, refused], flag))
+    for cmd in ("detect", "roc", "psd"):
+        for argv, where in sources:
+            assert main([cmd, *_common(data), *argv, "--out", str(out)]) == 2, (cmd, where)
+            err = capsys.readouterr().err
+            prefix = f"error: {where} {refused!r}: expected "
+            assert err.startswith(prefix), (cmd, err)
+            assert parse is None or err == f"{prefix}{expected}\n", (cmd, err)
+            assert not out.exists()
+        # a flag the row takes: the config's refused text is not read
+        with pytest.raises(_RecordRead):
+            main([cmd, *_common(data), "--config", str(cfg), flag, *([] if switch else [taken]),
+                  "--out", str(out)])
+
+
 def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
     """``--alpha`` takes every level whose ``1 - alpha/2`` is below 1 in
     double precision, and refuses 2**-53, where it rounds to 1."""
@@ -744,24 +823,31 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text, where", [
-    pytest.param("holdout = 3\n", ":1: 'holdout = 3' comes before any [section] header",
-                 id="no-section-header"),
-    pytest.param("[detect]\nholdout = 3\nholdout = 4\n",
-                 ":3: key 'holdout' is given twice in [detect]", id="key-twice"),
-    pytest.param("[detect]\nholdout = 3\n[detect]\nseed = 1\n",
-                 ":3: section [detect] is given twice", id="section-twice"),
-    pytest.param("[detect]\nholdout = 3\n\n[x\n",
-                 ":4: '[x' is neither a [section] header nor a 'key = value' line",
-                 id="neither-header-nor-key"),
-    pytest.param("[output]\nout_dir = 50%\n", ": [output] out_dir: '%' must be followed by",
-                 id="value-that-cannot-be-interpolated"),
+_UNPARSABLE_CONFIGS = [
+    ("holdout = 3\n", ":1: 'holdout = 3' comes before any [section] header",
+     "no-section-header"),
+    ("[detect]\nholdout = 3\nholdout = 4\n", ":3: key 'holdout' is given twice in [detect]",
+     "key-twice"),
+    ("[detect]\nholdout = 3\n[detect]\nseed = 1\n", ":3: section [detect] is given twice",
+     "section-twice"),
+    ("[detect]\nholdout = 3\n\n[x\n",
+     ":4: '[x' is neither a [section] header nor a 'key = value' line", "neither-header-nor-key"),
+    ("[output]\nout_dir = 50%\n", ": [output] out_dir: '%' must be followed by",
+     "value-that-cannot-be-interpolated"),
+]
+
+
+@pytest.mark.parametrize("text, where, ending", [
+    pytest.param(text, where, ending, id=name + suffix)
+    for text, where, name in _UNPARSABLE_CONFIGS
+    for ending, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
 ])
 def test_config_files_that_cannot_be_parsed_are_named_by_file_and_line(
-        tmp_path, capsys, monkeypatch, text, where):
+        tmp_path, capsys, monkeypatch, text, where, ending):
     """A config file that ``configparser`` cannot read exits 2 with its file
     and line (or ``[section] key``), before any record is read and before
-    anything is written, for every command that takes ``--config``."""
+    anything is written, for every command that takes ``--config``; lines
+    end at LF, CRLF or CR (``ending``)."""
     import gwdetect.pipeline as pipeline
 
     data = tmp_path / "data"
@@ -770,7 +856,7 @@ def test_config_files_that_cannot_be_parsed_are_named_by_file_and_line(
     reads = []
     monkeypatch.setattr(pipeline, "read_signal", reads.append)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text.replace("\n", ending).encode())
     for cmd in ("detect", "roc", "psd", "simulate"):
         out = tmp_path / f"res_{cmd}"
         argv = [] if cmd == "simulate" else _common(data)

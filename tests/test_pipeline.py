@@ -136,6 +136,23 @@ def test_manifest_rejects_malformed_rows(tmp_path):
         DatasetManifest.load(bad)
 
 
+@pytest.mark.parametrize("char", [" ", "\x0c"], ids=["u2028", "form-feed"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_manifest_lines_end_at_lf_crlf_or_cr_only(tmp_path, char, ending):
+    """A manifest line ends at LF, CRLF or CR, as a signal file's does: a
+    form feed or U+2028 at the end of an entry does not start a line, so the
+    bad line below is named as line 7."""
+    lines = ["sample_rate = 1000", "window.all = 0,10", "# entries",
+             "file,label,path_id,set_id", f"a.csv,healthy,1-2,s0{char}",
+             "b.csv,healthy,1-2,s0", "bad line"]
+    path = tmp_path / "m.csv"
+    path.write_bytes(ending.join(lines).encode() + ending.encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}:7: expected 4 CSV fields, got 1")):
+        DatasetManifest.load(path)
+    path.write_bytes(ending.join(lines[:-1]).encode())
+    assert [e.file for e in DatasetManifest.load(path).entries] == ["a.csv", "b.csv"]
+
+
 # ---------------------------------------------------------------------------
 # packet windowing
 # ---------------------------------------------------------------------------

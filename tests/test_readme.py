@@ -1,4 +1,5 @@
-"""The README's Python examples run as written.
+"""The README's Python examples run as written, and its config table is the
+CLI's option table.
 
 The first block (library quick start) runs on seeded white-noise records; the
 second (whole-dataset scoring) runs after the CLI quick start's
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gwdetect.cli import main
+from gwdetect.cli import OPTIONS, main
 from gwdetect.pipeline import METRICS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -38,3 +39,20 @@ def test_readme_python_blocks_run(tmp_path, capsys, monkeypatch):
     assert lines[-1] == "1.0"  # the z AUC
     rows = [line.split()[0] for line in lines if line.split()]
     assert all(rows.count(metric) == 1 for metric in METRICS), lines
+
+
+def test_readme_config_table_is_the_option_table():
+    """The README's config table and ``cli.OPTIONS`` hold the same rows, each
+    once: the ``[section] key``, the flag (the first code span of its cell)
+    and the default, a value in a code span as a config file would hold it,
+    or words where the option has no default value."""
+    table = README.read_text().split("| config key | flag | default |\n|---|---|---|\n")[1]
+    rows = []
+    for line in table.split("\n\n", 1)[0].splitlines():
+        key, flag, default = line.strip("|").split(" | ")
+        section, name = re.fullmatch(r"`\[(\w+)\] (\w+)`", key.strip()).groups()
+        value = re.fullmatch(r"`([^`]+)`", default.strip())
+        rows.append((f"{section}.{name}", re.match(r"`(--[\w-]+)`", flag.strip())[1],
+                     value[1] if value else None))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(key, flag, default) for key, (flag, default, *_) in OPTIONS.items()}
