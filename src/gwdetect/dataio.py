@@ -20,17 +20,34 @@ sample falls back to ``repr`` itself.  A reader takes one number per line:
 a line of two numbers, or one that only Python's ``float`` reads ("1_000",
 digits other than ASCII ones), is an error naming that line.
 
-The text file is the reference.  ``write_signal`` also leaves its parsed form
-in ``<dir>/__gwcache__/<file name>.f64``: the 32-byte SHA-256 of the text
-bytes, the sample count n as 8 bytes little-endian, then the n samples as
-little-endian float64 (``<f8`` on every host, so a sidecar reads the same
-samples wherever it is moved).  ``read_signal`` takes the samples from a
-sidecar only while its digest matches the file's current bytes and its
-length is exactly 40 + 8n, and parses the text in every other case, so
-deleting a sidecar is always safe.  It reads each file once: the text's
-bytes serve the header, the digest and, only when no sidecar serves, the
-parse; the sidecar comes in one read, and its samples are a view of the
-bytes read.
+The text file is the reference.  ``simulate`` also leaves the parsed samples
+of a whole signals directory in one sample store,
+``<dir>/__gwcache__/samples.gws``, written through ``SampleStore``.  All its
+integers are 8 bytes little-endian and its samples little-endian float64
+(``<f8`` on every host, so a store reads the same samples wherever it is
+moved):
+
+- a 24-byte header: the magic ``gwstore\x01`` (the last byte is the format
+  version), the record count N and the total sample count T;
+- an index of N 48-byte entries, one per record: the 32-byte SHA-256 of the
+  record's text bytes, the offset of its samples in the store and their
+  count, sorted by digest and, between equal digests, by offset;
+- the samples of each record, in the order the records were written.
+
+``read_signal`` hashes the text's bytes, finds the digest by a binary search
+over the index (a few 48-byte reads, never the whole index), and takes the
+samples from the store only while the magic matches, the store's size is
+exactly 24 + 48N + 8T bytes and the entry's samples lie after the index and
+inside the file.  In every other case, a missing, stale, truncated, padded
+or foreign store among them, it parses the text, so deleting ``__gwcache__/``
+is always safe.  It reads each text file once: its bytes serve the header,
+the digest and, only when the store does not serve, the parse.  The store is
+opened once per record, and the samples are read straight into the array
+returned.  A temporary ``samples.gws.<pid>.tmp`` is never read, nor are the
+per-file sidecars (``<file name>.f64``, ``.npy``) that older versions left.
+The store is trusted as far as its directory is: the checks catch a damaged
+store, not an index entry rewritten in place, and nothing in it is
+unpickled.
 
 ``fan_out`` runs a batch of independent file writes as a fork-join over the
 CPUs the process may run on: the process forks one child for each other CPU,
@@ -53,9 +70,13 @@ import numpy as np
 
 from .spectral import Signal, _checked_rate
 
-__all__ = ["read_signal", "write_signal", "fmt", "fan_out"]
+__all__ = ["read_signal", "write_signal", "SampleStore", "fmt", "fan_out"]
 
-_SIDECAR_DIR = "__gwcache__"
+_CACHE_DIR = "__gwcache__"
+_STORE = "samples.gws"
+_MAGIC = b"gwstore\x01"
+_HEAD = 24   # magic, record count, total sample count
+_ENTRY = 48  # digest, offset, sample count
 # The smallest batch that forks.  A child costs a few ms to fork, exit and
 # reap, against ~0.7 ms to write one whole-grid (1001-row) ``psd`` curve file.
 _MIN_FORK = 8
@@ -82,7 +103,9 @@ def _utf8_text(path, data: bytes) -> str:
             from None
 
 
-def write_signal(path, signal: Signal) -> None:
+def write_signal(path, signal: Signal) -> bytes:
+    """Write ``signal`` to the text file ``path`` and return the bytes
+    written."""
     path = Path(path)
     if "".join(signal.label.splitlines()) != signal.label:
         raise ValueError(f"{path}: label {signal.label!r} holds a line break")
@@ -93,28 +116,84 @@ def write_signal(path, signal: Signal) -> None:
     header = f"sample_rate,{fmt(signal.sample_rate)}\nlabel,{signal.label}\n"
     text = header.encode("utf-8") + repr_lines(signal.samples)
     path.write_bytes(text)
-    digest = _sha256(text)
-    sidecar = _sidecar(path)
-    sidecar.parent.mkdir(exist_ok=True)
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(digest)
-            fh.write(len(signal).to_bytes(8, "little"))
-            signal.samples.astype("<f8", copy=False).tofile(fh)
-        os.replace(tmp, sidecar)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return text
+
+
+class SampleStore:
+    """The sample store of the signals directory ``directory``, being written:
+    record ``i`` has ``counts[i]`` samples.
+
+    It is made as ``<store>.<pid>.tmp``, sized for every record, and filled
+    by ``put``, which writes at fixed offsets with ``os.pwrite``: the
+    processes that ``fan_out`` forks inherit its descriptor and fill their own
+    records without moving a shared file offset.  Leaving the ``with`` block
+    normally sorts the index and renames the file into place; leaving it by
+    an error (a failed task, a killed worker) removes it, and the directory
+    keeps whatever store it had.  Its bytes depend only on what is put in
+    it, not on which process put it.
+    """
+
+    def __init__(self, directory, counts):
+        self.counts = [int(n) for n in counts]
+        self.path = Path(directory) / _CACHE_DIR / _STORE
+        self.path.parent.mkdir(exist_ok=True)
+        self.tmp = self.path.with_name(f"{_STORE}.{os.getpid()}.tmp")
+        self.offsets = [_HEAD + _ENTRY * len(self.counts)]
+        for n in self.counts:
+            self.offsets.append(self.offsets[-1] + 8 * n)
+        size = self.offsets.pop()  # where the last record's samples end
+        self.fd = os.open(self.tmp, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            os.ftruncate(self.fd, size)
+            _pwrite(self.fd, _MAGIC + _u64(len(self.counts)) + _u64(sum(self.counts)), 0)
+        except BaseException:
+            self._discard()
+            raise
+
+    def put(self, i: int, text: bytes, samples) -> None:
+        """Store record ``i``'s samples under the digest of ``text``, the
+        bytes of its signal file."""
+        samples = np.ascontiguousarray(samples, "<f8")
+        if samples.shape != (self.counts[i],):
+            raise ValueError(f"record {i} has {samples.size} samples, "
+                             f"not the {self.counts[i]} the store was sized for")
+        _pwrite(self.fd, samples, self.offsets[i])
+        _pwrite(self.fd, _sha256(text) + _u64(self.offsets[i]) + _u64(samples.size),
+                _HEAD + _ENTRY * i)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None:
+            self._discard()
+            return
+        try:
+            index = os.pread(self.fd, _ENTRY * len(self.counts), _HEAD)
+            entries = sorted((index[k:k + _ENTRY] for k in range(0, len(index), _ENTRY)),
+                             key=lambda e: (e[:32], int.from_bytes(e[32:40], "little")))
+            _pwrite(self.fd, b"".join(entries), _HEAD)
+            os.close(self.fd)
+            self.fd = None
+            os.replace(self.tmp, self.path)
+        except BaseException:
+            self._discard()
+            raise
+
+    def _discard(self):
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        self.tmp.unlink(missing_ok=True)
 
 
 def read_signal(path) -> Signal:
     """Read a signal file; a malformed one raises ValueError naming the file
     and, where it can be told, the line.
 
-    The file is read once.  Its bytes give the header, the digest a sidecar
-    must match and, only when no sidecar serves, the text that is parsed; the
-    sidecar is read in one call as well."""
+    The file is read once.  Its bytes give the header, the digest looked up
+    in the directory's sample store and, only when the store does not serve,
+    the text that is parsed."""
     path = Path(path)
     data = path.read_bytes()
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")  # decodes as it is read
@@ -281,33 +360,63 @@ def _usable_cpus() -> int:
 
 
 def _sha256(data: bytes) -> bytes:
-    # imported on first use: a dataset without sidecars is never hashed, and
+    # imported on first use: a dataset without a store is never hashed, and
     # the import costs about 5 ms of every process's start-up
     import hashlib
 
     return hashlib.sha256(data).digest()
 
 
-def _sidecar(path: Path) -> Path:
-    return path.parent / _SIDECAR_DIR / f"{path.name}.f64"
+def _u64(n: int) -> bytes:
+    return n.to_bytes(8, "little")
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
 
 
 def _stored_samples(path: Path, text: bytes):
-    """The samples ``write_signal`` stored beside ``path``, or ``None`` when
-    there is no sidecar, its length is not that of the samples it counts, or
-    it was written for other bytes than ``text``, the file's bytes now."""
+    """The samples the sample store beside ``path`` holds for ``text``, the
+    file's bytes now, or ``None`` when there is no store, it does not pass
+    the layout checks, or it holds nothing for these bytes."""
     try:
-        # read into a buffer of our own: the samples are a writable view of
-        # it, as the text path gives, without a copy
-        with _sidecar(path).open("rb", buffering=0) as fh:
-            raw = bytearray(os.fstat(fh.fileno()).st_size)
-            del raw[fh.readinto(raw):]
+        with open(path.parent / _CACHE_DIR / _STORE, "rb", buffering=0) as fh:
+            return _lookup(fh, _sha256(text))
     except OSError:
         return None
-    n = int.from_bytes(raw[32:40], "little")
-    if len(raw) != 40 + 8 * n or raw[:32] != _sha256(text):
+
+
+def _lookup(fh, digest: bytes):
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, _HEAD, 0)
+    if len(head) != _HEAD or head[:8] != _MAGIC:
         return None
-    return np.frombuffer(raw, "<f8", offset=40)
+    n, total = (int.from_bytes(head[k:k + 8], "little") for k in (8, 16))
+    start = _HEAD + _ENTRY * n
+    if size != start + 8 * total:
+        return None
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        entry = os.pread(fd, _ENTRY, _HEAD + _ENTRY * mid)
+        if entry[:32] == digest:
+            break
+        lo, hi = (mid + 1, hi) if entry[:32] < digest else (lo, mid)
+    else:
+        return None
+    offset, count = (int.from_bytes(entry[k:k + 8], "little") for k in (32, 40))
+    if count == 0 or offset < start or offset + 8 * count > size:
+        return None
+    # read into an array of our own: writable, as the text path gives
+    samples = np.empty(count, "<f8")
+    fh.seek(offset)
+    if fh.readinto(samples) != samples.nbytes:
+        return None
+    return samples
 
 
 def _parsed_samples(path, fh, data: bytes):

@@ -643,10 +643,12 @@ class DetectionReport:
         outside (0, 1], a row of an unknown kind, a repeated row, a count
         outside 0 to its cases, a pct other than ``to_csv`` writes for the
         row, and a metric without its false-alarm row or a missed row for a
-        damage label of the report are refused."""
+        damage label of the report are refused.  Lines end at LF, as
+        ``dataio._utf8_text`` gives them; a form feed or U+2028 inside a line
+        is whitespace, not a line end."""
         meta, header_line = {}, {}
         counts = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
+        for ln, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("metric,"):
                 continue

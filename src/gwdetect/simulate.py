@@ -10,9 +10,11 @@ sample for sample.
 
 ``synth_dataset`` synthesizes and writes its records on every CPU the process
 may run on (``dataio.fan_out``): the calling process writes its share, and
-one forked child for each other CPU writes the rest.  ``taskset -c 0`` runs
-it all in the calling process.  Each record has its own seed, so the files
-are the same bytes either way.
+one forked child for each other CPU writes the rest.  Each writes its records'
+text files and their samples into the directory's one sample store
+(``dataio.SampleStore``), which is published once every record is in.
+``taskset -c 0`` runs it all in the calling process.  Each record has its own
+seed, so the files are the same bytes either way.
 """
 
 import math
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import fan_out, write_signal
+from .dataio import SampleStore, fan_out, write_signal
 from .pipeline import DatasetManifest, ManifestEntry
 from .spectral import Signal, _checked_rate
 
@@ -248,10 +250,13 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     if noise_std is None:
         noise_std = noise_std_for_snr(clean, snr_db)
 
-    (out_dir / "signals").mkdir(parents=True, exist_ok=True)
+    signals = out_dir / "signals"
+    signals.mkdir(parents=True, exist_ok=True)
     seeds = np.random.SeedSequence(int(seed)).spawn(len(names))
-    emit = partial(_emit, out_dir, pulse, arrival_delay, path_gain, noise_std, n_samples)
-    labels = fan_out(emit, zip(names, damages, seeds))
+    with SampleStore(signals, [int(n_samples)] * len(names)) as store:
+        emit = partial(_emit, signals, store, pulse, arrival_delay, path_gain, noise_std,
+                       n_samples)
+        labels = fan_out(emit, zip(range(len(names)), names, damages, seeds))
     entries = [ManifestEntry(file=f"signals/{name}.csv", label=label,
                              path_id=path_id, set_id=set_id)
                for name, label in zip(names, labels)]
@@ -272,12 +277,12 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     return manifest
 
 
-def _emit(out_dir: Path, pulse: Signal, arrival_delay: float, path_gain: float,
-          noise_std: float, n_samples: int, name: str, damage: DamageSpec,
-          seed) -> str:
-    """Synthesize one record of ``synth_dataset``, write it to
-    ``signals/<name>.csv`` and return its label."""
+def _emit(signals: Path, store: SampleStore, pulse: Signal, arrival_delay: float,
+          path_gain: float, noise_std: float, n_samples: int, i: int, name: str,
+          damage: DamageSpec, seed) -> str:
+    """Synthesize record ``i`` of ``synth_dataset``, write it to
+    ``signals/<name>.csv`` and to the store, and return its label."""
     sig = propagate(pulse, arrival_delay, path_gain, damage,
                     noise_std=noise_std, seed=seed, n_samples=n_samples)
-    write_signal(out_dir / "signals" / f"{name}.csv", sig)
+    store.put(i, write_signal(signals / f"{name}.csv", sig), sig.samples)
     return sig.label

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from gwdetect.simulate import attenuation_ladder, synth_dataset
@@ -21,3 +23,31 @@ def ladder_dataset(tmp_path_factory):
 @pytest.fixture()
 def bench_welch():
     return BENCH_WELCH
+
+
+class _OpenLog:
+    """The paths passed to ``open`` while a test listens.  An audit hook
+    cannot be removed, so one is added per test process and is idle between
+    tests."""
+
+    paths = None
+    hooked = False
+
+    @classmethod
+    def hook(cls, event, args):
+        if event == "open" and cls.paths is not None:
+            cls.paths.append(str(args[0]))
+
+
+@pytest.fixture()
+def opened():
+    """The list of paths that ``open`` is called with during the test, files
+    that do not exist among them."""
+    if not _OpenLog.hooked:
+        sys.addaudithook(_OpenLog.hook)
+        _OpenLog.hooked = True
+    _OpenLog.paths = []
+    try:
+        yield _OpenLog.paths
+    finally:
+        _OpenLog.paths = None

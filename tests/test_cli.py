@@ -1,7 +1,6 @@
 import hashlib
 import math
 import shutil
-import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -612,6 +611,13 @@ def _set_line(text, number, new):
                  id="report-count-above-its-cases"),
     pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
                  ("z,false_alarm,", ["z,false_alarm,,0,3,77"]), id="report-pct-off-its-count"),
+    # a form feed or U+2028 at the end of line 2 is whitespace, not a line end
+    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
+                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\x0c"),
+                 id="report-pct-off-its-count-after-a-form-feed"),
+    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
+                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\u2028"),
+                 id="report-pct-off-its-count-after-u2028"),
     pytest.param("report", "line 4: a second '# alpha' header",
                  ("# alpha = ", ["# alpha = 0.05", "# alpha = 0.5"]), id="report-second-header"),
     pytest.param("report", "line 3: bad '# alpha' header '7'",
@@ -658,6 +664,7 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                 .splitlines()
             k = next(k for k, line in enumerate(lines) if line.startswith(new[0]))
             lines[k:k + 1] = new[1]
+            lines[1] += new[2] if len(new) > 2 else ""  # ends line 2
             victim.write_text("\n".join(lines) + "\n")
             where = [f"{victim}: {number}"]
         else:
@@ -772,14 +779,14 @@ def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
             _parse_alpha(repr(alpha))
 
 
-@pytest.mark.parametrize("target, number, sidecar, ending", [
+@pytest.mark.parametrize("target, number, store, ending", [
     pytest.param("signal", 7, True, b"\n", id="signal-sample"),
     pytest.param("signal", 7, True, b"\r", id="signal-sample-cr"),
     pytest.param("signal", 7, True, b"\r\n", id="signal-sample-crlf"),
     # past the first block that decoding the header reads
-    pytest.param("signal", 2900, False, b"\n", id="signal-late-sample-no-sidecar"),
-    pytest.param("signal", 2900, False, b"\r", id="signal-late-sample-no-sidecar-cr"),
-    pytest.param("signal", 2900, False, b"\r\n", id="signal-late-sample-no-sidecar-crlf"),
+    pytest.param("signal", 2900, False, b"\n", id="signal-late-sample-no-store"),
+    pytest.param("signal", 2900, False, b"\r", id="signal-late-sample-no-store-cr"),
+    pytest.param("signal", 2900, False, b"\r\n", id="signal-late-sample-no-store-crlf"),
     pytest.param("signal", 2, True, b"\n", id="signal-label"),
     pytest.param("manifest", 2, True, b"\n", id="manifest-header"),
     pytest.param("manifest", 2, True, b"\r", id="manifest-header-cr"),
@@ -788,7 +795,7 @@ def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
     pytest.param("report", 11, True, b"\n", id="report-last-row"),
 ])
 def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
-                                                            target, number, sidecar, ending):
+                                                            target, number, store, ending):
     """A byte that does not decode as UTF-8 exits 2, writes nothing, and
     names the file and the line of the byte, lines ending at LF, CR or CRLF
     (``ending``)."""
@@ -810,7 +817,7 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
     else:
         victim = man.resolve(man.entries[1]) if target == "signal" else data / "manifest.csv"
         cmd += ["--holdout", "3"]
-    if not sidecar:
+    if not store:
         shutil.rmtree(victim.parent / "__gwcache__")
     lines = victim.read_bytes().split(b"\n")
     lines[number - 1] += b"\xff"
@@ -950,11 +957,11 @@ def test_each_command_reads_every_record_once(tmp_path, monkeypatch):
         assert sorted(reads) == every, cmd
 
 
-def test_sidecars_replace_parsing_and_text_alone_gives_the_same_outputs(tmp_path,
-                                                                      monkeypatch):
+def test_the_store_replaces_parsing_and_text_alone_gives_the_same_outputs(tmp_path,
+                                                                         monkeypatch):
     """On a simulated dataset no command parses signal text; a copy without
-    the sidecars is parsed record by record, gives the same bytes, and gains
-    no file."""
+    the sample store is parsed record by record, gives the same bytes, and
+    gains no file."""
     simulate_small(tmp_path / "data")
     plain = tmp_path / "plain"
     shutil.copytree(tmp_path / "data", plain)
@@ -1173,45 +1180,23 @@ def test_summary_and_report_order_labels_alike_whatever_the_manifest_order(tmp_p
         assert (tmp_path / "again.txt").read_text() == summary
 
 
-class _OpenLog:
-    """The paths passed to ``open`` while a test listens.  An audit hook
-    cannot be removed, so one is added per test process and is idle between
-    tests."""
-
-    paths = None
-    hooked = False
-
-    @classmethod
-    def hook(cls, event, args):
-        if event == "open" and cls.paths is not None:
-            cls.paths.append(str(args[0]))
-
-
-def test_each_command_opens_every_signal_file_once(tmp_path):
-    """Every record's text file is opened once per command, with its sidecar
-    or without one, and its sidecar is opened (or looked for) once."""
-    if not _OpenLog.hooked:
-        sys.addaudithook(_OpenLog.hook)
-        _OpenLog.hooked = True
+def test_each_command_opens_every_signal_file_once(tmp_path, opened):
+    """Every record's text file is opened once per command, with the sample
+    store or without one; the store is opened (or looked for) once per
+    record, and no other file under ``signals/`` is opened."""
     simulate_small(tmp_path / "data")
     shutil.copytree(tmp_path / "data", tmp_path / "plain")
     shutil.rmtree(tmp_path / "plain" / "signals" / "__gwcache__")
     man = DatasetManifest.load(tmp_path / "data" / "manifest.csv")
     for data in ("data", "plain"):
         signals = tmp_path / data / "signals"
-        texts = {str(signals / Path(e.file).name): 1 for e in man.entries}
-        sidecars = {str(signals / "__gwcache__" / f"{Path(e.file).name}.f64"): 1
-                    for e in man.entries}
+        want = {str(signals / Path(e.file).name): 1 for e in man.entries}
+        want[str(signals / "__gwcache__" / "samples.gws")] = len(man.entries)
         for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu",
                                        "--alpha", "0.01,0.05", "--holdout", "3"]),
                            ("roc", ["--metrics", "f,fm,z", "--holdout", "3"]),
                            ("psd", [])):
-            _OpenLog.paths = []
-            try:
-                assert main([cmd, *_common(tmp_path / data, *extra),
-                             "--out", str(tmp_path / f"res_{data}_{cmd}")]) == 0
-                opened = Counter(p for p in _OpenLog.paths if p.startswith(str(signals)))
-            finally:
-                _OpenLog.paths = None
-            assert {p: k for p, k in opened.items() if p.endswith(".csv")} == texts, (data, cmd)
-            assert {p: k for p, k in opened.items() if p.endswith(".f64")} == sidecars, (data, cmd)
+            opened.clear()
+            assert main([cmd, *_common(tmp_path / data, *extra),
+                         "--out", str(tmp_path / f"res_{data}_{cmd}")]) == 0
+            assert Counter(p for p in opened if p.startswith(str(signals))) == want, (data, cmd)

@@ -3,6 +3,7 @@ exit codes and messages with one process and with several."""
 
 import faulthandler
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import gwdetect.cli as cli
 import gwdetect.dataio as dataio
 from gwdetect.cli import main
-from gwdetect.dataio import fan_out
+from gwdetect.dataio import fan_out, read_signal
 from gwdetect.pipeline import DatasetManifest, ManifestEntry
 from test_cli import _common, simulate_small, tree_digest
 
@@ -159,7 +160,9 @@ def test_commands_write_the_same_bytes_with_one_worker_or_several(tmp_path, monk
         trees[n] = tree_digest(data), tree_digest(res)
     assert trees[1] == trees[3]
     data, res = trees[1]
-    assert len(data) == 1 + 2 * 12  # manifest, then each record and its sidecar
+    # the manifest, each record, and the one sample store, the same bytes
+    # whichever process wrote which record
+    assert len(data) == 1 + 12 + 1 and "signals/__gwcache__/samples.gws" in data
     assert sum(name.startswith("psd_") for name in res) > dataio._MIN_FORK
 
 
@@ -186,6 +189,52 @@ def test_two_paths_fan_out_one_path_at_a_time_with_the_same_bytes(tmp_path, monk
         assert len(batch) == 8 >= dataio._MIN_FORK
 
 
+def test_a_simulate_whose_worker_dies_exits_3_and_publishes_no_store(tmp_path, capsys,
+                                                                   monkeypatch, three_cpus):
+    import gwdetect.simulate as simulate
+
+    killed = _killed_in_a_child(os.getpid())
+    real = simulate.write_signal
+    monkeypatch.setattr(simulate, "write_signal", lambda *a: killed() or real(*a))
+    data = tmp_path / "data"
+    assert simulate_small(data) == 3
+    assert "exit status -9" in capsys.readouterr().err
+    assert list((data / "signals" / "__gwcache__").iterdir()) == []
+
+
+def _outcome(path: Path):
+    """The samples ``read_signal`` gives for ``path``, or its error message."""
+    try:
+        return read_signal(path).samples.tobytes()
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+def test_two_concurrent_simulates_into_one_directory_read_back_their_texts(tmp_path):
+    """Two ``simulate`` processes with different seeds write one directory at
+    once.  Whichever store is published last, every record reads back what
+    its text holds: the same as without the store."""
+    import gwdetect
+
+    env = dict(os.environ, PYTHONPATH=str(Path(gwdetect.__file__).resolve().parents[1]))
+    data = tmp_path / "data"
+    procs = [subprocess.Popen([sys.executable, "-m", "gwdetect.cli", "simulate",
+                               "--out", str(data), "--seed", str(seed), "--n-baseline", "8",
+                               "--ladder-steps", "2", "--n-per-damage", "2",
+                               "--n-samples", "3000"],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for seed in (5, 6)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=100)
+        assert proc.returncode == 0, err
+    assert [p.name for p in (data / "signals" / "__gwcache__").iterdir()] == ["samples.gws"]
+    records = sorted((data / "signals").glob("*.csv"))
+    assert len(records) == 12
+    stored = [_outcome(p) for p in records]
+    shutil.rmtree(data / "signals" / "__gwcache__")
+    assert stored == [_outcome(p) for p in records]
+
+
 def test_simulate_worker_error_exits_as_the_serial_one(tmp_path, capsys, cpus):
     blocked = tmp_path / "data" / "signals" / "baseline_001.csv"
     blocked.mkdir(parents=True)
@@ -197,7 +246,7 @@ def test_simulate_worker_error_exits_as_the_serial_one(tmp_path, capsys, cpus):
 
 WORKER_SCRIPT = """
 import os, time
-from gwdetect.dataio import fan_out
+from gwdetect.dataio import fan_out, read_signal
 from gwdetect.pipeline import DatasetManifest, ManifestEntry
 
 def report_and_sleep(seconds):
