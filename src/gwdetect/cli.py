@@ -105,7 +105,7 @@ def _slug(text: str) -> str:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _load_config(path) -> dict:
@@ -192,6 +192,11 @@ class RunConfig:
     holdout: int
     seed: int
     out_dir: Path
+
+    def scores(self, path: str):
+        return compute_path_scores(self.manifest, path, self.window, self.welch, self.metrics,
+                                   holdout=self.holdout, seed=self.seed, band=self.band,
+                                   set_id=self.set_id)
 
 
 def _bad_option(name: str, text, expected: str) -> ValueError:
@@ -429,9 +434,7 @@ def cmd_detect(args) -> int:
     rc = _build_runconfig(args)
     reports = []
     for path in rc.paths:
-        scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
-                                     holdout=rc.holdout, seed=rc.seed,
-                                     band=rc.band, set_id=rc.set_id)
+        scores = rc.scores(path)
         for alpha in rc.alphas:
             report = run_inspection(scores, alpha)
             reports.append(report)
@@ -461,7 +464,7 @@ def _write_verdicts(path: Path, cases: dict, alpha: float) -> None:
     """A verdict file: a row per case of each ``CaseTable`` in ``cases``, in
     metric and case order, decided by the table's ``damaged`` rule.  It is
     written a metric at a time, so that the whole text is never held."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("case_id,metric,label,verdict\n")
         for metric, table in cases.items():
             flags = table.damaged(alpha).tolist()
@@ -488,9 +491,7 @@ def cmd_roc(args) -> int:
     grid = _parse_alpha_grid(getattr(args, "alpha_grid", None))
     curves = []  # every curve first, so a metric that cannot be swept writes nothing
     for path in rc.paths:
-        scores = compute_path_scores(rc.manifest, path, rc.window, rc.welch, rc.metrics,
-                                     holdout=rc.holdout, seed=rc.seed,
-                                     band=rc.band, set_id=rc.set_id)
+        scores = rc.scores(path)
         curves.extend((path, metric, roc_sweep(scores, metric, grid)) for metric in rc.metrics)
     for path, metric, curve in curves:
         _write(rc.out_dir / f"roc_{_slug(path)}_{_slug(rc.window)}_{metric}.csv",

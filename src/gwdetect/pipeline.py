@@ -186,7 +186,7 @@ class DatasetManifest:
             lines.append(f"window.{name} = {start},{length}")
         lines.append(_HEADER)
         lines.extend(f"{e.file},{e.label},{e.path_id},{e.set_id}" for e in self.entries)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         return path
 
     @classmethod
@@ -195,6 +195,7 @@ class DatasetManifest:
         meta = {}
         windows = {}
         entries = []
+        key_lines, file_lines = {}, {}  # the line of each header key and listed file
         in_body = False
         for ln, raw in enumerate(_utf8_text(path, path.read_bytes()).split("\n"), start=1):
             line = raw.strip()
@@ -207,11 +208,23 @@ class DatasetManifest:
                 parts = line.split(",")
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{ln}: expected 4 CSV fields, got {len(parts)}")
-                entries.append(ManifestEntry(*[p.strip() for p in parts]))
+                entry = ManifestEntry(*[p.strip() for p in parts])
+                for name in ("file", "label"):
+                    if not getattr(entry, name):
+                        raise ValueError(f"{path}:{ln}: empty {name} field")
+                first = file_lines.setdefault((entry.path_id, entry.set_id, entry.file), ln)
+                if first != ln:
+                    raise ValueError(f"{path}:{ln}: {entry.file} is listed again for path "
+                                     f"{entry.path_id!r}, set {entry.set_id!r} "
+                                     f"(first on line {first})")
+                entries.append(entry)
             else:
                 if "=" not in line:
                     raise ValueError(f"{path}:{ln}: expected 'key = value' before the CSV header")
                 key, value = (s.strip() for s in line.split("=", 1))
+                first = key_lines.setdefault(key, ln)
+                if first != ln:
+                    raise ValueError(f"{path}:{ln}: a second {key!r} key (first on line {first})")
                 try:
                     if key.startswith("window."):
                         start, length = value.split(",")
@@ -494,7 +507,6 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
                   "labels": tuple(entries[j].label for j in probes.tolist()),
                   "is_healthy": healthy[probes]}
 
-    moments = {}
     if any(m in _DI_METRICS for m in metrics):
         x = loaded.packets
         gram, sums = x @ x.T, x.sum(axis=1)
@@ -502,16 +514,14 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
 
         def damage_index(metric, i, j):  # of every (i, j) packet pair
             return _damage_index(metric, gram[i, j], energy[i], energy[j], sums[i], sums[j])
-        for metric in (m for m in metrics if m in _DI_METRICS):
-            scatter = damage_index(metric, *in_train)
-            moments[metric] = {"center": float(np.mean(scatter)),
-                               "spread": float(np.std(scatter, ddof=1))}
 
     out = {}
     for metric in metrics:
         if metric in _DI_METRICS:
             cols = pair_cols
-            stats = {"stat_hi": damage_index(metric, ref, probe), **moments[metric]}
+            scatter = damage_index(metric, *in_train)
+            stats = {"stat_hi": damage_index(metric, ref, probe),
+                     "center": float(np.mean(scatter)), "spread": float(np.std(scatter, ddof=1))}
         else:
             probe_rows, ref_rows, cols = ((probe, ref, pair_cols) if metric == "f" else
                                           (probes, None, probe_cols))
@@ -788,17 +798,10 @@ class RocCurve:
 
 
 def _trapezoid_auc(fprs, tprs) -> float:
-    pts = sorted(zip(fprs, tprs))
-    xs = [0.0]
-    ys = [0.0]
-    for x, y in pts:
-        xs.append(x)
-        ys.append(y)
-    if xs[-1] != 1.0 or ys[-1] != 1.0:
-        xs.append(1.0)
-        ys.append(1.0)
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    pts = [(0.0, 0.0), *sorted(zip(fprs, tprs))]
+    if pts[-1] != (1.0, 1.0):
+        pts.append((1.0, 1.0))
+    x, y = np.asarray(pts).T
     # the trapezoid rule as np.trapezoid (NumPy >= 2.0) evaluates it
     return float(((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0).sum())
 

@@ -256,10 +256,10 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     with SampleStore(signals, [int(n_samples)] * len(names)) as store:
         emit = partial(_emit, signals, store, pulse, arrival_delay, path_gain, noise_std,
                        n_samples)
-        labels = fan_out(emit, zip(range(len(names)), names, damages, seeds))
-    entries = [ManifestEntry(file=f"signals/{name}.csv", label=label,
+        fan_out(emit, zip(range(len(names)), names, damages, seeds))
+    entries = [ManifestEntry(file=f"signals/{name}.csv", label=damage.label,
                              path_id=path_id, set_id=set_id)
-               for name, label in zip(names, labels)]
+               for name, damage in zip(names, damages)]
 
     start = int(round(arrival_delay * burst.sample_rate))
     packet_len = min(max(pulse.samples.size, 500), n_samples - start)
@@ -279,10 +279,9 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
 
 def _emit(signals: Path, store: SampleStore, pulse: Signal, arrival_delay: float,
           path_gain: float, noise_std: float, n_samples: int, i: int, name: str,
-          damage: DamageSpec, seed) -> str:
-    """Synthesize record ``i`` of ``synth_dataset``, write it to
-    ``signals/<name>.csv`` and to the store, and return its label."""
+          damage: DamageSpec, seed) -> None:
+    """Synthesize record ``i`` of ``synth_dataset`` and write it to
+    ``signals/<name>.csv`` and to the store."""
     sig = propagate(pulse, arrival_delay, path_gain, damage,
                     noise_std=noise_std, seed=seed, n_samples=n_samples)
     store.put(i, write_signal(signals / f"{name}.csv", sig), sig.samples)
-    return sig.label

@@ -136,6 +136,20 @@ def _gammainc_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _lentz(h: float, an: float, b: float, c: float, d: float) -> tuple:
+    # one step of the modified Lentz method (Lentz 1976) over a continued
+    # fraction's next term an / (b + ...): the new value h, and c and d kept
+    # off zero; the fraction has converged once d * c is 1
+    d = an * d + b
+    if abs(d) < _CF_TINY:
+        d = _CF_TINY
+    c = b + an / c
+    if abs(c) < _CF_TINY:
+        c = _CF_TINY
+    d = 1.0 / d
+    return h * (d * c), c, d
+
+
 def _gammainc_upper_cf(a: float, x: float) -> float:
     # upper-tail continued fraction (modified Lentz), converges for x >= a + 1
     b = x + 1.0 - a
@@ -143,18 +157,9 @@ def _gammainc_upper_cf(a: float, x: float) -> float:
     d = 1.0 / b if b != 0.0 else 1.0 / _CF_TINY
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = b + an / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        h, c, d = _lentz(h, -i * (i - a), b, c, d)
+        if abs(d * c - 1.0) < 1e-16:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 
@@ -223,26 +228,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        h, c, d = _lentz(h, m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h, c, d = _lentz(h, -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
+        if abs(d * c - 1.0) < 1e-16:
             break
     return h
 

@@ -554,6 +554,13 @@ def _set_line(text, number, new):
     ("manifest", 1, "sample_rate = nan"),
     pytest.param("manifest", 3, "band = 350000.0,150000.0", id="manifest-band-inverted"),
     pytest.param("manifest", 3, "band = 2e7,3e7", id="manifest-band-off-grid"),
+    # rows 7-14 list baseline_000 ... baseline_007, rows 17-18 att-0.5_000 and _001
+    pytest.param("manifest", 17, "signals/att-0.5_000.csv,,1-2,set0", id="manifest-empty-label"),
+    pytest.param("manifest", 7, ",healthy,1-2,set0", id="manifest-empty-file"),
+    pytest.param("manifest", 5, "window.first-packet = 0,3000", id="manifest-second-window"),
+    pytest.param("manifest", 2, "sample_rate = 1e6", id="manifest-second-sample_rate"),
+    pytest.param("manifest", 8, "signals/baseline_000.csv,healthy,1-2,set0",
+                 id="manifest-file-listed-twice"),
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
     pytest.param("option", "--alpha", "0", id="option-alpha-0"),
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
@@ -690,7 +697,7 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert all(w in err for w in where), (cmd, err)
         assert "Traceback" not in err
         assert not out.exists(), cmd
-        if target in ("option", "config") or (target == "manifest" and new.startswith("band")):
+        if target != "signal":
             assert reads == [], cmd
 
 

@@ -129,6 +129,33 @@ def test_manifest_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path
         DatasetManifest.load(path)
 
 
+_MANIFEST_LINES = ["sample_rate = 1000", "window.all = 0,10", "file,label,path_id,set_id",
+                   "a.csv,healthy,1-2,s0", "b.csv,notch,1-2,s0",
+                   # one file under several paths or sets, and empty path and set ids
+                   "a.csv,healthy,2-3,s0", "a.csv,healthy,1-2,s1", "c.csv,healthy,,"]
+
+
+@pytest.mark.parametrize("line, new, message", [
+    (3, "sample_rate = 2000", "a second 'sample_rate' key (first on line 1)"),
+    (3, "window.all = 0,5", "a second 'window.all' key (first on line 2)"),
+    (9, "d.csv,,1-2,s0", "empty label field"),
+    (9, ",healthy,1-2,s0", "empty file field"),
+    (9, "c.csv,healthy,,", "c.csv is listed again for path '', set '' (first on line 8)"),
+])
+def test_manifest_refuses_empty_fields_and_repeats(tmp_path, line, new, message):
+    """A row without a file or a label, a header key given twice and a file
+    listed twice in one (path, set), here with empty ids, are refused, naming
+    the line."""
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(_MANIFEST_LINES) + "\n")
+    assert len(DatasetManifest.load(path).entries) == 5
+    lines = list(_MANIFEST_LINES)
+    lines.insert(line - 1, new)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+        DatasetManifest.load(path)
+
+
 def test_manifest_rejects_malformed_rows(tmp_path):
     bad = tmp_path / "manifest.csv"
     bad.write_text("sample_rate = 1000\nfile,label,path_id,set_id\nonly,three,fields\n")
@@ -588,6 +615,8 @@ def test_trapezoid_auc_matches_numpy_trapezoid():
             pts.append((1.0, 1.0))
         xs, ys = zip(*pts)
         assert _trapezoid_auc(fprs, tprs) == float(oracle(ys, xs))
+    # an empty sweep is the chance diagonal
+    assert _trapezoid_auc([], []) == float(oracle([0.0, 1.0], [0.0, 1.0])) == 0.5
 
 
 def test_verdicts_monotone_in_alpha(ladder_dataset, bench_welch):

@@ -7,7 +7,12 @@ second (whole-dataset scoring) runs after the CLI quick start's
 reuses its Welch config.
 """
 
+import os
 import re
+import shlex
+import subprocess
+import sys
+from glob import glob
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,7 @@ from gwdetect.cli import OPTIONS, main
 from gwdetect.pipeline import METRICS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def python_blocks():
@@ -56,3 +62,25 @@ def test_readme_config_table_is_the_option_table():
                      value[1] if value else None))
     assert len(rows) == len(set(rows))
     assert set(rows) == {(key, flag, default) for key, (flag, default, *_) in OPTIONS.items()}
+
+
+def test_readme_cli_journey_writes_utf8_on_any_locale(tmp_path):
+    """The README's CLI quick start, and ``report --out``, run as written with
+    every text opened in the locale's default encoding an error: each output
+    names UTF-8 (and LF line ends) itself."""
+    block = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.S | re.M)[1]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("gwdetect ")]
+    assert [argv[1] for argv in commands] == ["simulate", "detect", "roc", "psd", "report"]
+    commands.append(commands[-1] + ["--out", "report.txt"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    for argv in commands:
+        argv = [name for arg in argv[1:]
+                for name in (sorted(glob(arg, root_dir=tmp_path)) if "*" in arg else [arg])]
+        run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning", "-m", "gwdetect.cli", *argv],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (argv, run.stderr)
+    assert (tmp_path / "report.txt").read_bytes() == \
+        (tmp_path / "results" / "summary.txt").read_bytes()

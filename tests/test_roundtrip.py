@@ -9,6 +9,7 @@ whitespace around a field, and ``,``/``=``/``#`` are format syntax.
 
 import hashlib
 import io
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -314,6 +315,8 @@ def manifests(draw):
                          min_size=1, max_size=8))
     # validate() wants a baseline entry on every path
     rows += [(f"base-{p}.csv", baseline, p, s) for _, _, p, s in rows]
+    # a file is listed once in each (path, set), so a later row replaces an earlier
+    rows = list({(f, p, s): (f, label, p, s) for f, label, p, s in rows}.values())
     windows = draw(st.dictionaries(NAME, st.tuples(st.integers(0, 10**6),
                                                    st.integers(1, 10**6)), max_size=3))
     band = draw(st.one_of(st.none(), st.tuples(FINITE, FINITE)))
@@ -335,6 +338,25 @@ def test_manifest_roundtrip(man):
     assert back.baseline_label == man.baseline_label
     assert back.packet_windows == man.packet_windows
     assert back.band == man.band
+
+
+@settings(max_examples=30, deadline=None)
+@given(man=manifests(), data=st.data())
+def test_manifest_refuses_a_file_listed_twice_in_a_set(man, data):
+    """A saved manifest with a row appended that lists a file again in its
+    path and set, under any label, names the new line and the first."""
+    k = data.draw(st.integers(0, len(man.entries) - 1))
+    e = man.entries[k]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = man.save(Path(tmp) / "manifest.csv")
+        lines = path.read_text().splitlines()
+        lines.append(f"{e.file},{data.draw(NAME)},{e.path_id},{e.set_id}")
+        path.write_text("\n".join(lines) + "\n")
+        first = len(lines) - len(man.entries) + k
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{len(lines)}: {e.file} is listed again for path {e.path_id!r}, "
+                f"set {e.set_id!r} (first on line {first})")):
+            DatasetManifest.load(path)
 
 
 @st.composite
