@@ -51,6 +51,7 @@ hold both paths equal to call-by-call oracles.
 """
 
 import math
+import posixpath
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -90,17 +91,80 @@ _HEADER = "file,label,path_id,set_id"
 _REPORT_KEYS = ("path", "window", "alpha", "welch", "holdout", "m_train")
 
 
+def _one_line(what: str, text: str) -> str:
+    """``text``, refused if it would not read back from its manifest line:
+    ``load`` ends a line at LF or CR and strips the whitespace around a
+    field."""
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{what} {text!r} holds a line break")
+    if text != text.strip():
+        raise ValueError(f"{what} {text!r} has whitespace at an end")
+    return text
+
+
+def _checked_band(band) -> tuple:
+    """``band`` as a ``(lo, hi)`` pair of floats, neither of them NaN."""
+    lo, hi = map(float, band)
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"band {band!r} holds NaN")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One row of a manifest's CSV body, held to the rule that makes it read
+    back equal: ``file`` and ``label`` are not empty; no field holds ``,``, a
+    line break (LF or CR) or whitespace at either end; and the row reads as
+    neither a comment (a ``file`` that starts with ``#``) nor the
+    ``file,label,path_id,set_id`` header.  An entry built in memory obeys
+    the rule as one read from disk does."""
+
     file: str
     label: str
     path_id: str
     set_id: str
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value and name in ("file", "label"):
+                raise ValueError(f"empty {name} field")
+            if "," in value:
+                raise ValueError(f"{name} field {value!r} holds ','")
+            _one_line(f"{name} field", value)
+        if self.file.startswith("#"):
+            raise ValueError(f"file field {self.file!r} starts with '#' and would read "
+                             "as a comment")
+        if ",".join(vars(self).values()) == _HEADER:
+            raise ValueError(f"the entry would read as the {_HEADER!r} header")
+
+
+class _RepeatedFile(ValueError):
+    """Entry ``again`` lists the file of entry ``first`` again in one path
+    and set."""
+
+    def __init__(self, entry: ManifestEntry, first: int, again: int):
+        self.entry, self.first, self.again = entry, first, again
+        super().__init__(self.at(f"entry {again}", f"as entry {first}"))
+
+    def at(self, again: str, first: str) -> str:
+        e = self.entry
+        return (f"{again}: {e.file} is listed again for path {e.path_id!r}, "
+                f"set {e.set_id!r} (first {first})")
+
 
 @dataclass
 class DatasetManifest:
-    """Index of one dataset: signal files, windows and analysis defaults."""
+    """Index of one dataset: signal files, windows and analysis defaults.
+
+    Its rules are checked where it is constructed, so a manifest built in
+    memory obeys the rules of one read from disk, and every manifest that
+    constructs is written by ``save`` and read back equal by ``load``.  Each
+    entry obeys ``ManifestEntry``'s rule, and no file is listed twice in one
+    path and set, two files compared after ``posixpath.normpath`` (so
+    ``signals/./a.csv`` repeats ``signals/a.csv``).  ``baseline_label`` and
+    the window names hold no line break and no whitespace at either end, a
+    window name holds no ``=``, and the band holds no NaN.  That every path
+    has a baseline entry is ``validate``'s separate check."""
 
     entries: tuple
     sample_rate: float
@@ -110,14 +174,18 @@ class DatasetManifest:
     base_dir: Path = Path(".")
 
     def __setattr__(self, name, value):
-        """Setting ``entries`` takes each as a ``ManifestEntry`` and groups
-        them by path and set once, for the lookups below; they are kept as a
-        tuple, so that the grouping cannot go stale by an edit in place."""
+        """Setting ``entries`` takes each as a ``ManifestEntry``, refuses a
+        file listed twice in one path and set, and groups them by path and
+        set once, for the lookups below; they are kept as a tuple, so that
+        the grouping cannot go stale by an edit in place."""
         if name == "entries":
             value = tuple(e if isinstance(e, ManifestEntry) else ManifestEntry(*e)
                           for e in value)
-            by_path, positions = {}, {}
-            for e in value:
+            by_path, positions, seen = {}, {}, {}
+            for k, e in enumerate(value):
+                first = seen.setdefault((e.path_id, e.set_id, posixpath.normpath(e.file)), k)
+                if first != k:
+                    raise _RepeatedFile(e, first, k)
                 in_path = by_path.setdefault(e.path_id, [])
                 positions.setdefault(e.path_id, {}).setdefault(e.set_id, []).append(len(in_path))
                 in_path.append(e)
@@ -127,15 +195,18 @@ class DatasetManifest:
 
     def __post_init__(self):
         self.sample_rate = _checked_rate(self.sample_rate)
+        _one_line("baseline_label", self.baseline_label)
         self.packet_windows = {
             str(name): (int(start), int(length))
             for name, (start, length) in self.packet_windows.items()
         }
         for name, (start, length) in self.packet_windows.items():
+            if "=" in _one_line("window name", name):
+                raise ValueError(f"window name {name!r} holds '='")
             if start < 0 or length < 1:
                 raise ValueError(f"window {name!r}: bad range ({start}, {length})")
         if self.band is not None:
-            self.band = (float(self.band[0]), float(self.band[1]))
+            self.band = _checked_band(self.band)
         self.base_dir = Path(self.base_dir)
 
     def validate(self) -> None:
@@ -194,8 +265,7 @@ class DatasetManifest:
         path = Path(path)
         meta = {}
         windows = {}
-        entries = []
-        key_lines, file_lines = {}, {}  # the line of each header key and listed file
+        entries, entry_lines, key_lines = [], [], {}
         in_body = False
         for ln, raw in enumerate(_utf8_text(path, path.read_bytes()).split("\n"), start=1):
             line = raw.strip()
@@ -208,16 +278,11 @@ class DatasetManifest:
                 parts = line.split(",")
                 if len(parts) != 4:
                     raise ValueError(f"{path}:{ln}: expected 4 CSV fields, got {len(parts)}")
-                entry = ManifestEntry(*[p.strip() for p in parts])
-                for name in ("file", "label"):
-                    if not getattr(entry, name):
-                        raise ValueError(f"{path}:{ln}: empty {name} field")
-                first = file_lines.setdefault((entry.path_id, entry.set_id, entry.file), ln)
-                if first != ln:
-                    raise ValueError(f"{path}:{ln}: {entry.file} is listed again for path "
-                                     f"{entry.path_id!r}, set {entry.set_id!r} "
-                                     f"(first on line {first})")
-                entries.append(entry)
+                try:
+                    entries.append(ManifestEntry(*[p.strip() for p in parts]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {exc}") from None
+                entry_lines.append(ln)
             else:
                 if "=" not in line:
                     raise ValueError(f"{path}:{ln}: expected 'key = value' before the CSV header")
@@ -230,8 +295,7 @@ class DatasetManifest:
                         start, length = value.split(",")
                         windows[key[len("window."):]] = (int(start), int(length))
                     elif key == "band":
-                        lo, hi = value.split(",")
-                        meta[key] = (float(lo), float(hi))
+                        meta[key] = _checked_band(value.split(","))
                     elif key == "sample_rate":
                         meta[key] = _checked_rate(value)
                     else:
@@ -252,6 +316,9 @@ class DatasetManifest:
                 base_dir=path.parent,
             )
             manifest.validate()
+        except _RepeatedFile as exc:
+            raise ValueError(exc.at(f"{path}:{entry_lines[exc.again]}",
+                                    f"on line {entry_lines[exc.first]}")) from None
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return manifest

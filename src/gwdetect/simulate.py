@@ -108,9 +108,9 @@ class DamageSpec:
 
 IDENTITY_DAMAGE = DamageSpec(1.0, 0.0, 0.0, label="healthy")
 
-# A damage label starts the name of its records' files (signals/<label>_000.csv)
-# and is a field of the comma-separated manifest.
-_NOT_IN_LABEL = ("/", "\\", "\0", ",")
+# A damage label starts the name of its records' files (signals/<label>_000.csv);
+# the manifest's own rule (``ManifestEntry``) holds it as a field.
+_NOT_IN_LABEL = ("/", "\\", "\0")
 
 
 def tone_burst(spec: ToneBurstSpec) -> Signal:
@@ -229,7 +229,7 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
             raise ValueError(f"damage label {spec.label!r} holds a line break")
         if any(c in spec.label for c in _NOT_IN_LABEL):
             raise ValueError(f"damage label {spec.label!r} is not a plain file-name part "
-                             "(it holds '/', '\\', ',' or NUL)")
+                             "(it holds '/', '\\' or NUL)")
         if spec.label == IDENTITY_DAMAGE.label:
             raise ValueError(f"damage label {spec.label!r} is the baseline label; "
                              "its records would be read as baselines")
@@ -238,29 +238,12 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     for spec in damage_specs:
         names += [f"{spec.label}_{j:03d}" for j in range(int(n_per_damage))]
         damages += [spec] * int(n_per_damage)
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"two records would be written to signals/{name}.csv; "
-                             "give each damage spec its own label")
-        seen.add(name)
-    pulse = tone_burst(burst)
-    clean = propagate(pulse, arrival_delay, path_gain, IDENTITY_DAMAGE,
-                      noise_std=0.0, n_samples=n_samples)
-    if noise_std is None:
-        noise_std = noise_std_for_snr(clean, snr_db)
-
-    signals = out_dir / "signals"
-    signals.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(int(seed)).spawn(len(names))
-    with SampleStore(signals, [int(n_samples)] * len(names)) as store:
-        emit = partial(_emit, signals, store, pulse, arrival_delay, path_gain, noise_std,
-                       n_samples)
-        fan_out(emit, zip(range(len(names)), names, damages, seeds))
+    # the manifest is built before any record is written, so that its rules
+    # (a field's, a file listed twice) refuse a label first
     entries = [ManifestEntry(file=f"signals/{name}.csv", label=damage.label,
                              path_id=path_id, set_id=set_id)
                for name, damage in zip(names, damages)]
-
+    pulse = tone_burst(burst)
     start = int(round(arrival_delay * burst.sample_rate))
     packet_len = min(max(pulse.samples.size, 500), n_samples - start)
     windows = {
@@ -273,6 +256,18 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
                                baseline_label=IDENTITY_DAMAGE.label, packet_windows=windows,
                                band=band, base_dir=out_dir)
     manifest.validate()
+    clean = propagate(pulse, arrival_delay, path_gain, IDENTITY_DAMAGE,
+                      noise_std=0.0, n_samples=n_samples)
+    if noise_std is None:
+        noise_std = noise_std_for_snr(clean, snr_db)
+
+    signals = out_dir / "signals"
+    signals.mkdir(parents=True, exist_ok=True)
+    seeds = np.random.SeedSequence(int(seed)).spawn(len(names))
+    with SampleStore(signals, [int(n_samples)] * len(names)) as store:
+        emit = partial(_emit, signals, store, pulse, arrival_delay, path_gain, noise_std,
+                       n_samples)
+        fan_out(emit, zip(range(len(names)), names, damages, seeds))
     manifest.save(out_dir / "manifest.csv")
     return manifest
 

@@ -561,6 +561,10 @@ def _set_line(text, number, new):
     pytest.param("manifest", 2, "sample_rate = 1e6", id="manifest-second-sample_rate"),
     pytest.param("manifest", 8, "signals/baseline_000.csv,healthy,1-2,set0",
                  id="manifest-file-listed-twice"),
+    pytest.param("manifest", 8, "signals/./baseline_000.csv,healthy,1-2,set0",
+                 id="manifest-file-listed-twice-with-./"),
+    pytest.param("manifest", 8, "signals//baseline_000.csv,healthy,1-2,set0",
+                 id="manifest-file-listed-twice-with-//"),
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
     pytest.param("option", "--alpha", "0", id="option-alpha-0"),
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
@@ -685,6 +689,8 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         victim.write_text(_set_line(victim.read_text(), number, new))
         argv = [*_common(data), "--metrics", "z", "--holdout", "3"]
         where = [f"{victim}:{number}:"]
+        if "baseline_000.csv" in new:  # the file of line 7 again
+            where.append("(first on line 7)")
         if new.startswith("band"):  # checked against the Welch grid, with the options
             cmds = ["detect", "roc"]
             where = [f"{victim}: band '"]

@@ -141,6 +141,7 @@ _MANIFEST_LINES = ["sample_rate = 1000", "window.all = 0,10", "file,label,path_i
     (9, "d.csv,,1-2,s0", "empty label field"),
     (9, ",healthy,1-2,s0", "empty file field"),
     (9, "c.csv,healthy,,", "c.csv is listed again for path '', set '' (first on line 8)"),
+    (9, "./c.csv,healthy,,", "./c.csv is listed again for path '', set '' (first on line 8)"),
 ])
 def test_manifest_refuses_empty_fields_and_repeats(tmp_path, line, new, message):
     """A row without a file or a label, a header key given twice and a file
@@ -154,6 +155,56 @@ def test_manifest_refuses_empty_fields_and_repeats(tmp_path, line, new, message)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
         DatasetManifest.load(path)
+
+
+_ENTRY = ("signals/a.csv", "healthy", "1-2", "s0")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"entries": [_ENTRY, _ENTRY]},
+     "entry 1: signals/a.csv is listed again for path '1-2', set 's0' (first as entry 0)"),
+    ({"entries": [_ENTRY, ("signals/./a.csv", "notch", "1-2", "s0")]},
+     "entry 1: signals/./a.csv is listed again for path '1-2', set 's0' (first as entry 0)"),
+    ({"entries": [("signals//a.csv", "healthy", "1-2", "s0"), _ENTRY]},
+     "entry 1: signals/a.csv is listed again for path '1-2', set 's0' (first as entry 0)"),
+    ({"entries": [_ENTRY, ("signals/b.csv", "", "1-2", "s0")]}, "empty label field"),
+    ({"entries": [("", "healthy", "1-2", "s0")]}, "empty file field"),
+    ({"entries": [("signals/a,b.csv", "healthy", "1-2", "s0")]},
+     "file field 'signals/a,b.csv' holds ','"),
+    ({"entries": [("signals/a.csv", "healthy", "1,2", "s0")]}, "path_id field '1,2' holds ','"),
+    ({"entries": [("signals/a.csv", "heal\nthy", "1-2", "s0")]},
+     "label field 'heal\\nthy' holds a line break"),
+    ({"entries": [("signals/a.csv", "healthy", "1-2", "s0\r")]},
+     "set_id field 's0\\r' holds a line break"),
+    ({"entries": [("signals/a.csv", "healthy", "1-2\t", "s0")]},
+     "path_id field '1-2\\t' has whitespace at an end"),
+    ({"entries": [(" signals/a.csv", "healthy", "1-2", "s0")]},
+     "file field ' signals/a.csv' has whitespace at an end"),
+    ({"entries": [("#a.csv", "healthy", "1-2", "s0")]},
+     "file field '#a.csv' starts with '#' and would read as a comment"),
+    ({"entries": [_ENTRY, ("file", "label", "path_id", "set_id")]},
+     "the entry would read as the 'file,label,path_id,set_id' header"),
+    ({"baseline_label": "heal\rthy"}, "baseline_label 'heal\\rthy' holds a line break"),
+    ({"baseline_label": "healthy "}, "baseline_label 'healthy ' has whitespace at an end"),
+    ({"packet_windows": {"a=b": (0, 10)}}, "window name 'a=b' holds '='"),
+    ({"packet_windows": {"a\nb": (0, 10)}}, "window name 'a\\nb' holds a line break"),
+    ({"packet_windows": {" a": (0, 10)}}, "window name ' a' has whitespace at an end"),
+    ({"band": (float("nan"), 1e5)}, "band (nan, 100000.0) holds NaN"),
+])
+def test_manifest_refuses_at_construction_what_would_not_read_back(change, message):
+    """Each of these would save a manifest that ``load`` refuses, reads back
+    unequal or reads with a record dropped or counted twice; construction
+    refuses it instead, naming the field, and so does assigning such
+    entries, which leaves the manifest as it was."""
+    fields = {"entries": [_ENTRY], "sample_rate": 1e6, "packet_windows": {"w": (0, 10)},
+              **change}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DatasetManifest(**fields)
+    if "entries" in change:
+        man = DatasetManifest(entries=[_ENTRY], sample_rate=1e6)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            man.entries = change["entries"]
+        assert man.entries == (ManifestEntry(*_ENTRY),) and man.paths() == ["1-2"]
 
 
 def test_manifest_rejects_malformed_rows(tmp_path):

@@ -3,8 +3,10 @@ dataset manifests and detection reports.  Signal files are read both through
 the sample store that ``simulate`` leaves beside them and from the text
 alone.
 
-Ids and labels are drawn from ``[A-Za-z0-9._-]``: both readers strip the
-whitespace around a field, and ``,``/``=``/``#`` are format syntax.
+Signal labels and report ids and labels are drawn from ``[A-Za-z0-9._-]``:
+both readers strip the whitespace around a field, and ``,``/``=``/``#`` are
+format syntax.  A manifest's texts are drawn from any text, and one that
+construction accepts must read back equal.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import gwdetect.dataio as dataio
@@ -308,31 +310,69 @@ def test_a_failed_write_publishes_no_store_and_leaves_no_temporary_file(tmp_path
     assert store(path).read_bytes() == before
 
 
+# Text that the manifest format reads as syntax (a field separator, whitespace
+# that ``load`` strips, a line end, a comment, a key), path spellings that
+# ``posixpath.normpath`` folds, the header's own words, and any text at all
+PIECE = st.one_of(st.sampled_from([",", " ", "\t", "\n", "\r", "#", "=", "./", "//", "/",
+                                   "file", "label", "path_id", "set_id"]),
+                  st.text(max_size=3), NAME)
+FILE = st.lists(NAME, min_size=1, max_size=3).map("/".join)
+RESPELL = st.sampled_from([str, "./{}".format, lambda f: f.replace("/", "//", 1)])
+
+
+@st.composite
+def texts(draw, common=NAME, one_in=24):
+    """``common``, or one time in ``one_in`` a join of ``PIECE``s: a manifest
+    draws some 40 texts, and one that breaks a rule refuses the manifest."""
+    if draw(st.integers(0, one_in - 1)):
+        return draw(common)
+    return "".join(draw(st.lists(PIECE, max_size=4)))
+
+
 @st.composite
 def manifests(draw):
-    baseline = draw(NAME)
-    rows = draw(st.lists(st.tuples(NAME, st.one_of(st.just(baseline), NAME), NAME, NAME),
-                         min_size=1, max_size=8))
+    """``DatasetManifest`` keyword arguments with every text drawn from
+    ``texts``, now and then the header as a row or a row repeated (respelled
+    or not), and any float band, NaN included: many of them must be refused
+    where they are constructed."""
+    baseline = draw(texts())
+    rows = [(draw(texts(FILE)), draw(st.one_of(st.just(baseline), texts())),
+             draw(texts()), draw(texts())) for _ in range(draw(st.integers(1, 6)))]
+    if not draw(st.integers(0, 15)):
+        rows.append(("file", "label", "path_id", "set_id"))
     # validate() wants a baseline entry on every path
-    rows += [(f"base-{p}.csv", baseline, p, s) for _, _, p, s in rows]
-    # a file is listed once in each (path, set), so a later row replaces an earlier
-    rows = list({(f, p, s): (f, label, p, s) for f, label, p, s in rows}.values())
-    windows = draw(st.dictionaries(NAME, st.tuples(st.integers(0, 10**6),
-                                                   st.integers(1, 10**6)), max_size=3))
-    band = draw(st.one_of(st.none(), st.tuples(FINITE, FINITE)))
-    return DatasetManifest(entries=[ManifestEntry(*r) for r in rows],
-                           sample_rate=draw(POSITIVE), baseline_label=baseline,
-                           packet_windows=windows, band=band)
+    rows += [(f"base-{p}.csv", baseline, p, s) for p, s in dict.fromkeys(r[2:] for r in rows)]
+    if not draw(st.integers(0, 3)):
+        f, label, p, s = draw(st.sampled_from(rows))
+        rows.append((draw(RESPELL)(f), label, p, s))
+    windows = draw(st.dictionaries(texts(), st.tuples(st.integers(0, 10**6),
+                                                      st.integers(1, 10**6)), max_size=3))
+    return dict(entries=draw(st.permutations(rows)), sample_rate=draw(POSITIVE),
+                baseline_label=baseline, packet_windows=windows,
+                band=draw(st.one_of(st.none(), st.tuples(st.floats(), st.floats()))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(man=manifests())
-def test_manifest_roundtrip(man):
+def _constructed(fields):
+    try:
+        return DatasetManifest(**fields)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=manifests())
+def test_manifest_roundtrip(fields):
+    """Construction refuses the manifest, or ``save`` writes it, ``load``
+    reads it back equal, and a second ``save`` writes the same bytes."""
+    man = _constructed(fields)
+    event("refused" if man is None else "constructed")
+    if man is None:
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = man.save(Path(tmp) / "manifest.csv")
         back = DatasetManifest.load(path)
         again = back.save(Path(tmp) / "again.csv")
-        assert again.read_text() == path.read_text()
+        assert again.read_bytes() == path.read_bytes()
     assert back.entries == man.entries
     assert back.sample_rate == man.sample_rate
     assert back.baseline_label == man.baseline_label
@@ -341,20 +381,24 @@ def test_manifest_roundtrip(man):
 
 
 @settings(max_examples=30, deadline=None)
-@given(man=manifests(), data=st.data())
+@given(man=manifests().map(_constructed).filter(lambda m: m is not None),
+       data=st.data())
 def test_manifest_refuses_a_file_listed_twice_in_a_set(man, data):
     """A saved manifest with a row appended that lists a file again in its
-    path and set, under any label, names the new line and the first."""
+    path and set, under any label and spelled as it is or with ``./`` or
+    ``//``, names the new line and the first."""
     k = data.draw(st.integers(0, len(man.entries) - 1))
     e = man.entries[k]
+    file = data.draw(RESPELL)(e.file)
     with tempfile.TemporaryDirectory() as tmp:
         path = man.save(Path(tmp) / "manifest.csv")
-        lines = path.read_text().splitlines()
-        lines.append(f"{e.file},{data.draw(NAME)},{e.path_id},{e.set_id}")
-        path.write_text("\n".join(lines) + "\n")
+        # split at LF alone, as ``load`` does: a field may hold U+2028
+        lines = path.read_bytes().decode("utf-8").split("\n")[:-1]
+        lines.append(f"{file},{data.draw(NAME)},{e.path_id},{e.set_id}")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
         first = len(lines) - len(man.entries) + k
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}:{len(lines)}: {e.file} is listed again for path {e.path_id!r}, "
+                f"{path}:{len(lines)}: {file} is listed again for path {e.path_id!r}, "
                 f"set {e.set_id!r} (first on line {first})")):
             DatasetManifest.load(path)
 

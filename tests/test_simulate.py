@@ -158,7 +158,8 @@ def test_synth_dataset_rejects_two_records_with_one_name(tmp_path, labels, twice
     ("a\u2028b", "holds a line break"),
     ("a/b", "not a plain file-name part"),
     ("a\\b", "not a plain file-name part"),
-    ("a,b", "not a plain file-name part"),
+    ("a,b", "holds ','"),  # the manifest entry's rule
+    ("b ", "label field 'b ' has whitespace at an end"),
     ("a\0b", "not a plain file-name part"),
     ("healthy", "'healthy' is the baseline label"),
 ])
