@@ -33,7 +33,6 @@ from .pipeline import (
     locate_packet,
     roc_sweep,
     run_inspection,
-    score_roc,
     summary_table,
 )
 from .simulate import (

@@ -80,7 +80,6 @@ __all__ = [
     "statistic_curves",
     "run_inspection",
     "roc_sweep",
-    "score_roc",
     "default_alpha_grid",
     "summary_table",
 ]
@@ -93,8 +92,14 @@ _REPORT_KEYS = ("path", "window", "alpha", "welch", "holdout", "m_train")
 
 def _one_line(what: str, text: str) -> str:
     """``text``, refused if it would not read back from its manifest line:
-    ``load`` ends a line at LF or CR and strips the whitespace around a
-    field."""
+    ``save`` writes UTF-8, and ``load`` ends a line at LF or CR and strips
+    the whitespace around a field."""
+    if not isinstance(text, str):
+        raise TypeError(f"{what} {text!r} is not a str")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} does not encode as UTF-8") from None
     if "\n" in text or "\r" in text:
         raise ValueError(f"{what} {text!r} holds a line break")
     if text != text.strip():
@@ -113,8 +118,10 @@ def _checked_band(band) -> tuple:
 @dataclass(frozen=True)
 class ManifestEntry:
     """One row of a manifest's CSV body, held to the rule that makes it read
-    back equal: ``file`` and ``label`` are not empty; no field holds ``,``, a
-    line break (LF or CR) or whitespace at either end; and the row reads as
+    back equal: every field is a ``str`` that encodes as UTF-8; ``file`` and
+    ``label`` are not empty; no field holds ``,``, a line break (LF or CR)
+    or whitespace at either end; ``set_id`` holds no ``;``, which separates
+    the sets of a report's ``# m_train`` header; and the row reads as
     neither a comment (a ``file`` that starts with ``#``) nor the
     ``file,label,path_id,set_id`` header.  An entry built in memory obeys
     the rule as one read from disk does."""
@@ -126,11 +133,12 @@ class ManifestEntry:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            _one_line(f"{name} field", value)
             if not value and name in ("file", "label"):
                 raise ValueError(f"empty {name} field")
-            if "," in value:
-                raise ValueError(f"{name} field {value!r} holds ','")
-            _one_line(f"{name} field", value)
+            for char in ",;" if name == "set_id" else ",":
+                if char in value:
+                    raise ValueError(f"{name} field {value!r} holds {char!r}")
         if self.file.startswith("#"):
             raise ValueError(f"file field {self.file!r} starts with '#' and would read "
                              "as a comment")
@@ -160,11 +168,13 @@ class DatasetManifest:
     memory obeys the rules of one read from disk, and every manifest that
     constructs is written by ``save`` and read back equal by ``load``.  Each
     entry obeys ``ManifestEntry``'s rule, and no file is listed twice in one
-    path and set, two files compared after ``posixpath.normpath`` (so
-    ``signals/./a.csv`` repeats ``signals/a.csv``).  ``baseline_label`` and
-    the window names hold no line break and no whitespace at either end, a
-    window name holds no ``=``, and the band holds no NaN.  That every path
-    has a baseline entry is ``validate``'s separate check."""
+    path and set, two files compared after ``posixpath.normpath``, with a
+    leading ``//`` read as ``/`` (so ``signals/./a.csv`` repeats
+    ``signals/a.csv``, and ``//d/a.csv`` repeats ``/d/a.csv``).  ``baseline_label`` and
+    the window names encode as UTF-8 and hold no line break and no
+    whitespace at either end, a window name holds no ``=``, and the band
+    holds no NaN.  That every path has a baseline entry is ``validate``'s
+    separate check."""
 
     entries: tuple
     sample_rate: float
@@ -183,7 +193,10 @@ class DatasetManifest:
                           for e in value)
             by_path, positions, seen = {}, {}, {}
             for k, e in enumerate(value):
-                first = seen.setdefault((e.path_id, e.set_id, posixpath.normpath(e.file)), k)
+                file = posixpath.normpath(e.file)
+                if file.startswith("//"):  # normpath keeps it; on Linux it is "/"
+                    file = file[1:]
+                first = seen.setdefault((e.path_id, e.set_id, file), k)
                 if first != k:
                     raise _RepeatedFile(e, first, k)
                 in_path = by_path.setdefault(e.path_id, [])
@@ -717,7 +730,9 @@ class DetectionReport:
     @classmethod
     def from_csv(cls, text: str) -> "DetectionReport":
         """The report a ``to_csv`` text holds.  A repeated header, an alpha
-        outside (0, 1], a row of an unknown kind, a repeated row, a count
+        outside (0, 1], a band other than ``full`` or ``lo:hi`` with
+        ``lo <= hi`` and neither NaN, a negative holdout, a training size M
+        below 1, a row of an unknown kind, a repeated row, a count
         outside 0 to its cases, a pct other than ``to_csv`` writes for the
         row, and a metric without its false-alarm row or a missed row for a
         damage label of the report are refused.  Lines end at LF, as
@@ -776,18 +791,23 @@ class DetectionReport:
                                window_kind=kv["window"], detrend_mean=bool(int(kv["detrend"])))
 
         def band_edges(text):
-            lo, hi = text.split(":")
-            return (float(lo), float(hi))
+            lo, hi = _checked_band(text.split(":"))
+            if lo > hi:
+                raise ValueError
+            return lo, hi
 
-        band = None
-        if meta.get("band") and meta["band"] != "full":
-            band = header("band", band_edges)
+        def at_least(least, text):
+            if int(text) < least:
+                raise ValueError
+            return int(text)
+
+        band = None if meta.get("band", "full") == "full" else header("band", band_edges)
         m_by_set = header("m_train", lambda text: {  # a set id may hold ':'
-            s: int(m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
+            s: at_least(1, m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
         report = cls(path=meta["path"], window=meta["window"],
                      alpha=header("alpha", validate_alpha), counts=counts,
-                     holdout=header("holdout", int), m_by_set=m_by_set, band=band,
-                     welch=header("welch", welch_config))
+                     holdout=header("holdout", lambda text: at_least(0, text)),
+                     m_by_set=m_by_set, band=band, welch=header("welch", welch_config))
         for metric in report.metrics:
             for label in (None, *report.damage_labels):
                 if (metric, label) not in counts:
@@ -841,25 +861,23 @@ def run_inspection(scores: PathScores, alpha) -> DetectionReport:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Operating points over a sweep, with trapezoidal area."""
+    """Operating points over an alpha sweep, with trapezoidal area."""
 
     metric: str
-    sweep: tuple        # swept parameter values (alpha levels or raw thresholds)
-    sweep_kind: str     # "alpha" | "threshold"
+    sweep: tuple        # alpha levels, ascending
     fprs: tuple
     tprs: tuple
     auc: float
     n_healthy: int
     n_damage: int
-    split_note: str = ""
+    split_note: str
 
     def to_csv(self) -> str:
-        lines = [f"{self.sweep_kind},fpr,tpr"]
+        lines = ["alpha,fpr,tpr"]
         lines.extend(f"{fmt(a)},{fmt(x)},{fmt(y)}"
                      for a, x, y in zip(self.sweep, self.fprs, self.tprs))
         lines.append(f"# auc = {self.auc:.6f}")
-        if self.split_note:
-            lines.append(f"# split = {self.split_note}")
+        lines.append(f"# split = {self.split_note}")
         lines.append(f"# cases = healthy:{self.n_healthy},damage:{self.n_damage}")
         return "\n".join(lines) + "\n"
 
@@ -878,26 +896,13 @@ def default_alpha_grid() -> np.ndarray:
     return np.logspace(-6.0, 0.0, 61)
 
 
-def _sweep(metric: str, sweep_kind: str, cuts: np.ndarray, healthy: np.ndarray,
-           damage: np.ndarray, flag_below: bool, split_note: str = "") -> RocCurve:
-    """The ROC point at each cut, counted with one sort and one ``searchsorted``
-    per group: a value is flagged if it lies below the cut (``flag_below``),
-    else if it lies at or above it.  Each rate is one ``count / n`` division."""
-    rates = []
-    for values in (healthy, damage):
-        below = np.searchsorted(np.sort(values), cuts, side="left")
-        rates.append(tuple(((below if flag_below else values.size - below) / values.size).tolist()))
-    fprs, tprs = rates
-    return RocCurve(metric=metric, sweep=tuple(cuts.tolist()), sweep_kind=sweep_kind,
-                    fprs=fprs, tprs=tprs, auc=_trapezoid_auc(fprs, tprs),
-                    n_healthy=healthy.size, n_damage=damage.size, split_note=split_note)
-
-
 def roc_sweep(scores: PathScores, metric: str, alpha_grid=None) -> RocCurve:
     """Decision-rule ROC: sweep alpha through the metric's own decisions.
 
     fpr(alpha) is the fraction of held-out healthy cases with ``p < alpha``,
-    tpr(alpha) the same fraction of damage cases.
+    tpr(alpha) the same fraction of damage cases.  Each is counted with one
+    sort and one ``searchsorted`` per group, whose left insertion point is
+    the number of p-values below alpha.
     """
     if metric not in scores.cases:
         raise ValueError(f"metric {metric!r} was not scored; "
@@ -911,18 +916,12 @@ def roc_sweep(scores: PathScores, metric: str, alpha_grid=None) -> RocCurve:
         )
     grid = default_alpha_grid() if alpha_grid is None else alpha_grid
     grid = np.sort([validate_alpha(a) for a in grid])
-    return _sweep(metric, "alpha", grid, healthy, damage, flag_below=True,
-                  split_note=f"train M={_m_note(scores.m_by_set)}, holdout={scores.holdout}")
-
-
-def score_roc(healthy_scores, damage_scores, metric: str = "score") -> RocCurve:
-    """Threshold-sweep ROC over raw scalar scores (larger = more damaged)."""
-    h = np.asarray(list(healthy_scores), dtype=float)
-    d = np.asarray(list(damage_scores), dtype=float)
-    if h.size == 0 or d.size == 0:
-        raise ValueError("need at least one healthy and one damage score")
-    thresholds = np.unique(np.concatenate([h, d]))[::-1]
-    return _sweep(metric, "threshold", thresholds, h, d, flag_below=False)
+    fprs, tprs = (tuple((np.searchsorted(np.sort(p), grid, side="left") / p.size).tolist())
+                  for p in (healthy, damage))
+    return RocCurve(metric=metric, sweep=tuple(grid.tolist()), fprs=fprs, tprs=tprs,
+                    auc=_trapezoid_auc(fprs, tprs), n_healthy=healthy.size,
+                    n_damage=damage.size,
+                    split_note=f"train M={_m_note(scores.m_by_set)}, holdout={scores.holdout}")
 
 
 # ---------------------------------------------------------------------------

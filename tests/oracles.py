@@ -313,15 +313,6 @@ def ks_critical_value(n: int, significance: float = 0.01) -> float:
     return math.sqrt(-0.5 * math.log(significance / 2.0)) / math.sqrt(n)
 
 
-def mann_whitney_auc(healthy_scores, damage_scores) -> float:
-    """Rank-based AUC: P(damage > healthy) + 0.5 P(tie), by direct counting."""
-    h = np.asarray(list(healthy_scores), dtype=float)
-    d = np.asarray(list(damage_scores), dtype=float)
-    gt = (d[:, None] > h[None, :]).sum()
-    eq = (d[:, None] == h[None, :]).sum()
-    return float((gt + 0.5 * eq) / (d.size * h.size))
-
-
 # ---------------------------------------------------------------------------
 # decisions from critical points, one case at a time
 # ---------------------------------------------------------------------------

@@ -565,6 +565,9 @@ def _set_line(text, number, new):
                  id="manifest-file-listed-twice-with-./"),
     pytest.param("manifest", 8, "signals//baseline_000.csv,healthy,1-2,set0",
                  id="manifest-file-listed-twice-with-//"),
+    # ';' separates the sets of a report's '# m_train' header
+    pytest.param("manifest", 8, "signals/baseline_001.csv,healthy,1-2,a;b",
+                 id="manifest-set-id-with-;"),
     pytest.param("option", "--alpha", "abc", id="option-alpha-abc"),
     pytest.param("option", "--alpha", "0", id="option-alpha-0"),
     pytest.param("option", "--band", "a:b", id="option-band-a:b"),
@@ -633,6 +636,17 @@ def _set_line(text, number, new):
                  ("# alpha = ", ["# alpha = 0.05", "# alpha = 0.5"]), id="report-second-header"),
     pytest.param("report", "line 3: bad '# alpha' header '7'",
                  ("# alpha = ", ["# alpha = 7"]), id="report-alpha-above-1"),
+    # header values that to_csv never writes
+    pytest.param("report", "line 4: bad '# band' header ''",
+                 ("# band = ", ["# band ="]), id="report-empty-band"),
+    pytest.param("report", "line 4: bad '# band' header 'nan:nan'",
+                 ("# band = ", ["# band = nan:nan"]), id="report-band-nan"),
+    pytest.param("report", "line 4: bad '# band' header '3e5:1e5'",
+                 ("# band = ", ["# band = 3e5:1e5"]), id="report-band-inverted"),
+    pytest.param("report", "line 6: bad '# holdout' header '-3'",
+                 ("# holdout = ", ["# holdout = -3"]), id="report-negative-holdout"),
+    pytest.param("report", "line 7: bad '# m_train' header 'set0:-1'",
+                 ("# m_train = ", ["# m_train = set0:-1"]), id="report-m_train-below-1"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):

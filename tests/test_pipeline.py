@@ -19,7 +19,6 @@ from gwdetect.pipeline import (
     locate_packet,
     roc_sweep,
     run_inspection,
-    score_roc,
     statistic_curves,
     summary_table,
 )
@@ -190,19 +189,37 @@ _ENTRY = ("signals/a.csv", "healthy", "1-2", "s0")
     ({"packet_windows": {"a\nb": (0, 10)}}, "window name 'a\\nb' holds a line break"),
     ({"packet_windows": {" a": (0, 10)}}, "window name ' a' has whitespace at an end"),
     ({"band": (float("nan"), 1e5)}, "band (nan, 100000.0) holds NaN"),
+    ({"entries": [("signals/a.csv", "healthy", "1-2", "a;b")]}, "set_id field 'a;b' holds ';'"),
+    ({"entries": [("signals/a\udc80.csv", "healthy", "1-2", "s0")]},
+     "file field 'signals/a\\udc80.csv' does not encode as UTF-8"),
+    ({"baseline_label": "heal\udc80thy"},
+     "baseline_label 'heal\\udc80thy' does not encode as UTF-8"),
+    ({"packet_windows": {"w\udc80": (0, 10)}},
+     "window name 'w\\udc80' does not encode as UTF-8"),
+    ({"entries": [("signals/a.csv", "healthy", 12, "s0")]},
+     TypeError("path_id field 12 is not a str")),
+    ({"entries": [("signals/a.csv", "healthy", "1-2", None)]},
+     TypeError("set_id field None is not a str")),
+    ({"baseline_label": 7}, TypeError("baseline_label 7 is not a str")),
+    ({"entries": [("/d/a.csv", "healthy", "1-2", "s0"), ("//d/a.csv", "notch", "1-2", "s0")]},
+     "entry 1: //d/a.csv is listed again for path '1-2', set 's0' (first as entry 0)"),
 ])
 def test_manifest_refuses_at_construction_what_would_not_read_back(change, message):
     """Each of these would save a manifest that ``load`` refuses, reads back
-    unequal or reads with a record dropped or counted twice; construction
-    refuses it instead, naming the field, and so does assigning such
-    entries, which leaves the manifest as it was."""
+    unequal, reads with a record dropped or counted twice, or that ``save``
+    cannot write; construction refuses it instead, naming the field, and so
+    does assigning such entries, which leaves the manifest as it was.  A
+    field that is not a ``str`` raises ``TypeError``, the rest
+    ``ValueError``."""
+    error = type(message) if isinstance(message, Exception) else ValueError
+    message = str(message)
     fields = {"entries": [_ENTRY], "sample_rate": 1e6, "packet_windows": {"w": (0, 10)},
               **change}
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)):
         DatasetManifest(**fields)
     if "entries" in change:
         man = DatasetManifest(entries=[_ENTRY], sample_rate=1e6)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
             man.entries = change["entries"]
         assert man.entries == (ManifestEntry(*_ENTRY),) and man.paths() == ["1-2"]
 
@@ -630,25 +647,6 @@ def test_roc_requires_both_splits(tmp_path, bench_welch):
     with pytest.raises(ValueError):
         roc_sweep(compute_path_scores(man, "1-2", "first-packet", bench_welch, ["z"],
                                       holdout=2), "z")  # no damage entries
-
-
-def test_random_scores_give_half_auc():
-    rng = np.random.default_rng(77)
-    aucs = np.empty(2000)
-    for i in range(2000):
-        aucs[i] = score_roc(rng.random(20), rng.random(20)).auc
-    assert np.mean(aucs) == pytest.approx(0.5, abs=0.05)
-
-
-def test_score_roc_matches_rank_auc_oracle():
-    rng = np.random.default_rng(78)
-    for _ in range(30):
-        h = rng.normal(0.0, 1.0, 25)
-        d = rng.normal(0.8, 1.2, 15)
-        if rng.random() < 0.5:  # exercise ties
-            d[:5] = h[:5]
-        auc = score_roc(h, d).auc
-        assert auc == pytest.approx(oc.mann_whitney_auc(h, d), abs=1e-9)
 
 
 def test_trapezoid_auc_matches_numpy_trapezoid():

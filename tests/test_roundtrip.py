@@ -11,6 +11,7 @@ construction accepts must read back equal.
 
 import hashlib
 import io
+import posixpath
 import re
 import tempfile
 import warnings
@@ -317,7 +318,9 @@ PIECE = st.one_of(st.sampled_from([",", " ", "\t", "\n", "\r", "#", "=", "./", "
                                    "file", "label", "path_id", "set_id"]),
                   st.text(max_size=3), NAME)
 FILE = st.lists(NAME, min_size=1, max_size=3).map("/".join)
-RESPELL = st.sampled_from([str, "./{}".format, lambda f: f.replace("/", "//", 1)])
+# "./" joined to an absolute name would make it relative: it stays as it is
+RESPELL = st.sampled_from([str, lambda f: posixpath.join(".", f),
+                          lambda f: f.replace("/", "//", 1)])
 
 
 @st.composite
@@ -429,8 +432,8 @@ def reports(draw):
         path=draw(NAME), window=draw(NAME),
         alpha=draw(st.floats(min_value=1e-12, max_value=1.0)), counts=rows,
         holdout=draw(st.integers(0, 1000)),
-        m_by_set=draw(st.dictionaries(NAME, st.integers(0, 1000), max_size=3)),
-        band=draw(st.one_of(st.none(), st.tuples(FINITE, FINITE))),
+        m_by_set=draw(st.dictionaries(NAME, st.integers(1, 1000), max_size=3)),
+        band=draw(st.one_of(st.none(), st.tuples(FINITE, FINITE).map(sorted).map(tuple))),
         welch=draw(welch_configs()))
 
 
