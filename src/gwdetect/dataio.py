@@ -11,7 +11,9 @@ Decimal point is ``.``, separator is ``,``, line endings are LF, and the
 text is UTF-8; a byte that does not decode is an error that names the file
 and its line.  ``read_signal`` takes LF, CRLF and CR as line ends, in any
 mix, and counts lines the same way when it names one.  The label is one
-line: ``write_signal`` refuses a label that holds a line break.  Each sample
+line: ``write_signal`` refuses a label that holds a line break, has
+whitespace at an end (the reader strips it) or does not encode as UTF-8,
+before it writes anything.  Each sample
 is written as CPython's ``repr`` writes it, the shortest decimal that reads
 back as the same double.  ``write_signal`` makes that text with an array
 kernel (``_shortrepr``), a block of samples at a time; the kernel covers
@@ -87,6 +89,23 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _one_line(what: str, text: str) -> str:
+    """``text``, refused if it would not read back from its line of a text
+    file: files are written as UTF-8, and their readers end a line at LF or
+    CR and strip the whitespace around a field."""
+    if not isinstance(text, str):
+        raise TypeError(f"{what} {text!r} is not a str")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} does not encode as UTF-8") from None
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{what} {text!r} holds a line break")
+    if text != text.strip():
+        raise ValueError(f"{what} {text!r} has whitespace at an end")
+    return text
+
+
 def _utf8_text(path, data: bytes) -> str:
     """``data``, the bytes of the file ``path``, as text with LF line ends; a
     byte that does not decode as UTF-8 raises ValueError naming the file and
@@ -109,6 +128,7 @@ def write_signal(path, signal: Signal) -> bytes:
     path = Path(path)
     if "".join(signal.label.splitlines()) != signal.label:
         raise ValueError(f"{path}: label {signal.label!r} holds a line break")
+    _one_line(f"{path}: label", signal.label)
     # imported on first use: only ``simulate`` writes signals, and every
     # other command would pay its compile at start-up
     from ._shortrepr import repr_lines

@@ -39,12 +39,15 @@ decide: a case is damaged at alpha when ``p < alpha``
 (``CaseTable.damaged``), so one scoring pass serves every alpha and every
 metric it scored.  ``run_inspection`` only counts those decisions: its
 ``DetectionReport`` holds exactly what its CSV holds, one
-``(metric, label) -> (count, cases)`` entry per row in row order, and
-``from_csv`` refuses rows that do not add up.  ``detect`` writes the per-case
-verdict rows straight from the case tables.  The curves ``detect`` plots
-(``statistic_curves``) use the same per-bin expressions and the critical
-points, over the same band: one array per set and metric, a row per
-inspected record and a column per in-band bin.  Every rule of a metric,
+``(metric, label) -> (count, cases)`` entry per row in row order.  Its rule
+(alpha in (0, 1], counts within their cases, a row for every metric and
+label, one-line texts, ...) is checked where a report is constructed, so
+every report that constructs is written by ``to_csv`` and read back equal by
+``from_csv``, which only parses and names the line of an error.  ``detect``
+writes the per-case verdict rows straight from the case tables.  The curves
+``detect`` plots (``statistic_curves``) use the same per-bin expressions
+and the critical points, over the same band: one array per set and metric,
+a row per inspected record and a column per in-band bin.  Every rule of a metric,
 input checks included, lives in ``detectors``, where the scalar detectors
 build on it too; this module builds, stacks and chunks the cases.  The tests
 hold both paths equal to call-by-call oracles.
@@ -58,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import _utf8_text, fmt, read_signal
+from .dataio import _one_line, _utf8_text, fmt, read_signal
 from .detectors import (BaselineEnsemble, _band_mask, _check_probe, _critical_points,
                         _damage_index, _dof, _live_bins, _p_value, _statistic)
 from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
@@ -87,24 +90,6 @@ __all__ = [
 METRICS = ("f", "fm", "z", "janapati", "qiu")
 _DI_METRICS = ("janapati", "qiu")
 _HEADER = "file,label,path_id,set_id"
-_REPORT_KEYS = ("path", "window", "alpha", "welch", "holdout", "m_train")
-
-
-def _one_line(what: str, text: str) -> str:
-    """``text``, refused if it would not read back from its manifest line:
-    ``save`` writes UTF-8, and ``load`` ends a line at LF or CR and strips
-    the whitespace around a field."""
-    if not isinstance(text, str):
-        raise TypeError(f"{what} {text!r} is not a str")
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"{what} {text!r} does not encode as UTF-8") from None
-    if "\n" in text or "\r" in text:
-        raise ValueError(f"{what} {text!r} holds a line break")
-    if text != text.strip():
-        raise ValueError(f"{what} {text!r} has whitespace at an end")
-    return text
 
 
 def _checked_band(band) -> tuple:
@@ -678,11 +663,37 @@ def statistic_curves(loaded: LoadedSet, metrics, alphas, band=None):
 # inspection phase
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """An int or NumPy integer, not a bool: its ``str`` reads back by ``int``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+class _BadReport(ValueError):
+    """A report breaks its rule at ``where``: the key of a ``# key`` header
+    (``m_train`` for ``m_by_set``), or the ``(metric, label)`` of a row."""
+
+    def __init__(self, where, detail: str):
+        self.where, self.detail = where, detail
+        super().__init__(detail if isinstance(where, str) else f"row {where}: {detail}")
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     """The counts of one path, window and alpha, as ``report_*.csv`` lists
     them: ``counts`` maps ``(metric, label)`` to ``(count, cases)`` in the
-    file's row order, with label ``None`` for a metric's false-alarm row."""
+    file's row order, with label ``None`` for a metric's false-alarm row.
+
+    Its rule is checked where it is constructed, so every report that
+    constructs is written by ``to_csv`` and read back equal by ``from_csv``:
+    ``alpha`` lies in (0, 1]; ``band`` is ``None`` (the full grid) or
+    ``(lo, hi)`` with ``lo <= hi`` and neither NaN; ``holdout`` is an int
+    >= 0; each M of ``m_by_set`` is an int >= 1, under a set id that holds no
+    ``;``; each row's metric is one of ``METRICS`` and its label ``None`` or
+    a non-empty one that holds no ``,``; each count is an int in 0 to its
+    cases; and each metric has its false-alarm row and a missed row for
+    every damage label.  ``path``, ``window``, set ids and labels encode as
+    UTF-8 and hold no line break and no whitespace at either end.  ``alpha``
+    is kept as a float and ``band`` as a pair of floats."""
 
     path: str
     window: str
@@ -692,6 +703,45 @@ class DetectionReport:
     m_by_set: dict
     band: tuple
     welch: WelchConfig
+
+    def __post_init__(self):
+        try:
+            for where in ("path", "window"):
+                _one_line(where, getattr(self, where))
+            where = "alpha"
+            object.__setattr__(self, "alpha", validate_alpha(self.alpha))
+            where = "band"
+            if self.band is not None:
+                object.__setattr__(self, "band", _checked_band(self.band))
+                if self.band[0] > self.band[1]:
+                    raise ValueError(f"band {self.band!r} has lo > hi")
+            where = "holdout"
+            if not (_is_int(self.holdout) and self.holdout >= 0):
+                raise ValueError(f"holdout {self.holdout!r} is not an int >= 0")
+            where = "m_train"
+            for set_id, m in self.m_by_set.items():
+                if ";" in _one_line("set id", set_id):
+                    raise ValueError(f"set id {set_id!r} holds ';'")
+                if not (_is_int(m) and m >= 1):
+                    raise ValueError(f"M {m!r} of set {set_id!r} is not an int >= 1")
+            for where, (count, cases) in self.counts.items():
+                metric, label = where
+                if metric not in METRICS:
+                    raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+                if label is not None and (not _one_line("label", label) or "," in label):
+                    raise ValueError(f"label {label!r} is empty or holds ','")
+                if not (_is_int(count) and _is_int(cases)):
+                    raise ValueError(f"count {count!r} or cases {cases!r} is not an int")
+                if not 0 <= count <= cases:
+                    raise ValueError(f"count {count} is not between 0 and its {cases} cases")
+        except ValueError as exc:
+            raise _BadReport(where, str(exc)) from None
+        for metric in self.metrics:
+            for label in (None, *self.damage_labels):
+                if (metric, label) not in self.counts:
+                    raise ValueError(f"metric {metric!r} has no " + (
+                        "false_alarm row" if label is None
+                        else f"missed row for label {label!r}"))
 
     @property
     def metrics(self) -> tuple:
@@ -729,17 +779,43 @@ class DetectionReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectionReport":
-        """The report a ``to_csv`` text holds.  A repeated header, an alpha
-        outside (0, 1], a band other than ``full`` or ``lo:hi`` with
-        ``lo <= hi`` and neither NaN, a negative holdout, a training size M
-        below 1, a row of an unknown kind, a repeated row, a count
-        outside 0 to its cases, a pct other than ``to_csv`` writes for the
-        row, and a metric without its false-alarm row or a missed row for a
-        damage label of the report are refused.  Lines end at LF, as
-        ``dataio._utf8_text`` gives them; a form feed or U+2028 inside a line
-        is whitespace, not a line end."""
-        meta, header_line = {}, {}
-        counts = {}
+        """The report a ``to_csv`` text holds.  It only parses: the report
+        rule is the constructor's, and an error the constructor raises names
+        the line of its header or row (a bad header value as a bad header).
+        What only a text can hold is refused here: a line that is neither a
+        ``# key = value`` header nor a ``metric,kind,label,count,cases,pct``
+        row, a second line for a ``# key`` header, a header value that does
+        not parse, a set id listed twice in ``# m_train``, a missing header
+        that ``to_csv`` writes, a row of an unknown kind or whose kind does
+        not match its label, a second row for a metric and label, and a pct
+        other than ``to_csv`` writes for the row.  Lines end at LF, as
+        ``dataio._utf8_text`` gives them; a form feed or U+2028 inside a
+        line is whitespace, not a line end."""
+
+        def welch_config(text):
+            kv = dict(item.split("=") for item in text.split(","))
+            return WelchConfig(segment_length=int(kv["L"]),
+                               overlap_fraction=float(kv["overlap"]), nfft=int(kv["nfft"]),
+                               window_kind=kv["window"], detrend_mean=bool(int(kv["detrend"])))
+
+        def band_edges(text):
+            return None if text == "full" else tuple(map(float, text.split(":")))
+
+        def m_train(text):  # a set id may hold ':'
+            pairs = [kv.rsplit(":", 1) for kv in text.split(";") if kv]
+            m_by_set = {s: int(m) for s, m in pairs}
+            if len(m_by_set) != len(pairs):
+                raise ValueError("a set id is listed twice")
+            return m_by_set
+
+        parse = {"path": str, "window": str, "alpha": float, "band": band_edges,
+                 "welch": welch_config, "holdout": int, "m_train": m_train}
+        meta, fields, header_line = {}, {}, {}
+        counts, pcts, row_line = {}, {}, {}
+
+        def bad_header(key):
+            return ValueError(f"line {header_line[key]}: bad '# {key}' header {meta[key]!r}")
+
         for ln, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("metric,"):
@@ -757,6 +833,11 @@ class DetectionReport:
                 if key in meta:
                     raise ValueError(f"line {ln}: a second '# {key}' header")
                 meta[key], header_line[key] = value, ln
+                if key in parse:
+                    try:
+                        fields[key] = parse[key](value)
+                    except (IndexError, KeyError, ValueError):
+                        raise bad_header(key) from None
                 continue
             if kind not in ("false_alarm", "missed") or (kind == "missed") != bool(label):
                 raise ValueError(f"line {ln}: kind {kind!r} with label {label!r}: expected "
@@ -765,55 +846,23 @@ class DetectionReport:
             if key in counts:
                 raise ValueError(f"line {ln}: a second {kind} row for metric {metric!r}"
                                  + (f" and label {label!r}" if label else ""))
-            if not 0 <= count <= ncases:
-                raise ValueError(f"line {ln}: count {count} is not between 0 and "
-                                 f"its {ncases} cases")
-            if pct != _pct_cell(count, ncases):
-                raise ValueError(f"line {ln}: pct {pct!r} is not {_pct_cell(count, ncases)!r}, "
-                                 f"the share of count {count} in its {ncases} cases")
-            counts[key] = (count, ncases)
-        missing = [k for k in _REPORT_KEYS if k not in meta]
+            counts[key], pcts[key], row_line[key] = (count, ncases), pct, ln
+        missing = [k for k in parse if k not in meta]
         if missing:
             raise ValueError("not a detect report: missing "
                              + ", ".join(f"'# {k}'" for k in missing) + " header")
-
-        def header(key, parse):
-            try:
-                return parse(meta[key])
-            except (IndexError, KeyError, ValueError):
-                raise ValueError(f"line {header_line[key]}: bad '# {key}' header "
-                                 f"{meta[key]!r}") from None
-
-        def welch_config(text):
-            kv = dict(item.split("=") for item in text.split(","))
-            return WelchConfig(segment_length=int(kv["L"]),
-                               overlap_fraction=float(kv["overlap"]), nfft=int(kv["nfft"]),
-                               window_kind=kv["window"], detrend_mean=bool(int(kv["detrend"])))
-
-        def band_edges(text):
-            lo, hi = _checked_band(text.split(":"))
-            if lo > hi:
-                raise ValueError
-            return lo, hi
-
-        def at_least(least, text):
-            if int(text) < least:
-                raise ValueError
-            return int(text)
-
-        band = None if meta.get("band", "full") == "full" else header("band", band_edges)
-        m_by_set = header("m_train", lambda text: {  # a set id may hold ':'
-            s: at_least(1, m) for s, m in (kv.rsplit(":", 1) for kv in text.split(";") if kv)})
-        report = cls(path=meta["path"], window=meta["window"],
-                     alpha=header("alpha", validate_alpha), counts=counts,
-                     holdout=header("holdout", lambda text: at_least(0, text)),
-                     m_by_set=m_by_set, band=band, welch=header("welch", welch_config))
-        for metric in report.metrics:
-            for label in (None, *report.damage_labels):
-                if (metric, label) not in counts:
-                    raise ValueError(f"metric {metric!r} has no " + (
-                        "false_alarm row" if label is None
-                        else f"missed row for label {label!r}"))
+        try:
+            report = cls(counts=counts, m_by_set=fields.pop("m_train"), **fields)
+        except _BadReport as exc:
+            if isinstance(exc.where, str):
+                raise bad_header(exc.where) from None
+            raise ValueError(f"line {row_line[exc.where]}: {exc.detail}") from None
+        for key, pct in pcts.items():
+            count, ncases = counts[key]
+            if pct != _pct_cell(count, ncases):
+                raise ValueError(f"line {row_line[key]}: pct {pct!r} is not "
+                                 f"{_pct_cell(count, ncases)!r}, the share of count {count} "
+                                 f"in its {ncases} cases")
         return report
 
 

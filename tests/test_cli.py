@@ -647,6 +647,11 @@ def _set_line(text, number, new):
                  ("# holdout = ", ["# holdout = -3"]), id="report-negative-holdout"),
     pytest.param("report", "line 7: bad '# m_train' header 'set0:-1'",
                  ("# m_train = ", ["# m_train = set0:-1"]), id="report-m_train-below-1"),
+    pytest.param("report", "line 7: bad '# m_train' header 'set0:2;set0:5'",
+                 ("# m_train = ", ["# m_train = set0:2;set0:5"]),
+                 id="report-m_train-set-listed-twice"),
+    pytest.param("report", "not a detect report: missing '# band' header",
+                 ("# band = ", []), id="report-missing-band"),
 ])
 def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
                                              target, number, new):
