@@ -186,6 +186,20 @@ def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.
     return _normal_two_sided(dev / spread)
 
 
+class _RecordError(ValueError):
+    """An input check of stacked rows fails on row ``row``, which the caller
+    names by its record."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _fail(message: str, row=None) -> ValueError:
+    """``message`` as a ``ValueError``; with ``row``, a ``_RecordError`` on it."""
+    return ValueError(message) if row is None else _RecordError(message, int(row))
+
+
 # Zeros in the unknown PSD or the baseline variance are looked for bin by bin
 # only when the grid's minimum is not positive.  A verdict is one reduction of
 # the in-band values: ``fmin``/``fmax`` skip NaN as comparisons would, and ``z``
@@ -194,15 +208,18 @@ def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.
 def _check_probe(freqs: np.ndarray, values: np.ndarray, mask=None, rows=None) -> None:
     """Refuse an unknown PSD that is zero in the band ``mask`` (all of ``freqs``
     when ``None``): ``values`` is one PSD, or stacked rows of which ``rows``
-    picks each case's unknown; the first such case names its first zero bin."""
+    picks each case's unknown; the first such case names its first zero bin,
+    and its row (``_RecordError``)."""
     if np.minimum.reduce(values, axis=None) > 0.0:
         return
     zero = values == 0.0 if mask is None else mask & (values == 0.0)
+    row = None
     if rows is not None:
         hit = zero.any(axis=1)[rows]
-        zero = zero[rows[np.argmax(hit)]] if hit.any() else hit
+        row = rows[np.argmax(hit)]
+        zero = zero[row] if hit.any() else hit
     if zero.any():
-        raise ValueError(f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz")
+        raise _fail(f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz", row)
 
 
 def _live_bins(freqs: np.ndarray, mask: np.ndarray, var: np.ndarray, warn: bool = False):
@@ -290,16 +307,20 @@ def _as_samples(signal) -> np.ndarray:
     return x
 
 
-def _damage_index(metric: str, cross, e_ref, e_probe, sum_ref=None, sum_probe=None):
+def _damage_index(metric: str, cross, e_ref, e_probe, sum_ref=None, sum_probe=None, rows=None):
     """``janapati`` (normalized) or ``qiu`` index from the packets' cross product,
     energies and sums, floats or arrays of cases; the first case with a zero
-    energy fails, naming its signal (``janapati``) or both (``qiu``)."""
+    energy fails, naming its signal (``janapati``) or both (``qiu``), and
+    with ``rows``, the reference and probe rows of each case, the row of its
+    zero-energy signal, the reference's first (``_RecordError``)."""
     zero = (e_ref == 0.0) | (e_probe == 0.0)
     if np.count_nonzero(zero):
+        case = np.argmax(zero)
+        ref = np.ravel(e_ref)[case] == 0.0
+        row = None if rows is None else rows[0 if ref else 1][case]
         if metric == "qiu":
-            raise ValueError("both signals must have nonzero energy")
-        which = "baseline" if np.ravel(e_ref)[np.argmax(zero)] == 0.0 else "unknown"
-        raise ValueError(f"{which} signal has zero energy")
+            raise _fail("both signals must have nonzero energy", row)
+        raise _fail(f"{'baseline' if ref else 'unknown'} signal has zero energy", row)
     if metric == "janapati":
         return (sum_probe - (cross / e_ref) * sum_ref) / np.sqrt(e_probe)
     return 1.0 - np.sqrt(np.minimum((cross * cross) / (e_ref * e_probe), 1.0))

@@ -43,8 +43,11 @@ metric it scored.  ``run_inspection`` only counts those decisions: its
 (alpha in (0, 1], counts within their cases, a row for every metric and
 label, one-line texts, ...) is checked where a report is constructed, so
 every report that constructs is written by ``to_csv`` and read back equal by
-``from_csv``, which only parses and names the line of an error.  ``detect``
-writes the per-case verdict rows straight from the case tables.  The curves
+``from_csv``.  One table of ``# key = value`` headers serves both, and
+``from_csv`` reads a text back only if the report it holds writes that text
+again, naming the first line that differs.  A record that cannot be cut
+or scored (shorter than the window, a zero PSD or packet) names its file.
+``detect`` writes the per-case verdict rows straight from the case tables.  The curves
 ``detect`` plots (``statistic_curves``) use the same per-bin expressions
 and the critical points, over the same band: one array per set and metric,
 a row per inspected record and a column per in-band bin.  Every rule of a metric,
@@ -63,7 +66,7 @@ import numpy as np
 
 from .dataio import _one_line, _utf8_text, fmt, read_signal
 from .detectors import (BaselineEnsemble, _band_mask, _check_probe, _critical_points,
-                        _damage_index, _dof, _live_bins, _p_value, _statistic)
+                        _damage_index, _dof, _live_bins, _p_value, _RecordError, _statistic)
 from .spectral import Signal, WelchConfig, _checked_rate, welch_psd
 from .statdist import validate_alpha
 
@@ -430,7 +433,13 @@ def load_set(manifest: DatasetManifest, path: str, set_id: str, window: str,
         )
     train_idx, held_idx = _split_order(len(base), holdout, seed)
     for row, entry in enumerate(entries):
-        packet = extract_packet(manifest.load_entry(entry), window, manifest)
+        signal = manifest.load_entry(entry)
+        try:
+            packet = extract_packet(signal, window, manifest)
+        except ValueError as exc:
+            if window not in manifest.packet_windows:
+                raise
+            raise ValueError(f"{entry.file}: {exc}") from None  # shorter than the window
         psd = welch_psd(packet, welch_config)
         if not row:  # the first record fixes the window length and the grid
             packets, psds = (np.empty((len(entries), a.size)) for a in (packet.samples, psd.values))
@@ -578,7 +587,8 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
         energy = gram.diagonal()
 
         def damage_index(metric, i, j):  # of every (i, j) packet pair
-            return _damage_index(metric, gram[i, j], energy[i], energy[j], sums[i], sums[j])
+            return _damage_index(metric, gram[i, j], energy[i], energy[j], sums[i], sums[j],
+                                 rows=(i, j))
 
     out = {}
     for metric in metrics:
@@ -630,7 +640,11 @@ def compute_path_scores(manifest: DatasetManifest, path: str, window: str,
                  for s in set_ids)
     parts = {m: [] for m in metrics}
     for loaded in sets:
-        for metric, cols in _score_set(loaded, metrics, band, manifest.baseline_label).items():
+        try:
+            scored = _score_set(loaded, metrics, band, manifest.baseline_label)
+        except _RecordError as exc:  # a zero PSD or packet: name its record
+            raise ValueError(f"{loaded.entries[exc.row].file}: {exc}") from None
+        for metric, cols in scored.items():
             parts[metric].append(cols)
     damage_labels = dict.fromkeys(s.entries[j].label for s in sets for j in s.inspect)
 
@@ -760,115 +774,79 @@ class DetectionReport:
         return None if cases == 0 else 100.0 * count / cases
 
     def to_csv(self) -> str:
-        lines = [
-            f"# path = {self.path}",
-            f"# window = {self.window}",
-            f"# alpha = {fmt(self.alpha)}",
-            f"# band = {_band_str(self.band)}",
-            f"# welch = L={self.welch.segment_length},overlap={fmt(self.welch.overlap_fraction)},"
-            f"nfft={self.welch.nfft},window={self.welch.window_kind},"
-            f"detrend={int(self.welch.detrend_mean)}",
-            f"# holdout = {self.holdout}",
-            f"# m_train = {_m_note(self.m_by_set)}",
-            "metric,kind,label,count,cases,pct",
-        ]
+        lines = [f"# {key} = {write(getattr(self, name))}"
+                 for key, (name, write, _) in _REPORT_HEADERS.items()]
+        lines.append(_COLUMNS)
         for (metric, label), (count, cases) in self.counts.items():
             kind = "false_alarm," if label is None else f"missed,{label}"
-            lines.append(f"{metric},{kind},{count},{cases},{_pct_cell(count, cases)}")
+            pct = "" if cases == 0 else fmt(100.0 * count / cases)
+            lines.append(f"{metric},{kind},{count},{cases},{pct}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "DetectionReport":
-        """The report a ``to_csv`` text holds.  It only parses: the report
-        rule is the constructor's, and an error the constructor raises names
-        the line of its header or row (a bad header value as a bad header).
-        What only a text can hold is refused here: a line that is neither a
-        ``# key = value`` header nor a ``metric,kind,label,count,cases,pct``
-        row, a second line for a ``# key`` header, a header value that does
-        not parse, a set id listed twice in ``# m_train``, a missing header
-        that ``to_csv`` writes, a row of an unknown kind or whose kind does
-        not match its label, a second row for a metric and label, and a pct
-        other than ``to_csv`` writes for the row.  Lines end at LF, as
-        ``dataio._utf8_text`` gives them; a form feed or U+2028 inside a
-        line is whitespace, not a line end."""
+        """The report a ``to_csv`` text holds, refused unless its ``to_csv``
+        is that text, blank lines and the whitespace around a line aside
+        (lines end at LF alone, as ``dataio._utf8_text`` gives them).  A line
+        is a ``# key = value`` header, the column line or a row, keyed as
+        ``to_csv`` writes it: a ``false_alarm`` row by its metric, any other
+        by metric and label.  An error names the line of a line that is none
+        of these, a header value its reader refuses or a second line for a
+        key; then a missing header; then the constructor's error, at its
+        header or row; then the first line that ``to_csv`` writes otherwise."""
 
-        def welch_config(text):
-            kv = dict(item.split("=") for item in text.split(","))
-            return WelchConfig(segment_length=int(kv["L"]),
-                               overlap_fraction=float(kv["overlap"]), nfft=int(kv["nfft"]),
-                               window_kind=kv["window"], detrend_mean=bool(int(kv["detrend"])))
-
-        def band_edges(text):
-            return None if text == "full" else tuple(map(float, text.split(":")))
-
-        def m_train(text):  # a set id may hold ':'
-            pairs = [kv.rsplit(":", 1) for kv in text.split(";") if kv]
-            m_by_set = {s: int(m) for s, m in pairs}
-            if len(m_by_set) != len(pairs):
-                raise ValueError("a set id is listed twice")
-            return m_by_set
-
-        parse = {"path": str, "window": str, "alpha": float, "band": band_edges,
-                 "welch": welch_config, "holdout": int, "m_train": m_train}
-        meta, fields, header_line = {}, {}, {}
-        counts, pcts, row_line = {}, {}, {}
+        def lines_of(text):
+            return [(ln, line.strip()) for ln, line in enumerate(text.split("\n"), start=1)
+                    if line.strip()]
 
         def bad_header(key):
-            return ValueError(f"line {header_line[key]}: bad '# {key}' header {meta[key]!r}")
+            ln, value = headers[key]
+            return ValueError(f"line {ln}: bad '# {key}' header {value!r}")
 
-        for ln, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("metric,"):
-                continue
+        lines, headers, fields, counts, row_line = lines_of(text), {}, {}, {}, {}
+        syntax = f"expected a '# key = value' header or a {_COLUMNS} row"
+        heads = [(ln, line) for ln, line in lines if line[0] == "#"]
+        rows = [(ln, line) for ln, line in lines if line[0] != "#" and line != _COLUMNS]
+        for ln, line in heads:
+            key, eq, value = (s.strip() for s in line[1:].partition("="))
+            if not eq:
+                raise ValueError(f"line {ln}: {syntax}")
+            if key in headers:
+                raise ValueError(f"line {ln}: a second '# {key}' header")
+            headers[key] = ln, value
+            if key in _REPORT_HEADERS:
+                name, _, read = _REPORT_HEADERS[key]
+                try:
+                    fields[name] = read(value)
+                except (IndexError, KeyError, ValueError):
+                    raise bad_header(key) from None
+        missing = [f"'# {key}'" for key in _REPORT_HEADERS if key not in headers]
+        if missing:
+            raise ValueError(f"not a detect report: missing {', '.join(missing)} header")
+        for ln, line in rows:
             try:
-                if line.startswith("#"):
-                    key, value = (s.strip() for s in line[1:].split("=", 1))
-                else:
-                    metric, kind, label, count, ncases, pct = line.split(",")
-                    count, ncases = int(count), int(ncases)
+                metric, kind, label, count, cases, _ = line.split(",")
+                count, cases = int(count), int(cases)
             except ValueError:
-                raise ValueError(f"line {ln}: expected a '# key = value' header or a "
-                                 f"metric,kind,label,count,cases,pct row") from None
-            if line.startswith("#"):
-                if key in meta:
-                    raise ValueError(f"line {ln}: a second '# {key}' header")
-                meta[key], header_line[key] = value, ln
-                if key in parse:
-                    try:
-                        fields[key] = parse[key](value)
-                    except (IndexError, KeyError, ValueError):
-                        raise bad_header(key) from None
-                continue
-            if kind not in ("false_alarm", "missed") or (kind == "missed") != bool(label):
-                raise ValueError(f"line {ln}: kind {kind!r} with label {label!r}: expected "
-                                 f"false_alarm with no label or missed with a damage label")
-            key = (metric, label or None)
+                raise ValueError(f"line {ln}: {syntax}") from None
+            key = (metric, None if kind == "false_alarm" else label)
             if key in counts:
                 raise ValueError(f"line {ln}: a second {kind} row for metric {metric!r}"
-                                 + (f" and label {label!r}" if label else ""))
-            counts[key], pcts[key], row_line[key] = (count, ncases), pct, ln
-        missing = [k for k in parse if k not in meta]
-        if missing:
-            raise ValueError("not a detect report: missing "
-                             + ", ".join(f"'# {k}'" for k in missing) + " header")
+                                 + ("" if key[1] is None else f" and label {label!r}"))
+            counts[key], row_line[key] = (count, cases), ln
         try:
-            report = cls(counts=counts, m_by_set=fields.pop("m_train"), **fields)
+            report = cls(counts=counts, **fields)
         except _BadReport as exc:
             if isinstance(exc.where, str):
                 raise bad_header(exc.where) from None
             raise ValueError(f"line {row_line[exc.where]}: {exc.detail}") from None
-        for key, pct in pcts.items():
-            count, ncases = counts[key]
-            if pct != _pct_cell(count, ncases):
-                raise ValueError(f"line {row_line[key]}: pct {pct!r} is not "
-                                 f"{_pct_cell(count, ncases)!r}, the share of count {count} "
-                                 f"in its {ncases} cases")
+        end = (lines[-1][0] + 1, None)  # a header is present, so lines is not empty
+        written = [line for _, line in lines_of(report.to_csv())]
+        for (ln, got), want in zip(lines + [end], written + [None]):
+            if got != want:
+                got, want = ("no line" if s is None else repr(s) for s in (got, want))
+                raise ValueError(f"line {ln}: {got}, where to_csv writes {want}")
         return report
-
-
-def _pct_cell(count: int, cases: int) -> str:
-    """A report row's pct as ``to_csv`` writes it: empty with no cases."""
-    return "" if cases == 0 else fmt(100.0 * count / cases)
 
 
 def _band_str(band) -> str:
@@ -878,6 +856,38 @@ def _band_str(band) -> str:
 def _m_note(m_by_set: dict) -> str:
     """Training ensemble size per set, as ``set:M`` items in set order."""
     return ";".join(f"{s}:{m}" for s, m in sorted(m_by_set.items()))
+
+
+def _welch_note(w: WelchConfig) -> str:
+    return (f"L={w.segment_length},overlap={fmt(w.overlap_fraction)},nfft={w.nfft},"
+            f"window={w.window_kind},detrend={int(w.detrend_mean)}")
+
+
+def _read_welch(text: str) -> WelchConfig:
+    kv = dict(item.split("=") for item in text.split(","))
+    return WelchConfig(segment_length=int(kv["L"]), overlap_fraction=float(kv["overlap"]),
+                       nfft=int(kv["nfft"]), window_kind=kv["window"],
+                       detrend_mean=bool(int(kv["detrend"])))
+
+
+def _read_m_train(text: str) -> dict:
+    pairs = (item.rsplit(":", 1) for item in text.split(";") if item)  # a set id may hold ':'
+    return {s: int(m) for s, m in pairs}
+
+
+# Each ``# key = value`` header of a report, in file order: the field that it
+# holds, its writer (``to_csv``) and its reader (``from_csv``).
+_REPORT_HEADERS = {
+    "path": ("path", str, str),
+    "window": ("window", str, str),
+    "alpha": ("alpha", fmt, float),
+    "band": ("band", _band_str,
+             lambda text: None if text == "full" else tuple(map(float, text.split(":")))),
+    "welch": ("welch", _welch_note, _read_welch),
+    "holdout": ("holdout", str, int),
+    "m_train": ("m_by_set", _m_note, _read_m_train),
+}
+_COLUMNS = "metric,kind,label,count,cases,pct"
 
 
 def run_inspection(scores: PathScores, alpha) -> DetectionReport:

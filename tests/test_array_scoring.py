@@ -76,27 +76,46 @@ def scalar_cases(manifest, sets, metrics, band):
         pairs = [(f"{names[i]}->{Path(entries[j].file).stem}", i, j)
                  for i, j in healthy + damage]
         probes = [(names[j], None, j) for j in loaded.held + loaded.inspect]
+
+        def named(exc, metric, i, j):
+            """``exc`` naming the file of the record it is about, as the array
+            path does: the reference ``i`` when a damage index finds its packet
+            without energy, else the unknown ``j``; ``z`` fails on the
+            ensemble, not on a record."""
+            if metric == "z":
+                return exc
+            k = i if metric in DI and not np.dot(x[i], x[i]) else j
+            return ValueError(f"{entries[k].file}: {exc}")
+
         moments = {}
         for metric in (m for m in metrics if m in DI):
-            scatter = [DI[metric](x[i], x[j]) for i, j in in_train]
+            scatter = []
+            for i, j in in_train:
+                try:
+                    scatter.append(DI[metric](x[i], x[j]))
+                except ValueError as exc:
+                    raise named(exc, metric, i, j) from None
             moments[metric] = {"center": float(np.mean(scatter)),
                                "spread": float(np.std(scatter, ddof=1))}
         for metric in metrics:
             for cid, i, j in (pairs if metric in ("f", *DI) else probes):
-                if metric in ("f", "fm"):
-                    series = (f_statistic(psds[i], psds[j], 0.5, band) if metric == "f"
-                              else fm_statistic(ens, psds[j], 0.5, band))
-                    vals = series.values[mask]
-                    stats = {"stat_lo": float(vals.min()), "stat_hi": float(vals.max()),
-                             "dof1": d if metric == "f" else d * ens.m, "dof2": d}
-                elif metric == "z":
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        series = z_statistic(ens, psds[j], 0.5, band)
-                    live = mask & (ens.var_psd > 0.0)
-                    stats = {"stat_hi": float(series.values[live].max())}
-                else:
-                    stats = {"stat_hi": DI[metric](x[i], x[j]), **moments[metric]}
+                try:
+                    if metric in ("f", "fm"):
+                        series = (f_statistic(psds[i], psds[j], 0.5, band) if metric == "f"
+                                  else fm_statistic(ens, psds[j], 0.5, band))
+                        vals = series.values[mask]
+                        stats = {"stat_lo": float(vals.min()), "stat_hi": float(vals.max()),
+                                 "dof1": d if metric == "f" else d * ens.m, "dof2": d}
+                    elif metric == "z":
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", RuntimeWarning)
+                            series = z_statistic(ens, psds[j], 0.5, band)
+                        live = mask & (ens.var_psd > 0.0)
+                        stats = {"stat_hi": float(series.values[live].max())}
+                    else:
+                        stats = {"stat_hi": DI[metric](x[i], x[j]), **moments[metric]}
+                except ValueError as exc:
+                    raise named(exc, metric, i, j) from None
                 label = entries[j].label
                 row = {**UNSCORED, "case_ids": cid, "labels": label,
                        "is_healthy": label == manifest.baseline_label, **stats}
@@ -196,9 +215,10 @@ def test_array_core_equals_scalar_path(data_seed, sizes, holdout, shuffle, band,
 def _same_error(tmp_path, metrics, pick, record=None, band=None):
     """Overwrite the records ``pick`` chooses with ``record`` (zeros by
     default); the array path and the scalar path then fail with the same
-    message, which is returned."""
+    message, which is returned with the first overwritten record's file."""
     manifest = write_dataset(tmp_path, np.random.default_rng(3), [(5, 2)])
-    for e in pick(manifest):
+    picked = pick(manifest)
+    for e in picked:
         samples = np.zeros(96) if record is None else record
         write_signal(manifest.resolve(e), Signal(samples, FS, e.label))
     with pytest.raises(ValueError) as array_err:
@@ -207,7 +227,7 @@ def _same_error(tmp_path, metrics, pick, record=None, band=None):
     with pytest.raises(ValueError) as scalar_err:
         scalar_cases(manifest, sets, metrics, band)
     assert str(array_err.value) == str(scalar_err.value)
-    return str(array_err.value)
+    return str(array_err.value), picked[0].file
 
 
 def _healthy(k):
@@ -220,8 +240,8 @@ def _damaged(man):
 
 @pytest.mark.parametrize("metric", ["f", "fm"])
 def test_probe_psd_zero_in_band_same_error(tmp_path, metric):
-    msg = _same_error(tmp_path, [metric], _damaged, band=SUB_BAND)
-    assert msg == "unknown PSD is zero inside the verdict band at 1250 Hz"
+    msg, file = _same_error(tmp_path, [metric], _damaged, band=SUB_BAND)
+    assert msg == f"{file}: unknown PSD is zero inside the verdict band at 1250 Hz"
 
 
 @pytest.mark.parametrize("metric, pick, expected", [
@@ -232,13 +252,14 @@ def test_probe_psd_zero_in_band_same_error(tmp_path, metric):
     ("qiu", _damaged, "both signals must have nonzero energy"),
 ])
 def test_zero_energy_packet_same_error(tmp_path, metric, pick, expected):
-    assert _same_error(tmp_path, [metric], pick) == expected
+    msg, file = _same_error(tmp_path, [metric], pick)
+    assert msg == f"{file}: {expected}"
 
 
 def test_z_every_in_band_bin_dead_same_error(tmp_path):
     same = np.random.default_rng(8).normal(0.0, 1.0, 96)
     every_healthy = lambda man: [e for e in man.entries if e.label == "healthy"]
-    msg = _same_error(tmp_path, ["z"], every_healthy, record=same)
+    msg, _ = _same_error(tmp_path, ["z"], every_healthy, record=same)
     assert msg == "every in-band bin has zero baseline variance"
 
 

@@ -544,6 +544,9 @@ def _set_line(text, number, new):
     return "\n".join(lines) + "\n"
 
 
+_PCT77 = "line 9: 'z,false_alarm,,0,3,77', where to_csv writes 'z,false_alarm,,0,3,0.0'"
+
+
 @pytest.mark.parametrize("target, number, new", [
     ("signal", 7, "nan"),
     ("signal", 5, "abc"),
@@ -609,12 +612,14 @@ def _set_line(text, number, new):
     pytest.param("report", "line 10: a second false_alarm row for metric 'z'",
                  ("z,false_alarm,", ["z,false_alarm,,0,3,0.0", "z,false_alarm,,3,3,100.0"]),
                  id="report-repeated-row"),
-    pytest.param("report", "line 10: kind 'mised' with label 'att-0.9'",
+    pytest.param("report", "line 10: 'z,mised,att-0.9,0,2,0', where to_csv writes "
+                 "'z,missed,att-0.9,0,2,0.0'",
                  ("z,missed,att-0.9,", ["z,mised,att-0.9,0,2,0"]), id="report-unknown-kind"),
-    pytest.param("report", "line 12: kind 'false_alarm' with label 'att-0.9'",
+    pytest.param("report", "line 12: 'qiu,false_alarm,att-0.9,0,30,0', where to_csv writes "
+                 "'qiu,false_alarm,,0,30,0.0'",
                  ("qiu,false_alarm,", ["qiu,false_alarm,att-0.9,0,30,0"]),
                  id="report-false_alarm-row-with-a-label"),
-    pytest.param("report", "line 11: kind 'missed' with label ''",
+    pytest.param("report", "line 11: label '' is empty or holds ','",
                  ("z,missed,att-0.5,", ["z,missed,,0,2,0"]),
                  id="report-missed-row-without-a-label"),
     pytest.param("report", "line 9: count -1 is not between 0 and its 3 cases",
@@ -623,14 +628,12 @@ def _set_line(text, number, new):
     pytest.param("report", "line 14: count 99 is not between 0 and its 75 cases",
                  ("qiu,missed,att-0.5,", ["qiu,missed,att-0.5,99,75,132"]),
                  id="report-count-above-its-cases"),
-    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
-                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"]), id="report-pct-off-its-count"),
+    pytest.param("report", _PCT77, ("z,false_alarm,", ["z,false_alarm,,0,3,77"]),
+                 id="report-pct-off-its-count"),
     # a form feed or U+2028 at the end of line 2 is whitespace, not a line end
-    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
-                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\x0c"),
+    pytest.param("report", _PCT77, ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\x0c"),
                  id="report-pct-off-its-count-after-a-form-feed"),
-    pytest.param("report", "line 9: pct '77' is not '0.0', the share of count 0 in its 3 cases",
-                 ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\u2028"),
+    pytest.param("report", _PCT77, ("z,false_alarm,", ["z,false_alarm,,0,3,77"], "\u2028"),
                  id="report-pct-off-its-count-after-u2028"),
     pytest.param("report", "line 4: a second '# alpha' header",
                  ("# alpha = ", ["# alpha = 0.05", "# alpha = 0.5"]), id="report-second-header"),
@@ -647,9 +650,21 @@ def _set_line(text, number, new):
                  ("# holdout = ", ["# holdout = -3"]), id="report-negative-holdout"),
     pytest.param("report", "line 7: bad '# m_train' header 'set0:-1'",
                  ("# m_train = ", ["# m_train = set0:-1"]), id="report-m_train-below-1"),
-    pytest.param("report", "line 7: bad '# m_train' header 'set0:2;set0:5'",
+    pytest.param("report", "line 7: '# m_train = set0:2;set0:5', where to_csv writes "
+                 "'# m_train = set0:5'",
                  ("# m_train = ", ["# m_train = set0:2;set0:5"]),
                  id="report-m_train-set-listed-twice"),
+    # texts whose values read, but which to_csv does not write back
+    pytest.param("report", "line 6: '# holdout = 0_5', where to_csv writes '# holdout = 5'",
+                 ("# holdout = ", ["# holdout = 0_5"]), id="report-holdout-0_5"),
+    pytest.param("report", "line 7: '# m_train = ;set0:15;;', where to_csv writes "
+                 "'# m_train = set0:15'",
+                 ("# m_train = ", ["# m_train = ;set0:15;;"]), id="report-m_train-empty-items"),
+    pytest.param("report", "line 8: expected a '# key = value' header or a "
+                 "metric,kind,label,count,cases,pct row",
+                 ("metric,kind,", ["metric,junk"]), id="report-column-line-metric,junk"),
+    pytest.param("report", "line 15: '# foo = bar', where to_csv writes no line",
+                 (None, ["# foo = bar"]), id="report-unknown-header-appended"),
     pytest.param("report", "not a detect report: missing '# band' header",
                  ("# band = ", []), id="report-missing-band"),
 ])
@@ -687,12 +702,13 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     elif target == "report":
         cmds = ["report"]
         victim = tmp_path / "not_a_report.csv"
-        if isinstance(new, tuple):  # replace the row that starts with new[0]
+        if isinstance(new, tuple):  # replace the row that starts with new[0] (None: append)
             assert main(["detect", *_common(data), "--metrics", "z,qiu", "--holdout", "3",
                          "--out", str(tmp_path / "det")]) == 0
             lines = (tmp_path / "det" / "report_1-2_first-packet_a0.05.csv").read_text() \
                 .splitlines()
-            k = next(k for k, line in enumerate(lines) if line.startswith(new[0]))
+            k = len(lines) if new[0] is None else next(
+                k for k, line in enumerate(lines) if line.startswith(new[0]))
             lines[k:k + 1] = new[1]
             lines[1] += new[2] if len(new) > 2 else ""  # ends line 2
             victim.write_text("\n".join(lines) + "\n")
@@ -905,6 +921,44 @@ def test_config_files_that_cannot_be_parsed_are_named_by_file_and_line(
         assert "Traceback" not in err
         assert not out.exists(), cmd
     assert reads == []
+
+
+_SHORT = "window 'first-packet' (1200, 500) exceeds the 1000-sample signal"
+_ZERO_PSD = "unknown PSD is zero inside the verdict band at 156000 Hz"
+
+
+@pytest.mark.parametrize("record, cmd, metric, message", [
+    pytest.param("short", "detect", "z", _SHORT, id="short-detect"),
+    pytest.param("short", "roc", "z", _SHORT, id="short-roc"),
+    pytest.param("short", "psd", None, _SHORT, id="short-psd"),
+    # a dead transducer
+    pytest.param("zero", "detect", "f", _ZERO_PSD, id="zero-detect-f"),
+    pytest.param("zero", "detect", "fm", _ZERO_PSD, id="zero-detect-fm"),
+    pytest.param("zero", "detect", "janapati", "unknown signal has zero energy",
+                 id="zero-detect-janapati"),
+    pytest.param("zero", "detect", "qiu", "both signals must have nonzero energy",
+                 id="zero-detect-qiu"),
+    pytest.param("zero", "roc", "f", _ZERO_PSD, id="zero-roc-f"),
+])
+def test_a_record_that_cannot_be_scored_is_named_by_its_file(tmp_path, capsys, record, cmd,
+                                                             metric, message):
+    """A record shorter than the packet window, or all zeros, exits 2 with a
+    message that names its file, as the manifest lists it, and writes nothing."""
+    data = tmp_path / "data"
+    simulate_small(data)
+    man = DatasetManifest.load(data / "manifest.csv")
+    entry = next(e for e in man.entries if e.label != man.baseline_label)
+    signal = man.load_entry(entry)
+    samples = signal.samples[:1000] if record == "short" else np.zeros(signal.samples.size)
+    write_signal(man.resolve(entry), Signal(samples, signal.sample_rate, entry.label))
+    capsys.readouterr()
+    out = tmp_path / "res"
+    argv = [*_common(data), "--holdout", "3", "--out", str(out)]
+    assert main([cmd, *argv, *([] if cmd == "psd" else ["--metrics", metric])]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {entry.file}: {message}" in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_every_report_detect_writes_reads_back_to_its_own_text(tmp_path):

@@ -526,6 +526,54 @@ def test_report_roundtrip(fields):
     assert back.to_csv() == text
 
 
+def _stripped(text: str) -> list:
+    return [line.strip() for line in text.split("\n") if line.strip()]
+
+
+@st.composite
+def edited_reports(draw):
+    """A drawn report's ``to_csv`` text with one edit: a line of any text
+    inserted, a line dropped, duplicated or replaced by any text, or two
+    lines swapped.  Any text is ``REPORT_TEXT`` or, as often, one of the
+    report's own lines with ``REPORT_TEXT`` spliced in."""
+    lines = draw(reports()).to_csv().split("\n")[:-1]
+    k, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    line = draw(st.sampled_from(lines))
+    cut = draw(st.integers(0, len(line)))
+    text = draw(REPORT_TEXT | REPORT_TEXT.map(lambda t: line[:cut] + t + line[cut:]))
+    edit = draw(st.sampled_from(["insert", "drop", "duplicate", "swap", "replace"]))
+    event(edit)
+    if edit == "insert":
+        lines.insert(draw(st.integers(0, len(lines))), text)
+    elif edit == "drop":
+        del lines[k]
+    elif edit == "duplicate":
+        lines.insert(j, lines[k])
+    elif edit == "swap":
+        lines[k], lines[j] = lines[j], lines[k]
+    else:
+        lines[k] = text
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=edited_reports())
+def test_an_edited_report_reads_back_only_as_to_csv_writes_it(text):
+    """``from_csv`` refuses an edited text, naming a line, the metric and
+    label of a missing row or a missing header, or reads back a report whose
+    ``to_csv`` is the text, blank lines and the whitespace around a line
+    aside."""
+    try:
+        back = DetectionReport.from_csv(text)
+    except ValueError as exc:
+        event("refused")
+        assert re.match(r"line \d+: |metric .* has no |not a detect report: missing '# ",
+                        str(exc)), str(exc)
+        return
+    event("read back")
+    assert _stripped(back.to_csv()) == _stripped(text)
+
+
 REPORT = dict(path="1-2", window="first-packet", alpha=0.05,
               counts={("z", None): (1, 4), ("z", "att-0.9"): (0, 4)}, holdout=3,
               m_by_set={"set0": 5}, band=(1.5e5, 3.5e5),
