@@ -30,7 +30,6 @@ from .pipeline import (
     default_alpha_grid,
     extract_packet,
     load_set,
-    locate_packet,
     roc_sweep,
     run_inspection,
     summary_table,
@@ -49,7 +48,6 @@ from .spectral import (
     WelchConfig,
     make_window,
     welch_psd,
-    welch_theoretical_moments,
 )
 from .statdist import (
     chi2_cdf,

@@ -27,11 +27,12 @@ headers, e.g.::
     out_dir = results
 
 Command-line flags override config values.  Each option of ``detect``,
-``roc`` and ``psd`` is written once, as a row of ``OPTIONS``: its flag,
-config key, default, parser, expected text and help.  The rows build the
-argparse options, the flag > config > default lookup (``_options``) and the
-defaults the help states, and a test holds the README's config table to
-them.  The checks across options (the Welch combination, the window against
+``roc`` and ``psd`` but ``roc --alpha-grid`` (a flag with no config key) is
+written once, as a row of ``OPTIONS``: its flag, config key, default,
+parser, expected text and help.  The rows build the argparse options, the
+flag > config > default lookup (``_options``) and the defaults the help
+states, and a test holds the README's config table to them.  The checks
+across options (the Welch combination, the window against
 ``segment_length``, the band against the Welch grid, the path and set ids)
 are code in ``_build_runconfig``, after the lookup.  ``simulate``'s options
 are argparse-typed and not in the table; of a config file it reads only
@@ -502,11 +503,15 @@ def cmd_roc(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir = _out_dir(args, _load_config(args.config))
-    for flag, value in (("--seed", args.seed), ("--n-per-damage", args.n_per_damage)):
-        if value < 0:
-            raise _bad_option(flag, str(value), "a non-negative integer")
-    if not math.isfinite(args.snr_db):
-        raise _bad_option("--snr-db", str(args.snr_db), "a finite number")
+    for flag, ok, expected in (
+            ("--seed", args.seed >= 0, "a non-negative integer"),
+            ("--n-per-damage", args.n_per_damage >= 0, "a non-negative integer"),
+            ("--snr-db", math.isfinite(args.snr_db), "a finite number"),
+            ("--amplitude", 0.0 < args.amplitude < math.inf, "a finite number > 0"),
+            ("--arrival", 0.0 <= args.arrival < math.inf, "a finite number >= 0"),
+            ("--path-gain", math.isfinite(args.path_gain), "a finite number")):
+        if not ok:
+            raise _bad_option(flag, str(getattr(args, flag[2:].replace("-", "_"))), expected)
     try:
         noise_std = None if args.noise_std is None else _noise_level(args.noise_std)
     except ValueError:
@@ -518,6 +523,10 @@ def cmd_simulate(args) -> int:
         envelope=args.envelope,
         sample_rate=float(args.sample_rate),
     )
+    end = round(args.arrival * burst.sample_rate) + burst.n_samples
+    if args.n_samples < end:
+        raise _bad_option("--n-samples", str(args.n_samples),
+                          f"an integer >= {end}, where the packet placed by --arrival ends")
     ladder = attenuation_ladder(int(args.ladder_steps), float(args.ladder_start),
                                 float(args.ladder_stop)) if int(args.ladder_steps) else []
     manifest = synth_dataset(
@@ -545,6 +554,9 @@ def cmd_report(args) -> int:
             reports.append(DetectionReport.from_csv(text))
         except ValueError as exc:
             raise ValueError(f"{p}: {exc}") from None
+        if set(reports[-1].damage_labels) != set(reports[0].damage_labels):
+            raise ValueError(f"inconsistent damage labels across reports: {args.reports[0]} "
+                             f"{reports[0].damage_labels} vs {p} {reports[-1].damage_labels}")
     text = summary_table(reports)
     if args.out:
         _write(Path(args.out), text)

@@ -205,11 +205,12 @@ def _fail(message: str, row=None) -> ValueError:
 # the in-band values: ``fmin``/``fmax`` skip NaN as comparisons would, and ``z``
 # (never negative, lower critical point 0) needs ``fmax`` only.
 
-def _check_probe(freqs: np.ndarray, values: np.ndarray, mask=None, rows=None) -> None:
-    """Refuse an unknown PSD that is zero in the band ``mask`` (all of ``freqs``
-    when ``None``): ``values`` is one PSD, or stacked rows of which ``rows``
-    picks each case's unknown; the first such case names its first zero bin,
-    and its row (``_RecordError``)."""
+def _check_probe(freqs: np.ndarray, values: np.ndarray, mask=None, rows=None,
+                 role: str = "unknown") -> None:
+    """Refuse an unknown PSD (or one of another ``role``) that is zero in the
+    band ``mask`` (all of ``freqs`` when ``None``): ``values`` is one PSD, or
+    stacked rows of which ``rows`` picks the ones to check; the first such
+    row names its first zero bin, and its row (``_RecordError``)."""
     if np.minimum.reduce(values, axis=None) > 0.0:
         return
     zero = values == 0.0 if mask is None else mask & (values == 0.0)
@@ -219,7 +220,7 @@ def _check_probe(freqs: np.ndarray, values: np.ndarray, mask=None, rows=None) ->
         row = rows[np.argmax(hit)]
         zero = zero[row] if hit.any() else hit
     if zero.any():
-        raise _fail(f"unknown PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz", row)
+        raise _fail(f"{role} PSD is zero inside the verdict band at {freqs[zero][0]:g} Hz", row)
 
 
 def _live_bins(freqs: np.ndarray, mask: np.ndarray, var: np.ndarray, warn: bool = False):
@@ -326,18 +327,15 @@ def _damage_index(metric: str, cross, e_ref, e_probe, sum_ref=None, sum_probe=No
     return 1.0 - np.sqrt(np.minimum((cross * cross) / (e_ref * e_probe), 1.0))
 
 
-def janapati_di(baseline_signal, unknown_signal, variant: str = "normalized") -> float:
+def janapati_di(baseline_signal, unknown_signal) -> float:
     """Time-domain damage index built on signal-shape normalization.
 
-    variant="normalized"
-        Projection form: the baseline is scaled by its least-squares
-        projection coefficient onto the unit-energy unknown signal, and the
-        index is the summed residual.  Identically zero when the two signals
-        are equal or positive multiples of each other.
-    variant="as_printed"
-        Literal per-sample form with the baseline sample in the divisor, kept
-        for comparison; it is *not* zero for identical signals and refuses
-        baselines containing zero samples.
+    The baseline is scaled by its least-squares projection coefficient onto
+    the unit-energy unknown signal, and the index is the summed residual, so
+    it is zero when the two signals are equal or positive multiples of each
+    other.  The projection form is used because the per-sample form as
+    printed, with the baseline sample in the divisor, is not zero for
+    identical signals.
     """
     y0 = _as_samples(baseline_signal)
     yu = _as_samples(unknown_signal)
@@ -345,18 +343,8 @@ def janapati_di(baseline_signal, unknown_signal, variant: str = "normalized") ->
         raise ValueError(f"window lengths differ: {y0.size} vs {yu.size}")
     if y0.size < 2:
         raise ValueError("need at least 2 samples")
-    e0, eu = float(np.dot(y0, y0)), float(np.dot(yu, yu))
-    normalized = _damage_index("janapati", float(np.dot(y0, yu)), e0, eu,
-                               np.sum(y0), np.sum(yu))
-    if variant == "normalized":
-        return float(normalized)
-    if variant == "as_printed":
-        if (y0 == 0.0).any():
-            raise ValueError("as_printed variant requires a baseline with no zero sample")
-        yu_n = yu / np.sqrt(eu)
-        y0_n = float(np.dot(y0, yu_n)) / (y0 * e0)
-        return float(np.sum(yu_n - y0_n))
-    raise ValueError(f"unknown variant {variant!r}; use 'normalized' or 'as_printed'")
+    return float(_damage_index("janapati", float(np.dot(y0, yu)), float(np.dot(y0, y0)),
+                               float(np.dot(yu, yu)), np.sum(y0), np.sum(yu)))
 
 
 def qiu_di(baseline_signal, unknown_signal) -> float:
@@ -373,32 +361,21 @@ def qiu_di(baseline_signal, unknown_signal) -> float:
                                float(np.dot(yu, yu))))
 
 
-def experimental_band(samples, alpha, method: str = "normal") -> ConfidenceBand:
+def experimental_band(samples, alpha) -> ConfidenceBand:
     """Healthy band measured from repeated acquisitions.
 
-    ``samples`` is a sequence of scalars or of equal-length curves.
-    method="normal" uses mean +/- z_{1-alpha/2} * sample std per point;
-    method="percentile" uses the empirical alpha/2 and 1-alpha/2 quantiles
-    (at least ceil(2/alpha) samples are recommended for stable edges).
+    ``samples`` is a sequence of at least 2 scalars or equal-length curves;
+    the band is mean +/- z_{1-alpha/2} * sample std per point.
     """
     alpha = validate_alpha(alpha)
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] < 1:
-        raise ValueError("samples must be a nonempty sequence of scalars or 1-D curves")
-    if method == "normal":
-        if arr.shape[0] < 2:
-            raise ValueError("method='normal' needs at least 2 samples")
-        z = normal_quantile(1.0 - alpha / 2.0)
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0, ddof=1)
-        return ConfidenceBand(lower=mean - z * std, upper=mean + z * std,
-                              kind="experimental", alpha=alpha)
-    if method == "percentile":
-        lower = np.quantile(arr, alpha / 2.0, axis=0)
-        upper = np.quantile(arr, 1.0 - alpha / 2.0, axis=0)
-        return ConfidenceBand(lower=lower, upper=upper,
-                              kind="experimental", alpha=alpha)
-    raise ValueError(f"unknown method {method!r}; use 'normal' or 'percentile'")
+    if arr.ndim not in (1, 2) or arr.shape[0] < 2:
+        raise ValueError("samples must be a sequence of at least 2 scalars or 1-D curves")
+    z = normal_quantile(1.0 - alpha / 2.0)
+    mean = arr.mean(axis=0)
+    std = arr.std(axis=0, ddof=1)
+    return ConfidenceBand(lower=mean - z * std, upper=mean + z * std,
+                          kind="experimental", alpha=alpha)
 
 
 def theoretical_band(psd: PsdEstimate, alpha) -> ConfidenceBand:

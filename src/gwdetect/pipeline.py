@@ -79,7 +79,6 @@ __all__ = [
     "LoadedSet",
     "DetectionReport",
     "RocCurve",
-    "locate_packet",
     "extract_packet",
     "load_set",
     "compute_path_scores",
@@ -329,42 +328,8 @@ class DatasetManifest:
 # packet windowing
 # ---------------------------------------------------------------------------
 
-def locate_packet(signal: Signal, threshold: float = 0.1, smooth: int = 96) -> int:
-    """Onset of the first wave packet via a short-time energy envelope.
-
-    The packet is found where the centered moving-average energy first
-    crosses ``threshold`` times its maximum; the onset is then refined by
-    backtracking to the last sample at the quiet floor (a thousandth of the
-    peak, or twice the median noise level, whichever is larger) and advancing
-    a quarter window to offset the average's early rise.
-    """
-    if not 0.0 < float(threshold) <= 1.0:
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-    x = signal.samples
-    w = max(4, int(smooth))
-    env = np.convolve(x * x, np.ones(w) / w, mode="same")
-    peak = float(env.max())
-    if peak <= 0.0:
-        raise ValueError("cannot locate a packet in an all-zero signal")
-    above = np.nonzero(env >= threshold * peak)[0]
-    if above.size == 0:
-        raise ValueError(f"no envelope crossing at threshold {threshold}")
-    crossing = int(above[0])
-    floor = max(1e-3 * peak, 2.0 * float(np.median(env)))
-    quiet = np.nonzero(env[:crossing] <= floor)[0]
-    if quiet.size == 0:
-        return 0
-    return max(int(quiet[-1]) - w // 4, 0)
-
-
-def extract_packet(signal: Signal, window_name: str, manifest: DatasetManifest,
-                   auto_locate: bool = False, threshold: float = 0.1,
-                   smooth: int = 64) -> Signal:
-    """Copy the named analysis window out of a signal, metadata preserved.
-
-    With ``auto_locate`` the window keeps its length but starts at the
-    detected packet onset (clamped so it stays inside the signal).
-    """
+def extract_packet(signal: Signal, window_name: str, manifest: DatasetManifest) -> Signal:
+    """Copy the named analysis window out of a signal, metadata preserved."""
     if window_name not in manifest.packet_windows:
         raise ValueError(
             f"unknown window {window_name!r}; manifest defines "
@@ -372,8 +337,6 @@ def extract_packet(signal: Signal, window_name: str, manifest: DatasetManifest,
         )
     start, length = manifest.packet_windows[window_name]
     n = signal.samples.size
-    if auto_locate:
-        start = min(locate_packet(signal, threshold, smooth), max(n - length, 0))
     if start + length > n:
         raise ValueError(
             f"window {window_name!r} ({start}, {length}) exceeds the {n}-sample signal"
@@ -556,7 +519,8 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
     the set's PSD and packet rows, with each case's p-value.
 
     Cases come in the order, and failures with the messages, of scoring each
-    case with the scalar detectors.
+    case with the scalar detectors, after a training PSD that is zero in the
+    band (a dead baseline record) fails the PSD metrics.
     """
     ens, entries = loaded.ensemble, loaded.entries
     mask = _band_mask(ens.freq_grid, band)
@@ -590,6 +554,8 @@ def _score_set(loaded: LoadedSet, metrics, band, baseline_label: str) -> dict:
             return _damage_index(metric, gram[i, j], energy[i], energy[j], sums[i], sums[j],
                                  rows=(i, j))
 
+    if any(m not in _DI_METRICS for m in metrics):
+        _check_probe(ens.freq_grid, loaded.psds, mask, train, "baseline")
     out = {}
     for metric in metrics:
         if metric in _DI_METRICS:

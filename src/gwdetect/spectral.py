@@ -30,10 +30,8 @@ __all__ = [
     "Signal",
     "WelchConfig",
     "PsdEstimate",
-    "TheoreticalMoments",
     "make_window",
     "welch_psd",
-    "welch_theoretical_moments",
 ]
 
 WINDOW_KINDS = ("hamming", "bartlett", "rectangular")
@@ -268,45 +266,3 @@ def welch_psd(signal: Signal, config: WelchConfig) -> PsdEstimate:
         config=config,
         k_windows=k,
     )
-
-
-class TheoreticalMoments(NamedTuple):
-    """Mean/variance diagnostics of the estimator for a flat true density.
-
-    ``mean`` uses the unit-gain normalization of the spectral smoothing
-    kernel, under which the estimator is asymptotically unbiased and the mean
-    equals the true density.  ``raw_mean`` instead applies the kernel's peak
-    gain ``|W(0)|^2 / (2*pi*L*U)`` as the plain plug-in constant; the two
-    differ because the textbook constant mixes angular- and ordinary-frequency
-    conventions, and both are reported rather than silently picking one.
-    """
-
-    mean: float
-    variance: float
-    raw_mean: float
-
-
-def welch_theoretical_moments(true_psd_value: float, config: WelchConfig,
-                              n_samples: int) -> TheoreticalMoments:
-    """Theoretical mean and variance of the estimate at one frequency.
-
-    The variance approximation ``(9/16) * (L/N) * S^2`` is derived for the
-    bartlett window with 50% overlap, so any other ``window_kind`` is
-    refused.  Diagnostic only; decision rules never consume these values.
-    """
-    if config.window_kind != "bartlett":
-        raise ValueError(
-            "theoretical variance is only defined for the bartlett window, "
-            f"got {config.window_kind!r}"
-        )
-    s = float(true_psd_value)
-    if s < 0.0:
-        raise ValueError("true_psd_value must be >= 0")
-    n = int(n_samples)
-    L = config.segment_length
-    if n < L:
-        raise ValueError(f"n_samples ({n}) must be >= segment_length ({L})")
-    w, u = make_window("bartlett", L)
-    raw = s * float(np.sum(w)) ** 2 / (2.0 * math.pi * L * u)
-    variance = (9.0 / 16.0) * (L / n) * s * s
-    return TheoreticalMoments(mean=s, variance=variance, raw_mean=raw)

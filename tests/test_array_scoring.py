@@ -87,6 +87,11 @@ def scalar_cases(manifest, sets, metrics, band):
             k = i if metric in DI and not np.dot(x[i], x[i]) else j
             return ValueError(f"{entries[k].file}: {exc}")
 
+        for i in loaded.train:  # a dead training baseline stops the PSD metrics
+            dead = mask & (psds[i].values == 0.0)
+            if dead.any() and any(m not in DI for m in metrics):
+                raise ValueError(f"{entries[i].file}: baseline PSD is zero inside the "
+                                 f"verdict band at {ens.freq_grid[dead][0]:g} Hz")
         moments = {}
         for metric in (m for m in metrics if m in DI):
             scatter = []
@@ -242,6 +247,12 @@ def _damaged(man):
 def test_probe_psd_zero_in_band_same_error(tmp_path, metric):
     msg, file = _same_error(tmp_path, [metric], _damaged, band=SUB_BAND)
     assert msg == f"{file}: unknown PSD is zero inside the verdict band at 1250 Hz"
+
+
+@pytest.mark.parametrize("metric", ["f", "fm", "z"])
+def test_training_psd_zero_in_band_same_error(tmp_path, metric):
+    msg, file = _same_error(tmp_path, [metric], _healthy(0), band=SUB_BAND)
+    assert msg == f"{file}: baseline PSD is zero inside the verdict band at 1250 Hz"
 
 
 @pytest.mark.parametrize("metric, pick, expected", [

@@ -76,6 +76,11 @@ def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag)
     ("--noise-std", "abc", "a finite number >= 0"),
     ("--snr-db", "nan", "a finite number"),
     ("--snr-db", "inf", "a finite number"),
+    # values the generator would refuse without naming a flag
+    ("--arrival", "nan", "a finite number >= 0"),
+    ("--amplitude", "inf", "a finite number > 0"),
+    ("--path-gain", "nan", "a finite number"),
+    ("--n-samples", "10", "an integer >= 1680, where the packet placed by --arrival ends"),
 ])
 def test_simulate_rejects_bad_noise_levels_before_writing(tmp_path, capsys, flag,
                                                           value, expected):
@@ -268,6 +273,21 @@ def test_report_command_renders_table(tmp_path, capsys):
     table = capsys.readouterr().out
     assert "alpha = 0.05" in table
     assert "false_alarm_%" in table
+
+
+def test_report_names_both_files_whose_damage_labels_differ(tmp_path, capsys):
+    simulate_small(tmp_path / "data")
+    out = tmp_path / "res"
+    assert main(["detect", *_common(tmp_path / "data", "--metrics", "z", "--holdout", "3"),
+                 "--out", str(out)]) == 0
+    first = out / "report_1-2_first-packet_a0.05.csv"
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text(first.read_text().replace("att-0.5", "att-0.6"))
+    capsys.readouterr()
+    assert main(["report", str(first), str(renamed)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: inconsistent damage labels across reports: {first} ('att-0.9', "
+            f"'att-0.5') vs {renamed} ('att-0.9', 'att-0.6')\n") in err, err
 
 
 def test_outdir_env_override(tmp_path, monkeypatch, capsys):
@@ -925,6 +945,7 @@ def test_config_files_that_cannot_be_parsed_are_named_by_file_and_line(
 
 _SHORT = "window 'first-packet' (1200, 500) exceeds the 1000-sample signal"
 _ZERO_PSD = "unknown PSD is zero inside the verdict band at 156000 Hz"
+_DEAD_BASELINE = "baseline PSD is zero inside the verdict band at 156000 Hz"
 
 
 @pytest.mark.parametrize("record, cmd, metric, message", [
@@ -939,6 +960,11 @@ _ZERO_PSD = "unknown PSD is zero inside the verdict band at 156000 Hz"
     pytest.param("zero", "detect", "qiu", "both signals must have nonzero energy",
                  id="zero-detect-qiu"),
     pytest.param("zero", "roc", "f", _ZERO_PSD, id="zero-roc-f"),
+    # a dead transducer among the training baselines: baseline_000
+    pytest.param("zero-baseline", "detect", "f", _DEAD_BASELINE, id="zero-baseline-detect-f"),
+    pytest.param("zero-baseline", "detect", "fm", _DEAD_BASELINE, id="zero-baseline-detect-fm"),
+    pytest.param("zero-baseline", "detect", "z", _DEAD_BASELINE, id="zero-baseline-detect-z"),
+    pytest.param("zero-baseline", "roc", "z", _DEAD_BASELINE, id="zero-baseline-roc-z"),
 ])
 def test_a_record_that_cannot_be_scored_is_named_by_its_file(tmp_path, capsys, record, cmd,
                                                              metric, message):
@@ -947,7 +973,8 @@ def test_a_record_that_cannot_be_scored_is_named_by_its_file(tmp_path, capsys, r
     data = tmp_path / "data"
     simulate_small(data)
     man = DatasetManifest.load(data / "manifest.csv")
-    entry = next(e for e in man.entries if e.label != man.baseline_label)
+    baseline = record == "zero-baseline"
+    entry = next(e for e in man.entries if (e.label == man.baseline_label) == baseline)
     signal = man.load_entry(entry)
     samples = signal.samples[:1000] if record == "short" else np.zeros(signal.samples.size)
     write_signal(man.resolve(entry), Signal(samples, signal.sample_rate, entry.label))

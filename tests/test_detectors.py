@@ -245,18 +245,6 @@ def test_janapati_normalized_identities():
     assert abs(janapati_di(y, 3.7 * y)) < 1e-12
 
 
-def test_janapati_as_printed_matches_term_by_term_oracle():
-    y0 = np.array([1.0, -2.0, 3.0, 0.5, -1.5, 2.5, -0.75, 1.25])
-    yu = np.array([0.9, -2.2, 2.7, 0.8, -1.2, 2.9, -0.5, 1.0])
-    yu_n = [yu[t] / np.sqrt(sum(v * v for v in yu)) for t in range(8)]
-    num = sum(y0[t] * yu_n[t] for t in range(8))
-    e0 = sum(v * v for v in y0)
-    di_ref = sum(yu_n[t] - num / (y0[t] * e0) for t in range(8))
-    assert janapati_di(y0, yu, "as_printed") == pytest.approx(di_ref, abs=1e-12)
-    # the literal form is not null for identical inputs; the projection form is
-    assert janapati_di(y0, y0, "as_printed") != 0.0
-
-
 def test_janapati_errors():
     y = np.ones(8)
     with pytest.raises(ValueError):
@@ -265,10 +253,6 @@ def test_janapati_errors():
         janapati_di(y, np.zeros(8))
     with pytest.raises(ValueError):
         janapati_di(y, np.ones(9))
-    with pytest.raises(ValueError):
-        janapati_di(np.array([1.0, 0.0, 2.0]), np.array([1.0, 1.0, 1.0]), "as_printed")
-    with pytest.raises(ValueError):
-        janapati_di(y, y, "bogus")
 
 
 def test_qiu_identities_and_range():
@@ -297,13 +281,8 @@ def test_experimental_band_degenerate_cases():
     band = experimental_band([curve, curve, curve], 0.05)
     assert np.allclose(band.lower, curve)
     assert np.allclose(band.upper, curve)
-    scalars = [1.0, 2.0, 3.0, 4.0, 5.0]
-    pct = experimental_band(scalars, 1.0, method="percentile")
-    assert pct.lower == pct.upper == np.median(scalars)
     with pytest.raises(ValueError):
         experimental_band([curve], 0.05)
-    with pytest.raises(ValueError):
-        experimental_band([curve, curve], 0.05, method="bogus")
 
 
 def test_experimental_band_coverage():

@@ -16,14 +16,12 @@ from gwdetect.pipeline import (
     default_alpha_grid,
     extract_packet,
     load_set,
-    locate_packet,
     roc_sweep,
     run_inspection,
     statistic_curves,
     summary_table,
 )
-from gwdetect.simulate import (IDENTITY_DAMAGE, ToneBurstSpec, attenuation_ladder, propagate,
-                               synth_dataset, tone_burst)
+from gwdetect.simulate import attenuation_ladder, synth_dataset
 from gwdetect.spectral import Signal, WelchConfig, welch_psd
 
 
@@ -273,19 +271,6 @@ def test_extract_packet_explicit_windows():
         extract_packet(sig, "tail", man)  # 7800 + 500 > 8000
     with pytest.raises(ValueError):
         extract_packet(sig, "missing", man)
-
-
-def test_locate_packet_finds_burst_onset():
-    burst = tone_burst(ToneBurstSpec(center_freq=250e3))
-    received = propagate(burst, 50e-6, 1.0, IDENTITY_DAMAGE, noise_std=1e-4,
-                         seed=0, n_samples=8000)
-    start = locate_packet(received, threshold=0.1)
-    assert abs(start - 1200) <= 25
-    man = _packet_manifest()
-    auto = extract_packet(received, "first-packet", man, auto_locate=True)
-    assert auto.samples.size == 500
-    with pytest.raises(ValueError):
-        locate_packet(Signal(np.zeros(100), 24e6))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from gwdetect.spectral import (
     WelchConfig,
     make_window,
     welch_psd,
-    welch_theoretical_moments,
 )
 from gwdetect.statdist import chi2_cdf
 
@@ -145,23 +144,6 @@ def test_welch_errors():
     sig = Signal(np.ones(50), 1e3)
     with pytest.raises(ValueError):
         welch_psd(sig, WelchConfig(100, 0.5, 200))  # N < L
-
-
-def test_theoretical_moments_examples():
-    cfg = WelchConfig(100, 0.5, 2000, "bartlett")
-    zero = welch_theoretical_moments(0.0, cfg, 8000)
-    assert (zero.mean, zero.variance) == (0.0, 0.0)
-    one = welch_theoretical_moments(1.0, cfg, 8000)
-    two = welch_theoretical_moments(2.0, cfg, 8000)
-    assert one.variance == pytest.approx(9.0 / 16.0 * 100 / 8000, rel=1e-15)
-    assert two.variance == pytest.approx(4.0 * one.variance, rel=1e-12)
-    assert one.mean == 1.0
-    assert one.raw_mean > 0.0
-
-
-def test_theoretical_moments_requires_bartlett():
-    with pytest.raises(ValueError):
-        welch_theoretical_moments(1.0, WelchConfig(100, 0.5, 2000, "hamming"), 8000)
 
 
 def test_psd_estimate_invariants():
