@@ -35,8 +35,8 @@ states, and a test holds the README's config table to them.  The checks
 across options (the Welch combination, the window against
 ``segment_length``, the band against the Welch grid, the path and set ids)
 are code in ``_build_runconfig``, after the lookup.  ``simulate``'s options
-are argparse-typed and not in the table; of a config file it reads only
-``[output] out_dir``.
+are rows of ``SIMULATE_OPTIONS``, one per parameter of the generator; of a
+config file it reads only ``[output] out_dir``.
 
 A value that cannot be read names the flag, or the config file and
 ``[section] key``, it came from; every option is checked before any record
@@ -71,11 +71,10 @@ in-band rows, a few rows per file, too little to pay for a fork.
 
 import argparse
 import configparser
-import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +92,7 @@ from .pipeline import (
     statistic_curves,
     summary_table,
 )
-from .simulate import ToneBurstSpec, attenuation_ladder, synth_dataset
+from .simulate import ToneBurstSpec, _BadParameter, attenuation_ladder, synth_dataset
 from .spectral import WINDOW_KINDS, WelchConfig
 from .statdist import validate_alpha
 
@@ -217,13 +216,6 @@ def _parse_band(text, grid):
 def _non_negative_int(text) -> int:
     value = int(text)
     if value < 0:
-        raise ValueError(text)
-    return value
-
-
-def _noise_level(text) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(text)
     return value
 
@@ -501,47 +493,51 @@ def cmd_roc(args) -> int:
     return 0
 
 
+# Every option of ``simulate`` but --config and --out, one row each, keyed by
+# the parameter of ``synth_dataset``, ``ToneBurstSpec`` or ``attenuation_ladder``
+# it sets, which is also its argparse ``dest``: (flag, default, reader, help).
+# The reader only turns the text into a number; every rule on the value is the
+# generator's, and ``cmd_simulate`` names the flag and the text of a value it
+# refuses.
+SIMULATE_OPTIONS = {
+    "seed": ("--seed", "0", int, None),
+    "n_baseline": ("--n-baseline", "20", int, None),
+    "n_steps": ("--ladder-steps", "6", int,
+                "attenuation-ladder damage steps (0 for baseline-only)"),
+    "start": ("--ladder-start", "0.9", float, None),
+    "stop": ("--ladder-stop", "0.5", float, None),
+    "n_per_damage": ("--n-per-damage", "5", int, None),
+    "snr_db": ("--snr-db", "40.0", float, None),
+    "noise_std": ("--noise-std", None, float, "absolute noise level (overrides --snr-db)"),
+    "center_freq": ("--center-freq", "250e3", float, None),
+    "n_cycles": ("--cycles", "5", int, None),
+    "envelope": ("--envelope", "hanning", str, "hanning or hamming"),
+    "amplitude": ("--amplitude", "90.0", float, None),
+    "sample_rate": ("--sample-rate", "24e6", float, None),
+    "n_samples": ("--n-samples", "8000", int, None),
+    "arrival_delay": ("--arrival", "50e-6", float, "packet arrival delay in seconds"),
+    "path_gain": ("--path-gain", "0.05", float, None),
+}
+
+
 def cmd_simulate(args) -> int:
     out_dir = _out_dir(args, _load_config(args.config))
-    for flag, ok, expected in (
-            ("--seed", args.seed >= 0, "a non-negative integer"),
-            ("--n-per-damage", args.n_per_damage >= 0, "a non-negative integer"),
-            ("--snr-db", math.isfinite(args.snr_db), "a finite number"),
-            ("--amplitude", 0.0 < args.amplitude < math.inf, "a finite number > 0"),
-            ("--arrival", 0.0 <= args.arrival < math.inf, "a finite number >= 0"),
-            ("--path-gain", math.isfinite(args.path_gain), "a finite number")):
-        if not ok:
-            raise _bad_option(flag, str(getattr(args, flag[2:].replace("-", "_"))), expected)
+    texts = {name: getattr(args, name) for name in SIMULATE_OPTIONS}
+    values = {}
+    for name, (_, _, read, _) in SIMULATE_OPTIONS.items():
+        try:
+            values[name] = None if texts[name] is None else read(texts[name])
+        except ValueError:  # NaN breaks the parameter's rule, which says what it expects
+            values[name] = float("nan")
     try:
-        noise_std = None if args.noise_std is None else _noise_level(args.noise_std)
-    except ValueError:
-        raise _bad_option("--noise-std", args.noise_std, "a finite number >= 0") from None
-    burst = ToneBurstSpec(
-        center_freq=float(args.center_freq),
-        n_cycles=int(args.cycles),
-        amplitude=float(args.amplitude),
-        envelope=args.envelope,
-        sample_rate=float(args.sample_rate),
-    )
-    end = round(args.arrival * burst.sample_rate) + burst.n_samples
-    if args.n_samples < end:
-        raise _bad_option("--n-samples", str(args.n_samples),
-                          f"an integer >= {end}, where the packet placed by --arrival ends")
-    ladder = attenuation_ladder(int(args.ladder_steps), float(args.ladder_start),
-                                float(args.ladder_stop)) if int(args.ladder_steps) else []
-    manifest = synth_dataset(
-        out_dir,
-        n_baseline=int(args.n_baseline),
-        damage_specs=ladder,
-        noise_std=noise_std,
-        seed=int(args.seed),
-        burst=burst,
-        n_per_damage=int(args.n_per_damage),
-        arrival_delay=float(args.arrival),
-        path_gain=float(args.path_gain),
-        n_samples=int(args.n_samples),
-        snr_db=float(args.snr_db),
-    )
+        burst = ToneBurstSpec(**{f.name: values.pop(f.name) for f in fields(ToneBurstSpec)})
+        ladder = attenuation_ladder(values.pop("n_steps"), values.pop("start"),
+                                    values.pop("stop"))
+        manifest = synth_dataset(out_dir, damage_specs=ladder, burst=burst, **values)
+    except _BadParameter as exc:
+        flags = {name: flag for name, (flag, *_) in SIMULATE_OPTIONS.items()}
+        raise _bad_option(flags[exc.name], texts[exc.name],
+                          exc.expected.format_map(flags)) from None
     print(manifest.base_dir / "manifest.csv")
     return 0
 
@@ -604,25 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic dataset")
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--out", help="dataset directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-baseline", dest="n_baseline", type=int, default=20)
-    p.add_argument("--ladder-steps", dest="ladder_steps", type=int, default=6,
-                   help="attenuation-ladder damage steps (0 for baseline-only)")
-    p.add_argument("--ladder-start", dest="ladder_start", type=float, default=0.9)
-    p.add_argument("--ladder-stop", dest="ladder_stop", type=float, default=0.5)
-    p.add_argument("--n-per-damage", dest="n_per_damage", type=int, default=5)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=40.0)
-    p.add_argument("--noise-std", dest="noise_std", default=None,
-                   help="absolute noise level (overrides --snr-db)")
-    p.add_argument("--center-freq", dest="center_freq", type=float, default=250e3)
-    p.add_argument("--cycles", type=int, default=5)
-    p.add_argument("--envelope", choices=("hanning", "hamming"), default="hanning")
-    p.add_argument("--amplitude", type=float, default=90.0)
-    p.add_argument("--sample-rate", dest="sample_rate", type=float, default=24e6)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=8000)
-    p.add_argument("--arrival", type=float, default=50e-6,
-                   help="packet arrival delay in seconds")
-    p.add_argument("--path-gain", dest="path_gain", type=float, default=0.05)
+    for name, (flag, default, _, text) in SIMULATE_OPTIONS.items():
+        p.add_argument(flag, dest=name, default=default, help=text,
+                       metavar=flag[2:].replace("-", "_").upper())
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="render saved detection reports as a table")

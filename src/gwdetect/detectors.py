@@ -157,7 +157,8 @@ def _statistic(metric: str, ref: np.ndarray, probe: np.ndarray, var=None) -> np.
 
 
 def _dof(metric: str, k_windows: int, m: int) -> dict:
-    """(2K, 2K) degrees of freedom for ``f``, (2KM, 2K) for ``fm``."""
+    """(2K, 2K) degrees of freedom for ``f``, (2KM, 2K) for ``fm``; ``dof2``,
+    2K, is one estimate's, which ``theoretical_band`` reads too."""
     d = 2 * k_windows
     return {"dof1": d * m if metric == "fm" else d, "dof2": d}
 
@@ -386,7 +387,7 @@ def theoretical_band(psd: PsdEstimate, alpha) -> ConfidenceBand:
     where q_lo/q_hi are the alpha/2 and 1-alpha/2 chi-square critical points.
     """
     alpha = validate_alpha(alpha)
-    d = 2 * psd.k_windows
+    d = _dof("f", psd.k_windows, 1)["dof2"]  # one estimate's 2K
     q_lo = chi2_quantile(alpha / 2.0, d)
     q_hi = chi2_quantile(1.0 - alpha / 2.0, d)
     return ConfidenceBand(lower=psd.values * d / q_hi,

@@ -15,6 +15,12 @@ text files and their samples into the directory's one sample store
 (``dataio.SampleStore``), which is published once every record is in.
 ``taskset -c 0`` runs it all in the calling process.  Each record has its own
 seed, so the files are the same bytes either way.
+
+Every rule on an input of ``synth_dataset``, ``ToneBurstSpec``,
+``attenuation_ladder`` and ``propagate`` is written once, here, and a value
+that breaks one raises ``_BadParameter``, which names the parameter, its
+value and what was expected; ``gwdetect simulate`` names the flag instead.
+Every input is checked before ``synth_dataset`` writes anything.
 """
 
 import math
@@ -40,6 +46,31 @@ __all__ = [
 ]
 
 
+class _AsNamed(dict):
+    """Each ``{parameter}`` mark of an expected text spelled as the
+    parameter's own name."""
+
+    def __missing__(self, key):
+        return key
+
+
+class _BadParameter(ValueError):
+    """Parameter ``name`` holds ``value``, which breaks its rule; ``expected``
+    says what the rule asks, marking any other parameter the rule joins as
+    ``{parameter}``, so that a caller can spell each in its own terms.  Every
+    numeric rule here is a comparison that NaN fails."""
+
+    def __init__(self, name: str, value, expected: str):
+        self.name, self.value, self.expected = name, value, expected
+        super().__init__(f"{name} {value!r}: expected {expected.format_map(_AsNamed())}")
+
+
+def _require(ok: bool, name: str, value, expected: str) -> None:
+    """Raise ``_BadParameter(name, value, expected)`` unless ``ok``."""
+    if not ok:
+        raise _BadParameter(name, value, expected)
+
+
 @dataclass(frozen=True)
 class ToneBurstSpec:
     """An n-cycle envelope-tapered sine actuation pulse.
@@ -55,20 +86,19 @@ class ToneBurstSpec:
     sample_rate: float = 24e6
 
     def __post_init__(self):
-        _checked_rate(self.sample_rate)
-        if not self.center_freq < self.sample_rate / 2.0:
-            raise ValueError(
-                f"center_freq {self.center_freq:g} Hz would alias at "
-                f"sample_rate {self.sample_rate:g} Hz"
-            )
-        if self.center_freq <= 0 or self.sample_rate <= 0:
-            raise ValueError("center_freq and sample_rate must be > 0")
-        if int(self.n_cycles) < 1:
-            raise ValueError("n_cycles must be >= 1")
-        if not self.amplitude > 0:
-            raise ValueError("amplitude must be > 0")
-        if str(self.envelope).lower() not in ("hanning", "hamming"):
-            raise ValueError(f"envelope must be 'hanning' or 'hamming', got {self.envelope!r}")
+        try:
+            _checked_rate(self.sample_rate)
+        except ValueError:
+            raise _BadParameter("sample_rate", self.sample_rate, "a finite number > 0") from None
+        nyquist = self.sample_rate / 2.0
+        _require(0.0 < self.center_freq < nyquist, "center_freq", self.center_freq,
+                 f"a number > 0 below half the {{sample_rate}}, {nyquist:g} Hz, "
+                 "above which it would alias")
+        _require(self.n_cycles >= 1, "n_cycles", self.n_cycles, "an integer >= 1")
+        _require(0.0 < self.amplitude < math.inf, "amplitude", self.amplitude,
+                 "a finite number > 0")
+        _require(str(self.envelope).lower() in ("hanning", "hamming"), "envelope",
+                 self.envelope, "'hanning' or 'hamming'")
         object.__setattr__(self, "envelope", str(self.envelope).lower())
         object.__setattr__(self, "n_cycles", int(self.n_cycles))
 
@@ -115,9 +145,7 @@ _NOT_IN_LABEL = ("/", "\\", "\0")
 
 def tone_burst(spec: ToneBurstSpec) -> Signal:
     """Generate the actuation burst: envelope-tapered sine, zero elsewhere."""
-    n = spec.n_samples
-    if n < 2:
-        raise ValueError("burst is shorter than 2 samples; raise n_cycles or sample_rate")
+    n = spec.n_samples  # >= 2, as center_freq < sample_rate / 2
     t = np.arange(n, dtype=float)
     carrier = np.sin(2.0 * np.pi * spec.center_freq * t / spec.sample_rate)
     if spec.envelope == "hanning":
@@ -126,8 +154,10 @@ def tone_burst(spec: ToneBurstSpec) -> Signal:
         env = 0.54 - 0.46 * np.cos(2.0 * np.pi * t / (n - 1))
     shape = env * carrier
     peak = float(np.max(np.abs(shape)))
-    if peak == 0.0:
-        raise ValueError("degenerate burst (all-zero waveform)")
+    # a 2-sample hanning burst is all zeros
+    _require(peak > 0.0, "n_cycles", spec.n_cycles,
+             f"more cycles: the {spec.envelope} burst of {n} samples at {{center_freq}} "
+             "and {sample_rate} is all zeros")
     return Signal(samples=(spec.amplitude / 2.0) * (shape / peak),
                   sample_rate=spec.sample_rate, label="burst")
 
@@ -145,25 +175,22 @@ def propagate(burst: Signal, arrival_delay: float, path_gain: float,
     """
     if n_samples is None:
         raise ValueError("n_samples is required (length of the received record)")
-    n = int(n_samples)
+    _require(0.0 <= arrival_delay < math.inf, "arrival_delay", arrival_delay,
+             "a finite number >= 0")
+    _require(math.isfinite(path_gain), "path_gain", path_gain, "a finite number")
     b = burst.samples
     fs = burst.sample_rate
     shift = int(round((float(arrival_delay) + damage.delay) * fs))
-    if shift < 0 or shift + b.size > n:
-        raise ValueError(
-            f"packet at samples [{shift}, {shift + b.size}) falls outside "
-            f"the {n}-sample record"
-        )
+    echo = damage.scatter_gain > 0.0
+    end = shift + b.size * (2 if echo else 1)
+    _require(n_samples >= end, "n_samples", n_samples,
+             f"an integer >= {end}, where the packet placed by {{arrival_delay}} "
+             + ("and its echo end" if echo else "ends"))
+    n = int(n_samples)
     y = np.zeros(n)
     y[shift:shift + b.size] = path_gain * damage.attenuation * b
-    if damage.scatter_gain > 0.0:
-        echo = shift + b.size
-        if echo + b.size > n:
-            raise ValueError(
-                f"echo at samples [{echo}, {echo + b.size}) falls outside "
-                f"the {n}-sample record"
-            )
-        y[echo:echo + b.size] += damage.scatter_gain * b
+    if echo:
+        y[shift + b.size:end] += damage.scatter_gain * b
     if noise_std > 0.0:
         y = y + np.random.default_rng(seed).normal(0.0, noise_std, n)
     label = damage.label or "healthy"
@@ -184,9 +211,11 @@ def noise_std_for_snr(clean: Signal, snr_db: float) -> float:
 
 
 def attenuation_ladder(n_steps: int, start: float = 0.9, stop: float = 0.5):
-    """Damage specs with attenuation stepping from ``start`` down to ``stop``."""
-    if int(n_steps) < 1:
-        raise ValueError("n_steps must be >= 1")
+    """Damage specs with attenuation stepping from ``start`` down to ``stop``;
+    none for 0 steps."""
+    _require(n_steps >= 0, "n_steps", n_steps, "a non-negative integer")
+    _require(0.0 < start <= 1.0, "start", start, "a number in (0, 1]")
+    _require(0.0 < stop <= 1.0, "stop", stop, "a number in (0, 1]")
     gains = np.linspace(start, stop, int(n_steps))
     return [DamageSpec(attenuation=float(g), label=f"att-{g:.3g}") for g in gains]
 
@@ -208,17 +237,13 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
     Returns the manifest (already saved as ``manifest.csv``).
     """
     out_dir = Path(out_dir)
+    _require(n_baseline >= 2, "n_baseline", n_baseline, "an integer >= 2")
+    _require(seed >= 0, "seed", seed, "a non-negative integer")
+    _require(n_per_damage >= 0, "n_per_damage", n_per_damage, "a non-negative integer")
+    _require(noise_std is None or 0.0 <= noise_std < math.inf, "noise_std", noise_std,
+             "a finite number >= 0")
+    _require(math.isfinite(snr_db), "snr_db", snr_db, "a finite number")
     n_baseline = int(n_baseline)
-    if n_baseline < 2:
-        raise ValueError("n_baseline must be >= 2")
-    if int(seed) < 0:
-        raise ValueError("seed must be >= 0")
-    if int(n_per_damage) < 0:
-        raise ValueError("n_per_damage must be >= 0")
-    if noise_std is not None and not (math.isfinite(noise_std) and noise_std >= 0.0):
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if burst is None:
         burst = ToneBurstSpec(center_freq=250e3)
     damage_specs = list(damage_specs)
@@ -244,6 +269,12 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
                              path_id=path_id, set_id=set_id)
                for name, damage in zip(names, damages)]
     pulse = tone_burst(burst)
+    clean = propagate(pulse, arrival_delay, path_gain, IDENTITY_DAMAGE,
+                      noise_std=0.0, n_samples=n_samples)
+    if noise_std is None:
+        _require(path_gain != 0.0, "path_gain", path_gain,
+                 "a finite number other than 0, as {snr_db} sets the noise level")
+        noise_std = noise_std_for_snr(clean, snr_db)
     start = int(round(arrival_delay * burst.sample_rate))
     packet_len = min(max(pulse.samples.size, 500), n_samples - start)
     windows = {
@@ -256,10 +287,6 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
                                baseline_label=IDENTITY_DAMAGE.label, packet_windows=windows,
                                band=band, base_dir=out_dir)
     manifest.validate()
-    clean = propagate(pulse, arrival_delay, path_gain, IDENTITY_DAMAGE,
-                      noise_std=0.0, n_samples=n_samples)
-    if noise_std is None:
-        noise_std = noise_std_for_snr(clean, snr_db)
 
     signals = out_dir / "signals"
     signals.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import shutil
 import tempfile
 from collections import Counter
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from gwdetect.cli import (OPTIONS, _curve_template, _load_config, _options, _write_curve,
-                          build_parser, main)
+from gwdetect.cli import (OPTIONS, SIMULATE_OPTIONS, _curve_template, _load_config, _options,
+                          _write_curve, build_parser, main)
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import DatasetManifest, DetectionReport, ManifestEntry
 from gwdetect.simulate import synth_dataset
@@ -65,8 +66,9 @@ def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag)
     assert f"{flag} '-1': expected a non-negative integer" in err
     assert "Traceback" not in err
     assert not out.exists()
-    with pytest.raises(ValueError, match="must be >= 0"):
-        synth_dataset(out, **{flag[2:].replace("-", "_"): -1})
+    name = flag[2:].replace("-", "_")
+    with pytest.raises(ValueError, match=re.escape(f"{name} -1: expected a non-negative integer")):
+        synth_dataset(out, **{name: -1})
     assert not out.exists()
 
 
@@ -81,6 +83,18 @@ def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag)
     ("--amplitude", "inf", "a finite number > 0"),
     ("--path-gain", "nan", "a finite number"),
     ("--n-samples", "10", "an integer >= 1680, where the packet placed by --arrival ends"),
+    # values the generator refused without naming a flag, and the text as typed
+    ("--center-freq", "nan", "a number > 0 below half the --sample-rate, 1.2e+07 Hz, "
+                             "above which it would alias"),
+    ("--cycles", "0", "an integer >= 1"),
+    ("--n-baseline", "1", "an integer >= 2"),
+    ("--ladder-start", "2", "a number in (0, 1]"),
+    ("--ladder-stop", "inf", "a number in (0, 1]"),
+    ("--ladder-steps", "-1", "a non-negative integer"),
+    ("--sample-rate", "nan", "a finite number > 0"),
+    ("--path-gain", "0", "a finite number other than 0, as --snr-db sets the noise level"),
+    ("--amplitude", "0", "a finite number > 0"),
+    ("--arrival", "-.5", "a finite number >= 0"),
 ])
 def test_simulate_rejects_bad_noise_levels_before_writing(tmp_path, capsys, flag,
                                                           value, expected):
@@ -89,6 +103,17 @@ def test_simulate_rejects_bad_noise_levels_before_writing(tmp_path, capsys, flag
     err = capsys.readouterr().err
     assert f"{flag} '{value}': expected {expected}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, read, _) in SIMULATE_OPTIONS.items()
+                                  if read is not str])
+def test_simulate_names_the_flag_of_a_text_that_is_not_a_number(tmp_path, capsys, name):
+    flag = SIMULATE_OPTIONS[name][0]
+    out = tmp_path / "data"
+    assert main(["simulate", "--out", str(out), flag, "1x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} '1x': expected ")
     assert not out.exists()
 
 

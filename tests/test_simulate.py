@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -45,8 +48,14 @@ def test_burst_validation():
     with pytest.raises(ValueError):
         ToneBurstSpec(center_freq=250e3, envelope="boxcar")
     for rate in (float("inf"), float("nan"), -24e6):
-        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"sample_rate {rate!r}: expected a finite number > 0")):
             ToneBurstSpec(center_freq=250e3, sample_rate=rate)
+    # 1 cycle at 11 MHz is 2 samples at 24 MHz, which a hanning envelope zeroes
+    with pytest.raises(ValueError, match=re.escape("n_cycles 1: expected more cycles")):
+        tone_burst(ToneBurstSpec(center_freq=11e6, n_cycles=1))
+    hamming = ToneBurstSpec(center_freq=11e6, n_cycles=1, envelope="hamming")
+    assert tone_burst(hamming).samples.size == 2
 
 
 def test_damage_spec_validation():
@@ -117,6 +126,7 @@ def test_attenuation_ladder():
     assert gains[0] == 0.9 and gains[-1] == 0.5
     assert all(b < a for a, b in zip(gains, gains[1:]))
     assert all(d.label for d in ladder)
+    assert attenuation_ladder(0) == []
 
 
 def test_synth_dataset_layout(tmp_path):
@@ -181,8 +191,43 @@ def test_synth_dataset_checks_every_label_before_writing(tmp_path, label, messag
 ])
 def test_synth_dataset_checks_the_noise_level_before_writing(tmp_path, level):
     name = next(iter(level))
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} {level[name]!r}: expected a finite number")):
         synth_dataset(tmp_path, n_baseline=3, seed=1, n_samples=2200, **level)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("part, name, value, expected", [
+    ("dataset", "arrival_delay", math.nan, "a finite number >= 0"),
+    ("dataset", "arrival_delay", -1.0, "a finite number >= 0"),
+    ("dataset", "arrival_delay", math.inf, "a finite number >= 0"),
+    ("dataset", "path_gain", math.nan, "a finite number"),
+    ("dataset", "path_gain", 0.0, "a finite number other than 0, as snr_db sets the noise level"),
+    ("dataset", "n_baseline", 1, "an integer >= 2"),
+    ("dataset", "seed", -1, "a non-negative integer"),
+    ("dataset", "n_per_damage", -1, "a non-negative integer"),
+    ("dataset", "n_samples", 1679,
+     "an integer >= 1680, where the packet placed by arrival_delay ends"),
+    ("burst", "center_freq", math.nan, "a number > 0 below half the sample_rate, 1.2e+07 Hz, "
+                                   "above which it would alias"),
+    ("burst", "center_freq", 0.0, "a number > 0 below half the sample_rate"),
+    ("burst", "sample_rate", math.nan, "a finite number > 0"),
+    ("burst", "n_cycles", 0, "an integer >= 1"),
+    ("burst", "amplitude", math.inf, "a finite number > 0"),
+    ("burst", "envelope", "boxcar", "'hanning' or 'hamming'"),
+    ("ladder", "n_steps", -1, "a non-negative integer"),
+    ("ladder", "start", 1.5, "a number in (0, 1]"),
+    ("ladder", "stop", math.inf, "a number in (0, 1]"),
+    ("ladder", "stop", 0.0, "a number in (0, 1]"),
+])
+def test_each_generator_refusal_names_its_parameter_before_writing(tmp_path, part, name,
+                                                                   value, expected):
+    kwargs = {"burst": {"center_freq": 250e3}, "ladder": {"n_steps": 2},
+              "dataset": {"n_baseline": 3, "n_samples": 2200, "seed": 1}}
+    kwargs[part][name] = value
+    with pytest.raises(ValueError, match=re.escape(f"{name} {value!r}: expected {expected}")):
+        synth_dataset(tmp_path, burst=ToneBurstSpec(**kwargs["burst"]),
+                      damage_specs=attenuation_ladder(**kwargs["ladder"]), **kwargs["dataset"])
     assert list(tmp_path.iterdir()) == []
 
 
