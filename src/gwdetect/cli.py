@@ -29,8 +29,9 @@ headers, e.g.::
 Command-line flags override config values.  Each option of ``detect``,
 ``roc`` and ``psd`` but ``roc --alpha-grid`` (a flag with no config key) is
 written once, as a row of ``OPTIONS``: its flag, config key, default,
-parser, expected text and help.  The rows build the argparse options, the
-flag > config > default lookup (``_options``) and the defaults the help
+parser, expected text and help.  The rows a command reads
+(``COMMAND_OPTIONS``) build its argparse options, whole names only, its
+flag > config > default lookup (``_options``) and the defaults its help
 states, and a test holds the README's config table to them.  The checks
 across options (the Welch combination, the window against
 ``segment_length``, the band against the Welch grid, the path and set ids)
@@ -41,10 +42,11 @@ config file it reads only ``[output] out_dir``.
 A value that cannot be read names the flag, or the config file and
 ``[section] key``, it came from; every option is checked before any record
 is read.  That includes an alpha of 2**-53 or less, where ``1 - alpha/2``
-rounds to 1 and no critical point exists.  A config file may end its lines
-with LF, CRLF or CR; one that is not UTF-8, or that ``configparser`` cannot
-parse, names its file and line.  ``report`` names the file and line of a
-report that is not UTF-8 or holds a line ``DetectionReport.from_csv`` refuses.
+rounds to 1 and ``psd``'s bands have no upper point.  A config file may
+end its lines with LF, CRLF or CR; one that is not UTF-8, or that
+``configparser`` cannot parse, names its file and line.  ``report`` names
+the file and line of a report that is not UTF-8 or holds a line
+``DetectionReport.from_csv`` refuses.
 Scores, decisions and ``stat_*`` curves come from ``pipeline``; ``detect``
 writes each verdict row straight from a case table and its ``damaged``
 decision, and ``_write_curve`` writes every curve file.
@@ -75,6 +77,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,14 +149,17 @@ def _config_error(path, text: str, exc: configparser.Error) -> ValueError:
 
 
 def _options(args, cfg: dict):
-    """The options given, by the rows of ``OPTIONS``: config key -> ``(text,
-    where)``, ``where`` being its flag or the config file and ``[section]
-    key``; and a reader of a key's value: the flag's text, else the config
-    value, else the default, read by the row's parser.  A text the parser
-    rejects names where it came from.  A value is read when it is asked for,
-    so the checks of a run keep their order."""
+    """The options given, by the rows of ``OPTIONS`` the command reads:
+    config key -> ``(text, where)``, ``where`` being its flag or the config
+    file and ``[section] key``; and a reader of a key's value: the flag's
+    text, else the config value, else the default, read by the row's parser
+    (``None`` for another row).  A text the parser rejects names where it
+    came from.  A value is read when it is asked for, so the checks of a run
+    keep their order."""
+    keys = COMMAND_OPTIONS[args.command]
     given = {}
-    for key, (flag, *_) in OPTIONS.items():
+    for key in keys:
+        flag = OPTIONS[key][0]
         text = getattr(args, flag[2:].replace("-", "_"))
         if text is not None:
             given[key] = text, flag
@@ -163,7 +169,7 @@ def _options(args, cfg: dict):
 
     def value(key: str):
         _, default, parse, expected, _ = OPTIONS[key]
-        text, where = given.get(key, (default, None))
+        text, where = given.get(key, (default if key in keys else None, None))
         try:
             return text if parse is None or text is None else parse(text)
         except ValueError:
@@ -222,8 +228,8 @@ def _non_negative_int(text) -> int:
 
 def _parse_alpha(text) -> float:
     """A false-alarm probability whose two-sided level ``1 - alpha/2`` is
-    below 1 in double precision, so that its critical points exist: alpha
-    above 2**-53."""
+    below 1 in double precision, so that the upper points of ``psd``'s bands,
+    solved at that level, exist: alpha above 2**-53."""
     alpha = validate_alpha(text)
     if 1.0 - alpha / 2.0 == 1.0:
         raise ValueError(text)
@@ -293,12 +299,20 @@ OPTIONS = {
     # $GWDETECT_OUTDIR comes between the flag and the config value: ``_out_dir``
     "output.out_dir": ("--out", None, None, None, "output directory"),
 }
+# The rows each command reads: ``roc`` sweeps ``--alpha-grid`` instead, and
+# ``psd`` draws whole-grid curves and bands from every healthy record.
+COMMAND_OPTIONS = {
+    "detect": tuple(OPTIONS),
+    "roc": tuple(key for key in OPTIONS if key != "detect.alphas"),
+    "psd": tuple(key for key in OPTIONS
+                 if not key.startswith("detect.") or key == "detect.alphas"),
+}
 
 
-def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
-    """The run's settings, every one checked before any record is read;
-    ``scores`` says whether the command scores in the band, and with it
-    whether the manifest's own band must lie on the Welch grid."""
+def _build_runconfig(args) -> RunConfig:
+    """The run's settings, every one checked before any record is read; the
+    manifest's band must lie on the Welch grid for a command that scores in
+    it, one that reads ``[detect] band``."""
     cfg = _load_config(args.config)
     given, opt = _options(args, cfg)
     manifest_path = opt("data.manifest")
@@ -348,7 +362,7 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
             band = _parse_band(text, grid)
         except ValueError:
             raise _bad_option(where, text, f"f_lo:f_hi {on_grid}, or 'full'") from None
-    elif scores and band is not None:
+    elif "detect.band" in COMMAND_OPTIONS[args.command] and band is not None:
         try:
             _band_mask(grid, band)
         except ValueError:
@@ -376,7 +390,7 @@ def _build_runconfig(args, *, scores: bool = True) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_psd(args) -> int:
-    rc = _build_runconfig(args, scores=False)
+    rc = _build_runconfig(args)
     for path in rc.paths:
         fan_out(_write_curve, _psd_curves(rc, path))
     print(f"psd curves written to {rc.out_dir}")
@@ -566,10 +580,11 @@ def cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The ``--config`` flag and a flag for each row of ``OPTIONS``."""
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    """The ``--config`` flag and a flag for each row ``command`` reads."""
     p.add_argument("--config", help="key = value config file with section headers")
-    for flag, default, _, _, text in OPTIONS.values():
+    for key in COMMAND_OPTIONS[command]:
+        flag, default, _, _, text = OPTIONS[key]
         if flag.startswith("--no-"):  # a switch: it gives its key the text "false"
             p.add_argument(flag, action="store_const", const="false", help=text)
         else:
@@ -581,18 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gwdetect",
         description="Statistical damage detection for guided-wave records",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only: ``roc --alpha`` is refused, not read as ``--alpha-grid``
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("psd", help="per-signal PSD curves plus healthy bands")
-    _add_common(p)
+    _add_common(p, "psd")
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("detect", help="statistic curves and detection report")
-    _add_common(p)
+    _add_common(p, "detect")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("roc", help="alpha-sweep ROC curves with AUC")
-    _add_common(p)
+    _add_common(p, "roc")
     p.add_argument("--alpha-grid", dest="alpha_grid",
                    help="logarithmic sweep lo:hi:n (default 1e-6:1:61)")
     p.set_defaults(func=cmd_roc)

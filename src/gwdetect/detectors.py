@@ -165,10 +165,14 @@ def _dof(metric: str, k_windows: int, m: int) -> dict:
 
 def _critical_points(metric: str, alpha: float, dof1: int = None, dof2: int = None) -> tuple:
     """``(lower, upper)`` critical points at a validated alpha: two-sided F for
-    ``f``/``fm``, else 0 and the Normal point (times the healthy DI spread)."""
+    ``f``/``fm``, else 0 and the Normal point (times the healthy DI spread).
+    Both points come from a lower tail at ``alpha/2``, as ``1 - alpha/2``
+    rounds away a small alpha's digits: the upper F(dof1, dof2) point is the
+    reciprocal of the lower F(dof2, dof1) point, and the upper Normal point
+    the lower one's magnitude (0, not -0, at alpha 1)."""
     if metric in ("f", "fm"):
-        return f_quantile(alpha / 2.0, dof1, dof2), f_quantile(1.0 - alpha / 2.0, dof1, dof2)
-    return 0.0, normal_quantile(1.0 - alpha / 2.0)
+        return f_quantile(alpha / 2.0, dof1, dof2), 1.0 / f_quantile(alpha / 2.0, dof2, dof1)
+    return 0.0, abs(normal_quantile(alpha / 2.0))
 
 
 def _p_value(metric: str, stat_hi, stat_lo=None, dof1=None, dof2=None, center=0.0,

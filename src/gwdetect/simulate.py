@@ -130,8 +130,8 @@ class DamageSpec:
     def __post_init__(self):
         if not 0.0 < self.attenuation <= 1.0:
             raise ValueError(f"attenuation must lie in (0, 1], got {self.attenuation}")
-        if self.delay < 0.0:
-            raise ValueError("delay must be >= 0")
+        if not 0.0 <= self.delay < math.inf:  # so only arrival_delay can make a shift infinite
+            raise ValueError(f"delay must be a finite number >= 0, got {self.delay}")
         if not 0.0 <= self.scatter_gain < 1.0:
             raise ValueError(f"scatter_gain must lie in [0, 1), got {self.scatter_gain}")
 
@@ -180,7 +180,10 @@ def propagate(burst: Signal, arrival_delay: float, path_gain: float,
     _require(math.isfinite(path_gain), "path_gain", path_gain, "a finite number")
     b = burst.samples
     fs = burst.sample_rate
-    shift = int(round((float(arrival_delay) + damage.delay) * fs))
+    shift = (float(arrival_delay) + damage.delay) * fs
+    _require(shift < math.inf, "arrival_delay", arrival_delay,
+             "a finite number >= 0 that is a finite number of samples at the {sample_rate}")
+    shift = int(round(shift))
     echo = damage.scatter_gain > 0.0
     end = shift + b.size * (2 if echo else 1)
     _require(n_samples >= end, "n_samples", n_samples,
@@ -201,13 +204,16 @@ def noise_std_for_snr(clean: Signal, snr_db: float) -> float:
     """Noise std giving the requested SNR over the packet support.
 
     SNR is measured against the RMS of the nonzero span of the clean
-    (noiseless) received record.
+    (noiseless) received record.  A level beyond the largest double is inf.
     """
     support = clean.samples[clean.samples != 0.0]
     if support.size == 0:
         raise ValueError("clean signal is all zero; SNR is undefined")
     rms = float(np.sqrt(np.mean(support ** 2)))
-    return rms * 10.0 ** (-float(snr_db) / 20.0)
+    try:
+        return rms * 10.0 ** (-float(snr_db) / 20.0)
+    except OverflowError:
+        return math.inf
 
 
 def attenuation_ladder(n_steps: int, start: float = 0.9, stop: float = 0.5):
@@ -217,7 +223,12 @@ def attenuation_ladder(n_steps: int, start: float = 0.9, stop: float = 0.5):
     _require(0.0 < start <= 1.0, "start", start, "a number in (0, 1]")
     _require(0.0 < stop <= 1.0, "stop", stop, "a number in (0, 1]")
     gains = np.linspace(start, stop, int(n_steps))
-    return [DamageSpec(attenuation=float(g), label=f"att-{g:.3g}") for g in gains]
+    labels = [f"att-{g:.3g}" for g in gains]  # the gains step one way: a repeat is a neighbour
+    for label, after in zip(labels, labels[1:]):
+        _require(label != after, "n_steps", n_steps,
+                 f"fewer steps: two steps from {{start}} to {{stop}} share the label {label!r}, "
+                 "which spells the gain to 3 significant digits")
+    return [DamageSpec(attenuation=float(g), label=label) for g, label in zip(gains, labels)]
 
 
 def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
@@ -275,6 +286,9 @@ def synth_dataset(out_dir, n_baseline: int = 20, damage_specs=(),
         _require(path_gain != 0.0, "path_gain", path_gain,
                  "a finite number other than 0, as {snr_db} sets the noise level")
         noise_std = noise_std_for_snr(clean, snr_db)
+        _require(noise_std < math.inf, "snr_db", snr_db,
+                 "a finite number whose noise level is, as a given {noise_std} must be, "
+                 "a finite number >= 0")
     start = int(round(arrival_delay * burst.sample_rate))
     packet_len = min(max(pulse.samples.size, 500), n_samples - start)
     windows = {

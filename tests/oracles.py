@@ -132,7 +132,7 @@ def _ratio_reference(numer, unknown, alpha, band, d1, d2):
     with np.errstate(divide="ignore", invalid="ignore"):
         values = numer / denom
     lower = f_quantile(alpha / 2.0, d1, d2)
-    upper = f_quantile(1.0 - alpha / 2.0, d1, d2)
+    upper = 1.0 / f_quantile(alpha / 2.0, d2, d1)  # from the lower tail of F(d2, d1)
     in_band = values[mask]
     damaged = bool((in_band < lower).any() or (in_band > upper).any())
     return values, lower, upper, "damaged" if damaged else "healthy"
@@ -177,7 +177,7 @@ def z_reference(psds, unknown_psd, alpha, band=None):
         mask = mask & ~dead
         if not mask.any():
             raise ValueError("every in-band bin has zero baseline variance")
-    upper = normal_quantile(1.0 - alpha / 2.0)
+    upper = abs(normal_quantile(alpha / 2.0))  # from the lower tail
     damaged = bool((values[mask] > upper).any())
     return values, 0.0, upper, "damaged" if damaged else "healthy"
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from gwdetect.cli import (OPTIONS, SIMULATE_OPTIONS, _curve_template, _load_config, _options,
-                          _write_curve, build_parser, main)
+from gwdetect.cli import (COMMAND_OPTIONS, OPTIONS, SIMULATE_OPTIONS, _curve_template,
+                          _load_config, _options, _write_curve, build_parser, main)
 from gwdetect.dataio import write_signal
 from gwdetect.pipeline import DatasetManifest, DetectionReport, ManifestEntry
 from gwdetect.simulate import synth_dataset
@@ -95,6 +95,15 @@ def test_simulate_rejects_negative_counts_before_writing(tmp_path, capsys, flag)
     ("--path-gain", "0", "a finite number other than 0, as --snr-db sets the noise level"),
     ("--amplitude", "0", "a finite number > 0"),
     ("--arrival", "-.5", "a finite number >= 0"),
+    # values the generator let through to a failed computation (exit 3), or to the
+    # manifest's refusal of a file listed twice, which named no flag
+    ("--snr-db", "-7000", "a finite number whose noise level is, as a given --noise-std must "
+                          "be, a finite number >= 0"),
+    ("--arrival", "1e301", "a finite number >= 0 that is a finite number of samples at the "
+                           "--sample-rate"),
+    ("--ladder-steps", "2000", "fewer steps: two steps from --ladder-start to --ladder-stop "
+                               "share the label 'att-0.9', which spells the gain to 3 "
+                               "significant digits"),
 ])
 def test_simulate_rejects_bad_noise_levels_before_writing(tmp_path, capsys, flag,
                                                           value, expected):
@@ -114,6 +123,19 @@ def test_simulate_names_the_flag_of_a_text_that_is_not_a_number(tmp_path, capsys
     assert main(["simulate", "--out", str(out), flag, "1x"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} '1x': expected ")
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_ladder_whose_labels_repeat_even_without_its_records(tmp_path,
+                                                                                 capsys):
+    """Steps that share a label are refused by the ladder's own rule, also when
+    ``--n-per-damage 0`` writes no record of them."""
+    out = tmp_path / "data"
+    assert main(["simulate", "--out", str(out), "--ladder-steps", "3", "--ladder-start", "0.5",
+                 "--ladder-stop", "0.5", "--n-per-damage", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --ladder-steps '3': expected fewer steps: two steps from --ladder-start to "
+        "--ladder-stop share the label 'att-0.5'")
     assert not out.exists()
 
 
@@ -184,11 +206,10 @@ def test_detect_empty_metrics_is_validation_error(tmp_path, capsys):
 def test_commands_idempotent_outputs(tmp_path):
     simulate_small(tmp_path / "data")
     manifest = str(tmp_path / "data/manifest.csv")
-    for cmd, extra in (("detect", ["--metrics", "f,z", "--alpha", "0.05,0.01"]),
+    for cmd, extra in (("detect", ["--metrics", "f,z", "--alpha", "0.05,0.01", "--holdout", "3"]),
                        ("psd", []),
-                       ("roc", ["--metrics", "z"])):
-        args = [cmd, "--manifest", manifest, "--window", "first-packet",
-                "--holdout", "3"] + extra
+                       ("roc", ["--metrics", "z", "--holdout", "3"])):
+        args = [cmd, "--manifest", manifest, "--window", "first-packet"] + extra
         main(args + ["--out", str(tmp_path / f"{cmd}1")])
         main(args + ["--out", str(tmp_path / f"{cmd}2")])
         assert tree_digest(tmp_path / f"{cmd}1") == tree_digest(tmp_path / f"{cmd}2")
@@ -373,8 +394,7 @@ def test_negative_holdout_rejected_before_any_write(tmp_path, capsys):
     simulate_small(tmp_path / "data")
     for cmd, extra in (("detect", ["--metrics", "f,fm,z,janapati,qiu"]),
                        ("roc", ["--metrics", "f"]),
-                       ("roc", ["--metrics", "z"]),
-                       ("psd", [])):
+                       ("roc", ["--metrics", "z"])):
         out = tmp_path / f"res_{cmd}"
         rc = main([cmd, *_common(tmp_path / "data", *extra), "--holdout", "-3",
                    "--out", str(out)])
@@ -629,7 +649,7 @@ _PCT77 = "line 9: 'z,false_alarm,,0,3,77', where to_csv writes 'z,false_alarm,,0
     pytest.param("option", "--alpha-grid", "1e-3:1", id="option-alpha-grid-1e-3:1"),
     pytest.param("option", "--metrics", "z,z", id="option-metrics-z,z"),
     pytest.param("option", "--alpha", "0.05,0.05", id="option-alpha-0.05,0.05"),
-    # 1 - alpha/2 rounds to 1: no critical point exists in double precision
+    # 1 - alpha/2 rounds to 1: psd's bands have no upper points in double precision
     pytest.param("option", "--alpha", "1e-20", id="option-alpha-1e-20"),
     pytest.param("option", "--alpha", "0.05,1.1102230246251565e-16",
                  id="option-alpha-0.05,2**-53"),
@@ -720,9 +740,9 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     the line, or the metric and label, of a row it refuses), the option and
     its value, or the config file, entry and value.  Options and
     config values are checked before any record is read, by every command
-    that takes them (``detect``, ``roc`` and ``psd``; ``--alpha-grid`` is
-    ``roc``'s alone), and so is the manifest's band, by the commands that
-    score in it (``detect`` and ``roc``)."""
+    that reads them (``COMMAND_OPTIONS``; ``--alpha-grid`` is ``roc``'s
+    alone), and so is the manifest's band, by the commands that score in it
+    (``detect`` and ``roc``)."""
     import gwdetect.pipeline as pipeline
 
     data = tmp_path / "data"
@@ -732,17 +752,20 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     real = pipeline.read_signal
     monkeypatch.setattr(pipeline, "read_signal", lambda p: reads.append(p) or real(p))
     cmds = ["detect"]
+    scoring = ["--metrics", "z", "--holdout", "3"]  # given to detect and roc
     if target == "option":
-        cmds = ["roc"] if number == "--alpha-grid" else ["detect", "roc", "psd"]
-        argv = [*_common(data), "--metrics", "z", "--holdout", "3", number, new]
+        keys = {flag: key for key, (flag, *_) in OPTIONS.items()}
+        cmds = ["roc"] if number == "--alpha-grid" else _readers(keys[number])
+        argv = [*_common(data), number, new]  # after scoring's flags, so that it wins
         where = [f"{number} {new!r}"]
     elif target == "config":
-        cmds = ["detect", "roc", "psd"]
+        cmds = _readers(number)
         cfg = tmp_path / "run.cfg"
         section, key = number.split(".")
         cfg.write_text(f"[{section}]\n{key} = {new}\n")
-        argv = ["--config", str(cfg), *_common(data), "--metrics", "z",
-                *([] if key == "holdout" else ["--holdout", "3"])]  # a flag beats the config
+        argv = ["--config", str(cfg), *_common(data)]
+        if key == "holdout":  # a flag beats the config
+            scoring = scoring[:2]
         where = [f"{cfg}: [{section}] {key} {new!r}"]
     elif target == "report":
         cmds = ["report"]
@@ -767,7 +790,7 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         victim = (man.resolve(man.entries[1]) if target == "signal"
                   else data / "manifest.csv")
         victim.write_text(_set_line(victim.read_text(), number, new))
-        argv = [*_common(data), "--metrics", "z", "--holdout", "3"]
+        argv = _common(data)
         where = [f"{victim}:{number}:"]
         if "baseline_000.csv" in new:  # the file of line 7 again
             where.append("(first on line 7)")
@@ -777,7 +800,8 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
     for cmd in cmds:
         out = tmp_path / f"res_{cmd}"
         reads.clear()
-        rc = main([cmd, *argv, "--out", str(out)])
+        rc = main([cmd, *(scoring if cmd in ("detect", "roc") else []), *argv,
+                   "--out", str(out)])
         assert rc == 2, cmd
         err = capsys.readouterr().err
         assert all(w in err for w in where), (cmd, err)
@@ -785,6 +809,11 @@ def test_malformed_input_names_file_and_line(tmp_path, capsys, monkeypatch,
         assert not out.exists(), cmd
         if target != "signal":
             assert reads == [], cmd
+
+
+def _readers(key: str) -> list:
+    """The commands that read the row ``key`` of ``OPTIONS``."""
+    return [cmd for cmd, keys in COMMAND_OPTIONS.items() if key in keys]
 
 
 # A text each row's own check refuses and one it takes.  The other rows' texts
@@ -815,11 +844,12 @@ def _read_nothing(path):
 @pytest.mark.parametrize("key", list(OPTIONS))
 def test_each_option_row_names_where_its_text_came_from_and_its_flag_wins(
         tmp_path, capsys, monkeypatch, key):
-    """For each row of ``cli.OPTIONS``: its flag beats its config value, and
-    a text its check refuses exits 2 before any record is read, naming the
-    flag it was given by, or the config file and ``[section] key``, with the
-    row's expected text; given a text it takes by flag, a refused config
-    value is never read."""
+    """For each row of ``cli.OPTIONS`` and each command that reads it: its
+    flag beats its config value, and a text its check refuses exits 2 before
+    any record is read, naming the flag it was given by, or the config file
+    and ``[section] key``, with the row's expected text; given a text it
+    takes by flag, a refused config value is never read.  A command that
+    does not read the row does not look up its config key."""
     import gwdetect.pipeline as pipeline
 
     flag, _, parse, expected, _ = OPTIONS[key]
@@ -827,11 +857,16 @@ def test_each_option_row_names_where_its_text_came_from_and_its_flag_wins(
     switch = flag.startswith("--no-")  # it carries no text: it gives its key "false"
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[{section}]\n{name} = from-config\n")
-    for argv, source in (([], ("from-config", f"{cfg}: [{section}] {name}")),
-                         ([flag] if switch else [flag, "from-flag"],
-                          ("false" if switch else "from-flag", flag))):
-        args = build_parser().parse_args(["detect", "--config", str(cfg), *argv])
-        assert _options(args, _load_config(cfg))[0][key] == source
+    readers = _readers(key)
+    for cmd in readers:
+        for argv, source in (([], ("from-config", f"{cfg}: [{section}] {name}")),
+                             ([flag] if switch else [flag, "from-flag"],
+                              ("false" if switch else "from-flag", flag))):
+            args = build_parser().parse_args([cmd, "--config", str(cfg), *argv])
+            assert _options(args, _load_config(cfg))[0][key] == source, cmd
+    for cmd in sorted(set(COMMAND_OPTIONS) - set(readers)):
+        args = build_parser().parse_args([cmd, "--config", str(cfg)])
+        assert key not in _options(args, _load_config(cfg))[0], cmd
     assert (key in _OPTION_TEXTS) == (parse is not None or key == "detect.band")
     if key not in _OPTION_TEXTS:
         return
@@ -846,7 +881,7 @@ def test_each_option_row_names_where_its_text_came_from_and_its_flag_wins(
     sources = [(["--config", str(cfg)], f"{cfg}: [{section}] {name}")]
     if not switch:
         sources.append(([flag, refused], flag))
-    for cmd in ("detect", "roc", "psd"):
+    for cmd in readers:
         for argv, where in sources:
             assert main([cmd, *_common(data), *argv, "--out", str(out)]) == 2, (cmd, where)
             err = capsys.readouterr().err
@@ -858,6 +893,58 @@ def test_each_option_row_names_where_its_text_came_from_and_its_flag_wins(
         with pytest.raises(_RecordRead):
             main([cmd, *_common(data), "--config", str(cfg), flag, *([] if switch else [taken]),
                   "--out", str(out)])
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("psd", "--metrics", "z"),
+    ("psd", "--band", "200000:210000"),
+    ("psd", "--holdout", "7"),
+    ("psd", "--seed", "3"),
+    ("roc", "--alpha", "0.3"),
+])
+def test_a_command_refuses_the_flag_of_a_row_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                              cmd, flag, value):
+    """``psd`` takes no ``--metrics``, ``--band``, ``--holdout`` or ``--seed``,
+    and ``roc`` no ``--alpha`` (nor reads it as ``--alpha-grid``): argparse
+    exits 2 naming the flag, before any record is read or anything written."""
+    import gwdetect.pipeline as pipeline
+
+    key = next(key for key, (row_flag, *_) in OPTIONS.items() if row_flag == flag)
+    assert key not in COMMAND_OPTIONS[cmd]
+    data = tmp_path / "data"
+    simulate_small(data)
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "read_signal", _read_nothing)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([cmd, *_common(data), flag, value, "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, keys, first", [
+    ("psd", {"band": "1:2", "holdout": "-1", "seed": "-1", "metrics": "bogus"}, "metrics"),
+    ("roc", {"alphas": "2"}, "alphas"),
+])
+def test_a_command_reads_no_config_key_outside_its_rows(tmp_path, capsys, cmd, keys, first):
+    """``[detect]`` values that ``detect`` refuses, under keys that ``psd`` or
+    ``roc`` does not read, leave that command's files byte-identical, while
+    ``detect`` names the config file and its first such key."""
+    data = tmp_path / "data"
+    simulate_small(data)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[detect]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items()))
+    argv = [cmd, *_common(data), *([] if cmd == "psd" else ["--metrics", "f,z", "--holdout", "3"])]
+    assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert tree_digest(tmp_path / "cfg") == tree_digest(tmp_path / "plain")
+    capsys.readouterr()
+    out = tmp_path / "det"
+    assert main(["detect", *_common(data), "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {cfg}: [detect] {first} {keys[first]!r}: expected ")
+    assert not out.exists()
 
 
 def test_alpha_floor_is_where_the_two_sided_level_rounds_to_one():
@@ -1005,8 +1092,8 @@ def test_a_record_that_cannot_be_scored_is_named_by_its_file(tmp_path, capsys, r
     write_signal(man.resolve(entry), Signal(samples, signal.sample_rate, entry.label))
     capsys.readouterr()
     out = tmp_path / "res"
-    argv = [*_common(data), "--holdout", "3", "--out", str(out)]
-    assert main([cmd, *argv, *([] if cmd == "psd" else ["--metrics", metric])]) == 2
+    scoring = [] if cmd == "psd" else ["--metrics", metric, "--holdout", "3"]
+    assert main([cmd, *_common(data), *scoring, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: {entry.file}: {message}" in err, err
     assert "Traceback" not in err

@@ -566,6 +566,23 @@ def test_p_value_edge_cases_match_critical_points():
                    for a in grid), metric
 
 
+def test_upper_critical_points_keep_a_small_alphas_digits():
+    """The upper critical points are solved from the lower tail at alpha/2, so
+    an alpha whose ``1 - alpha/2`` rounds to the same double still moves them:
+    at 2.3e-16 an F(18, 18) statistic of 175, whose p-value is 2.88e-16, is
+    healthy by its critical points as by ``p < alpha``."""
+    uppers = {alpha: f"{_critical_points('f', alpha, 18, 18)[1]:.12g}"
+              for alpha in (2.3e-16, 2.2e-16, 1.2e-16)}
+    assert uppers == {2.3e-16: "179.473485752", 2.2e-16: "180.371061688",
+                      1.2e-16: "193.063065764"}
+    stats = {"stat_hi": np.array([175.0]), "stat_lo": np.array([1.0]), "dof1": 18, "dof2": 18}
+    p = _p_value("f", **stats)
+    assert p[0] == pytest.approx(2.88e-16, rel=1e-3)
+    table = CaseTable.concat("f", [{"case_ids": ("a",), "labels": ("x",), "is_healthy": False,
+                                    **stats, "p": p}])
+    assert (table.p < 2.3e-16).tolist() == oc.critical_point_damaged(table, 2.3e-16) == [False]
+
+
 def test_p_values_lie_in_unit_interval_and_decide(ladder_dataset, bench_welch):
     scores = compute_path_scores(ladder_dataset, "1-2", "first-packet", bench_welch,
                                  METRICS, holdout=5)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gwdetect.cli import OPTIONS, main
+from gwdetect.cli import COMMAND_OPTIONS, OPTIONS, main
 from gwdetect.pipeline import METRICS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,19 +49,25 @@ def test_readme_python_blocks_run(tmp_path, capsys, monkeypatch):
 
 def test_readme_config_table_is_the_option_table():
     """The README's config table and ``cli.OPTIONS`` hold the same rows, each
-    once: the ``[section] key``, the flag (the first code span of its cell)
-    and the default, a value in a code span as a config file would hold it,
-    or words where the option has no default value."""
-    table = README.read_text().split("| config key | flag | default |\n|---|---|---|\n")[1]
+    once: the ``[section] key``, the flag (the first code span of its cell),
+    the default, a value in a code span as a config file would hold it, or
+    words where the option has no default value, and the commands that read
+    the row (``cli.COMMAND_OPTIONS``)."""
+    table = README.read_text().split("| config key | flag | default | read by |\n"
+                                     "|---|---|---|---|\n")[1]
     rows = []
     for line in table.split("\n\n", 1)[0].splitlines():
-        key, flag, default = line.strip("|").split(" | ")
+        key, flag, default, readers = line.strip("|").split(" | ")
         section, name = re.fullmatch(r"`\[(\w+)\] (\w+)`", key.strip()).groups()
         value = re.fullmatch(r"`([^`]+)`", default.strip())
         rows.append((f"{section}.{name}", re.match(r"`(--[\w-]+)`", flag.strip())[1],
-                     value[1] if value else None))
+                     value[1] if value else None,
+                     frozenset(re.fullmatch(r"`(\w+)`", cmd)[1] for cmd in
+                               readers.strip().split(", "))))
     assert len(rows) == len(set(rows))
-    assert set(rows) == {(key, flag, default) for key, (flag, default, *_) in OPTIONS.items()}
+    assert set(rows) == {
+        (key, flag, default, frozenset(cmd for cmd, keys in COMMAND_OPTIONS.items() if key in keys))
+        for key, (flag, default, *_) in OPTIONS.items()}
 
 
 def test_readme_cli_journey_writes_utf8_on_any_locale(tmp_path):

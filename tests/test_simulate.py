@@ -63,8 +63,9 @@ def test_damage_spec_validation():
         DamageSpec(attenuation=0.0)
     with pytest.raises(ValueError):
         DamageSpec(attenuation=1.2)
-    with pytest.raises(ValueError):
-        DamageSpec(delay=-1e-6)
+    for delay in (-1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delay must be a finite number >= 0"):
+            DamageSpec(delay=delay)
     with pytest.raises(ValueError):
         DamageSpec(scatter_gain=1.0)
     assert IDENTITY_DAMAGE.attenuation == 1.0
@@ -117,6 +118,10 @@ def test_noise_std_for_snr():
     std = noise_std_for_snr(clean, 40.0)
     support = clean.samples[clean.samples != 0.0]
     assert std == pytest.approx(np.sqrt(np.mean(support**2)) / 100.0)
+    # a level beyond the largest double is infinite, which synth_dataset refuses;
+    # one below the smallest is 0, a noiseless record
+    assert noise_std_for_snr(clean, -7000.0) == math.inf
+    assert noise_std_for_snr(clean, 7000.0) == 0.0
 
 
 def test_attenuation_ladder():
@@ -125,8 +130,12 @@ def test_attenuation_ladder():
     gains = [d.attenuation for d in ladder]
     assert gains[0] == 0.9 and gains[-1] == 0.5
     assert all(b < a for a, b in zip(gains, gains[1:]))
-    assert all(d.label for d in ladder)
+    assert [d.label for d in ladder] == ["att-0.9", "att-0.82", "att-0.74", "att-0.66",
+                                         "att-0.58", "att-0.5"]
     assert attenuation_ladder(0) == []
+    # the most steps whose labels, the gains to 3 significant digits, all differ: a
+    # step of 0.001
+    assert len({d.label for d in attenuation_ladder(401)}) == 401
 
 
 def test_synth_dataset_layout(tmp_path):
@@ -201,6 +210,10 @@ def test_synth_dataset_checks_the_noise_level_before_writing(tmp_path, level):
     ("dataset", "arrival_delay", math.nan, "a finite number >= 0"),
     ("dataset", "arrival_delay", -1.0, "a finite number >= 0"),
     ("dataset", "arrival_delay", math.inf, "a finite number >= 0"),
+    ("dataset", "arrival_delay", 1e301,
+     "a finite number >= 0 that is a finite number of samples at the sample_rate"),
+    ("dataset", "snr_db", -7000.0,
+     "a finite number whose noise level is, as a given noise_std must be, a finite number >= 0"),
     ("dataset", "path_gain", math.nan, "a finite number"),
     ("dataset", "path_gain", 0.0, "a finite number other than 0, as snr_db sets the noise level"),
     ("dataset", "n_baseline", 1, "an integer >= 2"),
@@ -216,6 +229,8 @@ def test_synth_dataset_checks_the_noise_level_before_writing(tmp_path, level):
     ("burst", "amplitude", math.inf, "a finite number > 0"),
     ("burst", "envelope", "boxcar", "'hanning' or 'hamming'"),
     ("ladder", "n_steps", -1, "a non-negative integer"),
+    ("ladder", "n_steps", 402, "fewer steps: two steps from start to stop share the label "
+                               "'att-0.7', which spells the gain to 3 significant digits"),
     ("ladder", "start", 1.5, "a number in (0, 1]"),
     ("ladder", "stop", math.inf, "a number in (0, 1]"),
     ("ladder", "stop", 0.0, "a number in (0, 1]"),
